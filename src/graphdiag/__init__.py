@@ -9,8 +9,7 @@ an applicability verdict.
 
 from .community import BlockMatrix, Partition, block_density_matrix, louvain, modularity
 from .graphs import (Dataset, FeatureMatrix, GraphError, LabeledGraph, LabelVector,
-                     connected_components, degree_sequence, edge_density,
-                     largest_connected_component, remove_rare_labels,
+                     connected_components, edge_density, remove_rare_labels,
                      select_components, to_undirected)
 from .harness import (AnalysisResult, Decision, SplitSet, StudyConfig, StudyReport,
                       SweepResult, SweepRow, TrainSettings, Verdict, analyze_dataset,
@@ -21,9 +20,8 @@ from .infotheory import (DegenerateDistributionError, JointCounts, entropy,
                          normalized_mutual_information, uncertainty_coefficient)
 from .io import load_dataset
 from .models import (GcnModel, LogRegModel, NormalizedAdjacency, TrainConfig,
-                     TrainingDivergedError, accuracy, gcn_forward, load_params,
-                     logreg_forward, normalized_adjacency, save_params,
-                     sgc_propagate, train_gcn, train_logreg)
+                     TrainingDivergedError, accuracy, gcn_forward, logreg_forward,
+                     normalized_adjacency, sgc_propagate, train_gcn, train_logreg)
 from .nullmodels import (GraphVariant, RewireStallWarning, generate_erdos_renyi,
                          generate_sbm, rewire_configuration_model,
                          swap_perturbation)

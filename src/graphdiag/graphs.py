@@ -66,11 +66,6 @@ class LabeledGraph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors_of(u)
-        i = np.searchsorted(row, v)
-        return bool(i < len(row) and row[i] == v)
-
     def edge_array(self) -> np.ndarray:
         """Return an (m, 2) array of endpoints with u < v, sorted lexicographically."""
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
@@ -172,11 +167,6 @@ class Dataset:
         return self.graph.n
 
 
-def degree_sequence(graph: LabeledGraph) -> np.ndarray:
-    """Per-node degree array; sums to 2m."""
-    return graph.degrees()
-
-
 def edge_density(graph: LabeledGraph) -> float:
     """Existing undirected edges divided by the n-choose-2 maximum."""
     if graph.n < 2:
@@ -247,11 +237,6 @@ def select_components(dataset: Dataset, keep_top_k: int = 1) -> Dataset:
     comps = connected_components(dataset.graph)
     chosen = np.sort(np.concatenate(comps[:keep_top_k]))
     return induced_subdataset(dataset, chosen)
-
-
-def largest_connected_component(dataset: Dataset) -> Dataset:
-    """Induced dataset on the single largest component (smallest-id tie rule)."""
-    return select_components(dataset, keep_top_k=1)
 
 
 def remove_rare_labels(dataset: Dataset, min_count: int) -> Dataset:

@@ -120,7 +120,7 @@ class StudyConfig:
     models: tuple[str, ...] = MODEL_NAMES
     seed: int = 0
     keep_top_k_components: int = 1
-    min_label_count: int | None = None  # None: train + val quota
+    min_label_count: int | None = None  # None: train + val quota + 1
     # past ~0.5 a two-community graph inverts rather than scrambles (the
     # coefficient is symmetric to label flips), so the default sweep stops there
     fractions: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -146,7 +146,8 @@ class StudyConfig:
     def effective_min_label_count(self) -> int:
         if self.min_label_count is not None:
             return self.min_label_count
-        return self.train_per_class + self.val_per_class
+        # make_splits needs at least one test node per class
+        return self.train_per_class + self.val_per_class + 1
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StudyConfig":
@@ -327,37 +328,43 @@ def _variant_graph(prep: PreparedStudy, config: StudyConfig, variant_value: str,
 def _evaluate_models(prep: PreparedStudy, config: StudyConfig, graph,
                      variant_value: str, g: int,
                      models: Sequence[str]) -> list[RunRecord]:
+    """Accuracy records per (model, split, init) on one graph.
+
+    Logreg is SGC with K=0. Both linear models start from zero weights, so
+    each is fit once per split and its record repeats for every init; only
+    the GCN draws a fresh initialization per init.
+    """
     features = prep.dataset.features
     labels = prep.dataset.labels
     adj = normalized_adjacency(graph)
-    propagated = (sgc_propagate(adj, features, config.train.sgc_k)
-                  if "sgc" in models else None)
     vi = _VARIANT_INDEX[variant_value]
     records = []
     for model in models:
         mi = MODEL_NAMES.index(model)
+        if model != "gcn":
+            k = config.train.sgc_k if model == "sgc" else 0
+            inputs = sgc_propagate(adj, features, k)
         for s, split in enumerate(prep.splits):
             for i in range(config.n_inits):
-                seed = derive_seed(config.seed, _ROLE_INIT, vi, g, s, i, mi)
-                tc = config.train.to_train_config(seed)
-                try:
-                    if model == "logreg":
-                        fitted = train_logreg(features, labels, split, tc)
-                        probs = logreg_forward(fitted, features)
-                    elif model == "sgc":
-                        fitted = train_logreg(propagated, labels, split, tc)
-                        probs = logreg_forward(fitted, propagated)
-                    else:
-                        fitted = train_gcn(graph, features, labels, split, tc,
-                                           hidden_dim=config.train.hidden_dim)
-                        probs = gcn_forward(fitted, adj, features)
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"study cell failed: variant={variant_value} graph_seed={g} "
-                        f"split={s} init={i} model={model}") from exc
+                if model == "gcn" or i == 0:
+                    seed = derive_seed(config.seed, _ROLE_INIT, vi, g, s, i, mi)
+                    tc = config.train.to_train_config(seed)
+                    try:
+                        if model == "gcn":
+                            fitted = train_gcn(adj, features, labels, split, tc,
+                                               hidden_dim=config.train.hidden_dim)
+                            probs = gcn_forward(fitted, adj, features)
+                        else:
+                            fitted = train_logreg(inputs, labels, split, tc)
+                            probs = logreg_forward(fitted, inputs)
+                    except Exception as exc:
+                        raise RuntimeError(
+                            f"study cell failed: variant={variant_value} graph_seed={g} "
+                            f"split={s} init={i} model={model}") from exc
+                    acc = accuracy(probs, labels, split.test)
                 records.append(RunRecord(model=model, variant=variant_value,
                                          graph_seed=g, split=s, init=i,
-                                         accuracy=accuracy(probs, labels, split.test)))
+                                         accuracy=acc))
     return records
 
 
@@ -383,7 +390,11 @@ def _ablation_cell(task: tuple[str, int]):
     partition = louvain(graph, derive_seed(config.seed, _ROLE_LOUVAIN,
                                            _VARIANT_INDEX[variant_value], g))
     u_values = _uncertainty_values(prep, partition)
-    records = _evaluate_models(prep, config, graph, variant_value, g, config.models)
+    # the feature-only baseline ignores the graph: run_ablation_study copies
+    # the original graph's logreg records to every rebuilt one
+    models = [m for m in config.models
+              if m != "logreg" or variant_value == GraphVariant.ORIGINAL.value]
+    records = _evaluate_models(prep, config, graph, variant_value, g, models)
     return variant_value, g, records, u_values
 
 
@@ -433,6 +444,9 @@ def run_ablation_study(dataset: Dataset, config: StudyConfig,
     for variant_value, g, recs, u_values in results:
         records.extend(recs)
         u_by_variant.setdefault(variant_value, []).extend(u_values)
+    baseline = [r for r in records if r.model == "logreg"]
+    records += [replace(r, variant=v, graph_seed=g)
+                for v, g in tasks[1:] for r in baseline]
     records.sort(key=lambda r: (config.models.index(r.model),
                                 _VARIANT_INDEX[r.variant],
                                 r.graph_seed, r.split, r.init))

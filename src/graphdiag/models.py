@@ -235,18 +235,19 @@ def gcn_loss_grad(params: list[np.ndarray], adj: NormalizedAdjacency,
     return loss, [dW0, dW1], probs
 
 
-def train_gcn(graph: LabeledGraph, features: FeatureMatrix, labels: LabelVector,
+def train_gcn(adj: NormalizedAdjacency, features: FeatureMatrix, labels: LabelVector,
               split, config: TrainConfig, hidden_dim: int = 16) -> GcnModel:
     """Two-layer GCN trained with hand-derived gradients.
 
-    Forward: P = softmax(A_hat relu(A_hat X W0) W1), loss = mean
-    cross-entropy on the train rows plus (weight_decay / 2) ||W||^2 over
-    both weight matrices. Weights are Glorot-uniform from
-    ``config.init_seed``; early stopping watches validation accuracy.
+    ``adj`` is the graph's A_hat (``normalized_adjacency``), built once by
+    the caller and shared by every run on that graph. Forward:
+    P = softmax(A_hat relu(A_hat X W0) W1), loss = mean cross-entropy on
+    the train rows plus (weight_decay / 2) ||W||^2 over both weight
+    matrices. Weights are Glorot-uniform from ``config.init_seed``; early
+    stopping watches validation accuracy.
     """
     if hidden_dim < 1:
         raise ValueError("hidden_dim must be >= 1")
-    adj = normalized_adjacency(graph)
     X = features.values
     y = labels.labels
     train, val = np.asarray(split.train), np.asarray(split.val)
@@ -266,29 +267,3 @@ def train_gcn(graph: LabeledGraph, features: FeatureMatrix, labels: LabelVector,
     (W0, W1), _ = _descend(params0, loss_grad, val_acc, config)
     return GcnModel(W0=W0, W1=W1)
 
-
-def save_params(path, model: LogRegModel | GcnModel, **meta) -> None:
-    """Write model parameters plus a small metadata header to an .npz file."""
-    import json
-
-    if isinstance(model, LogRegModel):
-        arrays = {"W": model.W, "b": model.b}
-        kind = "logreg"
-    else:
-        arrays = {"W0": model.W0, "W1": model.W1}
-        kind = "gcn"
-    header = json.dumps({"kind": kind, **meta}, sort_keys=True)
-    np.savez(path, header=np.array(header), **arrays)
-
-
-def load_params(path) -> tuple[LogRegModel | GcnModel, dict]:
-    import json
-
-    with np.load(path, allow_pickle=False) as data:
-        header = json.loads(str(data["header"]))
-        if header["kind"] == "logreg":
-            model: LogRegModel | GcnModel = LogRegModel(W=data["W"], b=data["b"])
-        else:
-            model = GcnModel(W0=data["W0"], W1=data["W1"])
-    meta = {k: v for k, v in header.items() if k != "kind"}
-    return model, meta

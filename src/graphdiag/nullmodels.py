@@ -186,14 +186,17 @@ def swap_perturbation(graph: LabeledGraph, partition: Partition, fraction: float
     if partition.num_communities < 2:
         raise GraphError("swapping needs at least two communities")
     rng = np.random.default_rng(seed)
-    pool = list(rng.permutation(n)[:n_selected])
+    selected = rng.permutation(n)[:n_selected]
+    pool = list(selected)
     comm = partition.assignment
+    # pool nodes per community, and how many communities still have one
+    left = np.bincount(comm[selected], minlength=partition.num_communities)
+    non_empty = int(np.count_nonzero(left))
     pairs: list[tuple[int, int]] = []
     retries = 0
     retry_cap = 100 * (n_selected // 2)
     while len(pool) >= 2:
-        remaining = {int(comm[u]) for u in pool}
-        if len(remaining) < 2:
+        if non_empty < 2:
             break  # only one community left; no further cross pair exists
         i = int(rng.integers(len(pool)))
         j = int(rng.integers(len(pool) - 1))
@@ -207,6 +210,9 @@ def swap_perturbation(graph: LabeledGraph, partition: Partition, fraction: float
             continue
         for k in sorted((i, j), reverse=True):
             pool.pop(k)
+        for w in (u, v):
+            left[comm[w]] -= 1
+            non_empty -= int(left[comm[w]] == 0)
         pairs.append((int(u), int(v)))
     sigma = np.arange(n, dtype=np.int64)
     for u, v in pairs:

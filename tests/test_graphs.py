@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphdiag import (GraphError, connected_components, degree_sequence,
-                       edge_density, largest_connected_component,
+from graphdiag import (GraphError, connected_components, edge_density,
                        remove_rare_labels, select_components, to_undirected)
 from graphdiag.graphs import LabeledGraph
 
@@ -14,7 +13,7 @@ from conftest import make_dataset
 class TestToUndirected:
     def test_path_graph_degrees(self):
         g = to_undirected([(0, 1), (1, 2)], n=3)
-        assert list(degree_sequence(g)) == [1, 2, 1]
+        assert list(g.degrees()) == [1, 2, 1]
 
     def test_reverse_duplicate_collapses(self):
         g = to_undirected([(0, 1), (1, 0), (1, 2)], n=3)
@@ -59,12 +58,12 @@ class TestComponents:
         # component sizes 5 and 3
         ds = make_dataset([(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7)],
                           n=8, labels=[0, 0, 0, 0, 0, 1, 1, 1])
-        out = largest_connected_component(ds)
+        out = select_components(ds)
         assert out.n == 5
 
     def test_connected_graph_identity(self):
         ds = make_dataset([(0, 1), (1, 2)], n=3, labels=[0, 1, 0])
-        out = largest_connected_component(ds)
+        out = select_components(ds)
         assert out.n == 3
         assert np.array_equal(out.graph.offsets, ds.graph.offsets)
         assert np.array_equal(out.labels.labels, ds.labels.labels)
@@ -72,13 +71,13 @@ class TestComponents:
     def test_size_tie_keeps_smallest_min_id(self):
         ds = make_dataset([(0, 1), (1, 2), (3, 4), (4, 5)], n=6,
                           labels=[0, 0, 0, 1, 1, 1])
-        out = largest_connected_component(ds)
+        out = select_components(ds)
         assert out.node_tokens == ("0", "1", "2")
 
     def test_idempotent(self):
         ds = make_dataset([(0, 1), (2, 3), (3, 4)], n=5, labels=[0, 1, 0, 1, 0])
-        once = largest_connected_component(ds)
-        twice = largest_connected_component(once)
+        once = select_components(ds)
+        twice = select_components(once)
         assert np.array_equal(once.graph.neighbors, twice.graph.neighbors)
         assert once.node_tokens == twice.node_tokens
 
@@ -152,10 +151,10 @@ class TestEdgeDensity:
 class TestDegreeSequence:
     def test_empty_graph(self):
         g = to_undirected([], n=4)
-        assert list(degree_sequence(g)) == [0, 0, 0, 0]
+        assert list(g.degrees()) == [0, 0, 0, 0]
 
     def test_triangle(self, triangle):
-        assert list(degree_sequence(triangle)) == [2, 2, 2]
+        assert list(triangle.degrees()) == [2, 2, 2]
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,7 +162,7 @@ class TestDegreeSequence:
        st.integers(12, 16))
 def test_random_edge_lists_yield_valid_graphs(edges, n):
     g = to_undirected(edges, n=n)
-    deg = degree_sequence(g)
+    deg = g.degrees()
     assert deg.sum() == 2 * g.m
     # symmetry and sortedness are enforced by the constructor; spot-check
     for u in range(g.n):

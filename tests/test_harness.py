@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from graphdiag import (Decision, LabelVector, StudyConfig, emit_report,
-                       guideline_verdict, make_splits, run_ablation_study,
-                       run_perturbation_sweep)
+from graphdiag import (Decision, LabelVector, StudyConfig, accuracy, emit_report,
+                       guideline_verdict, logreg_forward, make_splits,
+                       normalized_adjacency, run_ablation_study,
+                       run_perturbation_sweep, sgc_propagate, train_logreg)
+from graphdiag import harness
 from graphdiag.harness import (StudyReport, SweepRow, TrainSettings, Verdict,
                                derive_seed)
 from graphdiag.synthetic import planted_dataset
@@ -143,6 +145,60 @@ class TestRunAblationStudy:
         assert seq.records == par.records
         assert seq.uncertainty == par.uncertainty
 
+    def test_each_distinct_model_is_fit_once(self, tiny_dataset, monkeypatch):
+        # logreg (SGC with K=0) once per split on the original graph, SGC
+        # once per (graph, split), GCN once per (graph, split, init)
+        cfg = tiny_config()
+        propagate, fit_linear, fit_gcn = (harness.sgc_propagate, harness.train_logreg,
+                                          harness.train_gcn)
+        steps_of = {}
+        fits = {"logreg": 0, "sgc": 0, "gcn": 0}
+
+        def counting_propagate(adj, features, k):
+            out = propagate(adj, features, k)
+            steps_of[id(out)] = k
+            return out
+
+        def counting_logreg(features, *args, **kwargs):
+            fits["sgc" if steps_of.get(id(features), 0) else "logreg"] += 1
+            return fit_linear(features, *args, **kwargs)
+
+        def counting_gcn(*args, **kwargs):
+            fits["gcn"] += 1
+            return fit_gcn(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "sgc_propagate", counting_propagate)
+        monkeypatch.setattr(harness, "train_logreg", counting_logreg)
+        monkeypatch.setattr(harness, "train_gcn", counting_gcn)
+        run_ablation_study(tiny_dataset, cfg, jobs=1)
+        graphs = 1 + 3 * cfg.n_graph_seeds
+        assert fits == {"logreg": cfg.n_splits, "sgc": graphs * cfg.n_splits,
+                        "gcn": graphs * cfg.n_splits * cfg.n_inits}
+
+    def test_linear_records_match_direct_fits(self, tiny_dataset, report):
+        # oracle: an independent fit per (model, variant, graph, split) on
+        # that graph gives the accuracy every init of the cell carries
+        cfg = tiny_config()
+        prep = harness.prepare_study(tiny_dataset, cfg)
+        features, labels = prep.dataset.features, prep.dataset.labels
+        tc = cfg.train.to_train_config(0)
+        accs = {}
+        for r in report.records:
+            if r.model != "gcn":
+                accs.setdefault((r.model, r.variant, r.graph_seed, r.split),
+                                []).append(r.accuracy)
+        assert len(accs) == 2 * (1 + 3 * cfg.n_graph_seeds) * cfg.n_splits
+        for (model, variant, g, s), values in accs.items():
+            assert len(values) == cfg.n_inits
+            graph = harness._variant_graph(prep, cfg, variant, g)
+            inputs = (sgc_propagate(normalized_adjacency(graph), features,
+                                    cfg.train.sgc_k)
+                      if model == "sgc" else features)
+            split = prep.splits[s]
+            fitted = train_logreg(inputs, labels, split, tc)
+            expected = accuracy(logreg_forward(fitted, inputs), labels, split.test)
+            assert values == [expected] * cfg.n_inits, (model, variant, g, s)
+
 
 class TestPerturbationSweep:
     def test_fraction_zero_matches_sbm_cells(self, tiny_dataset):
@@ -257,3 +313,16 @@ class TestPreprocessing:
         out = preprocess_dataset(ds, cfg)
         assert out.labels.num_labels == 2
         assert out.n == 6  # the 6-node component of classes 0/1
+
+    def test_class_at_exactly_the_quota_is_dropped(self):
+        # a class of exactly train + val nodes would leave no test node, so
+        # the default min_label_count drops it rather than failing the splits
+        from conftest import make_dataset
+        from graphdiag.harness import prepare_study
+        labels = np.repeat([0, 1, 2], [70, 60, 50])
+        ds = make_dataset([(i, i + 1) for i in range(179)], n=180, labels=labels)
+        cfg = StudyConfig(n_splits=1)
+        prep = prepare_study(ds, cfg)
+        assert prep.dataset.labels.num_labels == 2
+        assert list(prep.dataset.labels.class_counts()) == [70, 60]
+        assert cfg.effective_min_label_count == 51

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from graphdiag import (FeatureMatrix, LabelVector, TrainConfig, accuracy,
-                       gcn_forward, load_params, logreg_forward,
-                       normalized_adjacency, save_params, sgc_propagate,
-                       to_undirected, train_gcn, train_logreg)
+                       gcn_forward, logreg_forward, normalized_adjacency,
+                       sgc_propagate, to_undirected, train_gcn, train_logreg)
 from graphdiag.harness import SplitSet
-from graphdiag.models import (GcnModel, LogRegModel, TrainingDivergedError,
+from graphdiag.models import (GcnModel, TrainingDivergedError,
                               _descend, gcn_loss_grad, glorot_uniform,
                               logreg_loss_grad)
 from graphdiag.synthetic import planted_partition_graph
@@ -254,8 +253,9 @@ class TestTrainGcn:
         perm = rng.permutation(120)
         split = SplitSet(train=np.sort(perm[:20]), val=np.sort(perm[20:50]),
                          test=np.sort(perm[50:]))
-        model = train_gcn(g, X, labels, split, TrainConfig(init_seed=3))
-        probs = gcn_forward(model, normalized_adjacency(g), X)
+        adj = normalized_adjacency(g)
+        model = train_gcn(adj, X, labels, split, TrainConfig(init_seed=3))
+        probs = gcn_forward(model, adj, X)
         assert accuracy(probs, labels, split.test) >= 0.9
 
     def test_edgeless_graph_close_to_logreg(self):
@@ -274,7 +274,7 @@ class TestTrainGcn:
         for i, split in enumerate(splits):
             base = train_logreg(X, y, split, TrainConfig())
             acc_lr.append(accuracy(logreg_forward(base, X), y, split.test))
-            model = train_gcn(g, X, y, split, TrainConfig(init_seed=i),
+            model = train_gcn(adj, X, y, split, TrainConfig(init_seed=i),
                               hidden_dim=8)
             acc_gcn.append(accuracy(gcn_forward(model, adj, X), y, split.test))
         assert abs(np.median(acc_gcn) - np.median(acc_lr)) <= 0.05
@@ -344,24 +344,3 @@ class TestAccuracy:
         y = LabelVector(np.array([0, 1]), 2)
         with pytest.raises(ValueError):
             accuracy(np.eye(2), y, np.array([], dtype=int))
-
-
-class TestParamSerialization:
-    def test_logreg_round_trip(self, tmp_path):
-        model = LogRegModel(W=np.arange(6.0).reshape(2, 3), b=np.array([0.5, -0.5]))
-        path = tmp_path / "model.npz"
-        save_params(path, model, init_seed=7, weight_decay=5e-4)
-        loaded, meta = load_params(path)
-        assert isinstance(loaded, LogRegModel)
-        assert np.array_equal(loaded.W, model.W)
-        assert np.array_equal(loaded.b, model.b)
-        assert meta["init_seed"] == 7
-
-    def test_gcn_round_trip(self, tmp_path):
-        model = GcnModel(W0=np.ones((3, 2)), W1=np.full((2, 2), 0.25))
-        path = tmp_path / "model.npz"
-        save_params(path, model, hidden_dim=2)
-        loaded, meta = load_params(path)
-        assert isinstance(loaded, GcnModel)
-        assert np.array_equal(loaded.W1, model.W1)
-        assert meta["hidden_dim"] == 2
