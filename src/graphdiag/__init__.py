@@ -11,10 +11,10 @@ from .community import BlockMatrix, Partition, block_density_matrix, louvain, mo
 from .graphs import (Dataset, FeatureMatrix, GraphError, LabeledGraph, LabelVector,
                      connected_components, edge_density, remove_rare_labels,
                      select_components, to_undirected)
-from .harness import (AnalysisResult, Decision, SplitSet, StudyConfig, StudyReport,
-                      SweepResult, SweepRow, TrainSettings, Verdict, analyze_dataset,
+from .harness import (AnalysisResult, Decision, PreparedStudy, SplitSet, StudyConfig,
+                      StudyReport, SweepResult, SweepRow, Verdict, analyze_prepared,
                       emit_report, guideline_verdict, load_config, make_splits,
-                      run_ablation_study, run_perturbation_sweep)
+                      prepare_study, run_ablation_study, run_perturbation_sweep)
 from .infotheory import (DegenerateDistributionError, JointCounts, entropy,
                          joint_counts, mutual_information,
                          normalized_mutual_information, uncertainty_coefficient)

@@ -18,11 +18,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import io as gio
-from .graphs import Dataset
-from .harness import (AnalysisResult, Decision, StudyConfig, Verdict, analyze_dataset,
-                      emit_report, guideline_verdict, load_config,
-                      run_ablation_study, run_perturbation_sweep, write_sweep_csv,
-                      _jsonable)
+from .harness import (AnalysisResult, Decision, PreparedStudy, Verdict,
+                      analyze_prepared, emit_report, guideline_verdict, load_config,
+                      prepare_study, run_ablation_study, run_perturbation_sweep,
+                      write_sweep_csv, _jsonable)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -54,16 +53,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> tuple[StudyConfig, Dataset]:
-    config = load_config(args.config)
+def _prepare(args, **overrides) -> PreparedStudy:
+    """Load the config (with command-line overrides) and its dataset, and
+    prepare the study every stage of the command shares."""
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        overrides["seed"] = args.seed
     if args.keep_top_k_components is not None:
-        config = replace(config, keep_top_k_components=args.keep_top_k_components)
+        overrides["keep_top_k_components"] = args.keep_top_k_components
+    config = replace(load_config(args.config), **overrides)
     if not (config.edges and config.features and config.labels):
         raise SystemExit("config must set the edges/features/labels paths")
     dataset = gio.load_dataset(config.edges, config.features, config.labels)
-    return config, dataset
+    return prepare_study(dataset, config)
 
 
 def _write_json(out_dir: str, name: str, payload) -> Path:
@@ -113,11 +114,8 @@ def _justification(verdict: Verdict, thresholds: tuple[float, float]) -> str:
 
 
 def cmd_analyze(args) -> int:
-    from .harness import analyze_prepared, prepare_study
-
-    config, dataset = _load(args)
-    prep = prepare_study(dataset, config)
-    result = analyze_prepared(prep, config)
+    prep = _prepare(args)
+    result = analyze_prepared(prep)
     _print_analysis(result)
     out = gio.ensure_dir(args.out)
     gio.write_partition(out / "partition.tsv", prep.base_partition,
@@ -129,8 +127,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config, dataset = _load(args)
-    report = run_ablation_study(dataset, config, jobs=args.jobs)
+    report = run_ablation_study(_prepare(args), jobs=args.jobs)
     written = emit_report(report, args.out)
     medians: dict[tuple[str, str], list[float]] = {}
     for r in report.records:
@@ -145,12 +142,11 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    config, dataset = _load(args)
-    fractions = None
+    overrides = {}
     if args.fractions:
-        fractions = [float(x) for x in args.fractions.split(",") if x != ""]
-    sweep = run_perturbation_sweep(dataset, config, fractions=fractions,
-                                   jobs=args.jobs)
+        overrides["fractions"] = tuple(float(x) for x in args.fractions.split(",")
+                                       if x != "")
+    sweep = run_perturbation_sweep(_prepare(args, **overrides), jobs=args.jobs)
     print("fraction  U(L|C) mean+/-std   accuracy mean+/-std")
     for row in sweep.rows:
         print(f"  {row.fraction:>6.3f}  {row.u_mean:.4f} +/- {row.u_std:.4f}   "
@@ -161,14 +157,15 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_verdict(args) -> int:
-    config, dataset = _load(args)
-    analysis = analyze_dataset(dataset, config)
+    prep = _prepare(args)
+    config = prep.config
+    analysis = analyze_prepared(prep)
     _print_analysis(analysis)
     low, high = config.thresholds
     sweep = None
     if low <= analysis.u_mean <= high:
         print("alignment score is in the middle band; running the swap sweep...")
-        sweep = run_perturbation_sweep(dataset, config, jobs=args.jobs)
+        sweep = run_perturbation_sweep(prep, jobs=args.jobs)
     verdict = guideline_verdict(analysis.u_mean, sweep, config.thresholds)
     print(f"verdict: {verdict.decision.value}")
     print(_justification(verdict, config.thresholds))

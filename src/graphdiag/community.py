@@ -84,12 +84,12 @@ def block_density_matrix(graph: LabeledGraph, partition: Partition) -> BlockMatr
     comm = partition.assignment
     k = partition.num_communities
     sizes = partition.sizes()
+    edges = graph.edge_array()
+    a, b = comm[edges[:, 0]], comm[edges[:, 1]]
     counts = np.zeros((k, k), dtype=np.int64)
-    for u, v in graph.edge_array():
-        a, b = comm[u], comm[v]
-        counts[a, b] += 1
-        if a != b:
-            counts[b, a] += 1
+    np.add.at(counts, (a, b), 1)
+    cross = a != b
+    np.add.at(counts, (b[cross], a[cross]), 1)
     pairs = np.outer(sizes, sizes).astype(np.float64)
     np.fill_diagonal(pairs, sizes * (sizes - 1) / 2.0)
     with np.errstate(invalid="ignore", divide="ignore"):

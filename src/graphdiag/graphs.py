@@ -179,24 +179,29 @@ def connected_components(graph: LabeledGraph) -> list[np.ndarray]:
 
     Each component is returned as a sorted array of node ids.
     """
-    seen = np.zeros(graph.n, dtype=bool)
-    components = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        frontier = [start]
-        seen[start] = True
-        members = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in graph.neighbors_of(u):
-                    if not seen[v]:
-                        seen[v] = True
-                        members.append(int(v))
-                        nxt.append(int(v))
-            frontier = nxt
-        components.append(np.array(sorted(members), dtype=np.int64))
+    if graph.n == 0:
+        return []
+    # hook and shortcut: every node points at a smaller or equal id. Each
+    # round hooks the larger root of every edge between two trees onto the
+    # smaller one, then compresses paths; each tree's root ends up as its
+    # component's smallest id
+    root = np.arange(graph.n)
+    src = np.repeat(np.arange(graph.n), graph.degrees())
+    while True:
+        a, b = root[src], root[graph.neighbors]
+        cross = a != b
+        if not cross.any():
+            break
+        np.minimum.at(root, np.maximum(a, b)[cross], np.minimum(a, b)[cross])
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    # a stable sort by root keeps each component's ids ascending
+    order = np.argsort(root, kind="stable")
+    _, sizes = np.unique(root, return_counts=True)
+    components = np.split(order, np.cumsum(sizes)[:-1])
     components.sort(key=lambda c: (-len(c), c[0]))
     return components
 

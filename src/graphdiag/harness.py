@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -89,25 +89,6 @@ def make_splits(labels, quotas: tuple[int, int], n_splits: int,
 
 
 @dataclass(frozen=True)
-class TrainSettings:
-    """Model hyperparameters shared by every training run of a study."""
-
-    learning_rate: float = 2.0
-    max_epochs: int = 300
-    weight_decay: float = 5e-4
-    patience: int = 30
-    hidden_dim: int = 16
-    sgc_k: int = 2
-
-    def to_train_config(self, init_seed: int) -> TrainConfig:
-        return TrainConfig(learning_rate=self.learning_rate,
-                           max_epochs=self.max_epochs,
-                           weight_decay=self.weight_decay,
-                           patience=self.patience,
-                           init_seed=init_seed)
-
-
-@dataclass(frozen=True)
 class StudyConfig:
     edges: str | None = None
     features: str | None = None
@@ -125,7 +106,7 @@ class StudyConfig:
     # coefficient is symmetric to label flips), so the default sweep stops there
     fractions: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
     thresholds: tuple[float, float] = (0.3, 0.7)
-    train: TrainSettings = TrainSettings()
+    train: TrainConfig = TrainConfig()
 
     def __post_init__(self) -> None:
         if min(self.n_splits, self.n_inits, self.n_graph_seeds) < 1:
@@ -157,11 +138,11 @@ class StudyConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         data = dict(raw)
         if "train" in data:
-            train_known = set(TrainSettings.__dataclass_fields__)
+            train_known = set(TrainConfig.__dataclass_fields__)
             train_unknown = set(data["train"]) - train_known
             if train_unknown:
                 raise ValueError(f"unknown train config keys: {sorted(train_unknown)}")
-            data["train"] = TrainSettings(**data["train"])
+            data["train"] = TrainConfig(**data["train"])
         if "thresholds" in data:
             th = data["thresholds"]
             if isinstance(th, dict):
@@ -177,16 +158,9 @@ class StudyConfig:
         return cls(**data)
 
     def to_dict(self) -> dict:
-        out = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if isinstance(value, TrainSettings):
-                value = {k: getattr(value, k) for k in value.__dataclass_fields__}
-            elif name == "thresholds":
-                value = {"low": value[0], "high": value[1]}
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[name] = value
+        out = {k: list(v) if isinstance(v, tuple) else v
+               for k, v in asdict(self).items()}
+        out["thresholds"] = {"low": self.thresholds[0], "high": self.thresholds[1]}
         return out
 
 
@@ -273,8 +247,10 @@ class StudyReport:
 
 @dataclass(frozen=True)
 class PreparedStudy:
-    """Preprocessed dataset plus everything shared across study cells."""
+    """A study's config, its preprocessed dataset, and everything shared
+    across study cells; the one input of every study stage."""
 
+    config: StudyConfig
     dataset: Dataset
     splits: tuple[SplitSet, ...]
     base_partition: Partition
@@ -296,26 +272,26 @@ def prepare_study(dataset: Dataset, config: StudyConfig) -> PreparedStudy:
         ds.graph, derive_seed(config.seed, _ROLE_LOUVAIN,
                               _VARIANT_INDEX["original"], 0))
     blocks = block_density_matrix(ds.graph, base_partition)
-    return PreparedStudy(dataset=ds, splits=tuple(splits),
+    return PreparedStudy(config=config, dataset=ds, splits=tuple(splits),
                          base_partition=base_partition, blocks=blocks)
 
 
-def dataset_summary(dataset: Dataset, config: StudyConfig) -> dict:
+def dataset_summary(prep: PreparedStudy) -> dict:
+    dataset = prep.dataset
     n = dataset.n
     return {
         "num_nodes": n,
         "num_edges": dataset.graph.m,
         "edge_density": edge_density(dataset.graph),
         "num_labels": dataset.labels.num_labels,
-        "label_rate": config.train_per_class * dataset.labels.num_labels / n,
+        "label_rate": prep.config.train_per_class * dataset.labels.num_labels / n,
     }
 
 
-def _variant_graph(prep: PreparedStudy, config: StudyConfig, variant_value: str,
-                   g: int):
+def _variant_graph(prep: PreparedStudy, variant_value: str, g: int):
     if variant_value == GraphVariant.ORIGINAL.value:
         return prep.dataset.graph
-    seed = derive_seed(config.seed, _ROLE_GRAPH, _VARIANT_INDEX[variant_value], g)
+    seed = derive_seed(prep.config.seed, _ROLE_GRAPH, _VARIANT_INDEX[variant_value], g)
     if variant_value == GraphVariant.SBM.value:
         return generate_sbm(prep.blocks, prep.base_partition, seed)
     if variant_value == GraphVariant.CM.value:
@@ -325,8 +301,7 @@ def _variant_graph(prep: PreparedStudy, config: StudyConfig, variant_value: str,
     raise ValueError(f"unknown variant {variant_value!r}")
 
 
-def _evaluate_models(prep: PreparedStudy, config: StudyConfig, graph,
-                     variant_value: str, g: int,
+def _evaluate_models(prep: PreparedStudy, graph, variant_value: str, g: int,
                      models: Sequence[str]) -> list[RunRecord]:
     """Accuracy records per (model, split, init) on one graph.
 
@@ -334,6 +309,7 @@ def _evaluate_models(prep: PreparedStudy, config: StudyConfig, graph,
     each is fit once per split and its record repeats for every init; only
     the GCN draws a fresh initialization per init.
     """
+    config = prep.config
     features = prep.dataset.features
     labels = prep.dataset.labels
     adj = normalized_adjacency(graph)
@@ -347,15 +323,14 @@ def _evaluate_models(prep: PreparedStudy, config: StudyConfig, graph,
         for s, split in enumerate(prep.splits):
             for i in range(config.n_inits):
                 if model == "gcn" or i == 0:
-                    seed = derive_seed(config.seed, _ROLE_INIT, vi, g, s, i, mi)
-                    tc = config.train.to_train_config(seed)
                     try:
                         if model == "gcn":
-                            fitted = train_gcn(adj, features, labels, split, tc,
-                                               hidden_dim=config.train.hidden_dim)
+                            seed = derive_seed(config.seed, _ROLE_INIT, vi, g, s, i, mi)
+                            fitted = train_gcn(adj, features, labels, split,
+                                               config.train, seed)
                             probs = gcn_forward(fitted, adj, features)
                         else:
-                            fitted = train_logreg(inputs, labels, split, tc)
+                            fitted = train_logreg(inputs, labels, split, config.train)
                             probs = logreg_forward(fitted, inputs)
                     except Exception as exc:
                         raise RuntimeError(
@@ -375,31 +350,34 @@ def _uncertainty_values(prep: PreparedStudy, partition: Partition) -> list[float
 
 
 # worker-process state for the task pool (populated by fork or initializer)
-_TASK_STATE: tuple[PreparedStudy, StudyConfig] | None = None
+_TASK_STATE: PreparedStudy | None = None
 
 
-def _set_task_state(prep: PreparedStudy, config: StudyConfig) -> None:
+def _set_task_state(prep: PreparedStudy) -> None:
     global _TASK_STATE
-    _TASK_STATE = (prep, config)
+    _TASK_STATE = prep
 
 
 def _ablation_cell(task: tuple[str, int]):
-    prep, config = _TASK_STATE
+    prep = _TASK_STATE
+    config = prep.config
     variant_value, g = task
-    graph = _variant_graph(prep, config, variant_value, g)
-    partition = louvain(graph, derive_seed(config.seed, _ROLE_LOUVAIN,
-                                           _VARIANT_INDEX[variant_value], g))
+    original = variant_value == GraphVariant.ORIGINAL.value
+    graph = _variant_graph(prep, variant_value, g)
+    # the original graph's communities were detected once, in prepare_study
+    partition = prep.base_partition if original else louvain(
+        graph, derive_seed(config.seed, _ROLE_LOUVAIN, _VARIANT_INDEX[variant_value], g))
     u_values = _uncertainty_values(prep, partition)
     # the feature-only baseline ignores the graph: run_ablation_study copies
     # the original graph's logreg records to every rebuilt one
-    models = [m for m in config.models
-              if m != "logreg" or variant_value == GraphVariant.ORIGINAL.value]
-    records = _evaluate_models(prep, config, graph, variant_value, g, models)
+    models = [m for m in config.models if m != "logreg" or original]
+    records = _evaluate_models(prep, graph, variant_value, g, models)
     return variant_value, g, records, u_values
 
 
 def _sweep_cell(task: tuple[int, int]):
-    prep, config = _TASK_STATE
+    prep = _TASK_STATE
+    config = prep.config
     fraction_index, g = task
     fraction = config.fractions[fraction_index]
     sbm_index = _VARIANT_INDEX[GraphVariant.SBM.value]
@@ -411,33 +389,31 @@ def _sweep_cell(task: tuple[int, int]):
     partition = louvain(perturbed, derive_seed(config.seed, _ROLE_LOUVAIN,
                                                sbm_index, g))
     u_values = _uncertainty_values(prep, partition)
-    records = _evaluate_models(prep, config, perturbed,
-                               GraphVariant.SBM.value, g, models=("gcn",))
+    records = _evaluate_models(prep, perturbed, GraphVariant.SBM.value, g,
+                               models=("gcn",))
     accs = tuple(r.accuracy for r in records)
     return SweepCell(fraction=fraction, graph_seed=g,
                      u_values=tuple(u_values), accuracies=accs)
 
 
-def _map_tasks(cell_fn, tasks, prep: PreparedStudy, config: StudyConfig,
-               jobs: int) -> list:
+def _map_tasks(cell_fn, tasks, prep: PreparedStudy, jobs: int) -> list:
     if jobs <= 1:
-        _set_task_state(prep, config)
+        _set_task_state(prep)
         return [cell_fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs, initializer=_set_task_state,
-                             initargs=(prep, config)) as pool:
+                             initargs=(prep,)) as pool:
         return list(pool.map(cell_fn, tasks))
 
 
-def run_ablation_study(dataset: Dataset, config: StudyConfig,
-                       jobs: int = 1) -> StudyReport:
+def run_ablation_study(prep: PreparedStudy, jobs: int = 1) -> StudyReport:
     """Evaluate every configured model on the original graph and on each
     rebuilt variant, measure per-graph label/community alignment, and test
     each cell against the feature-only baseline."""
-    prep = prepare_study(dataset, config)
+    config = prep.config
     tasks = [(GraphVariant.ORIGINAL.value, 0)]
     tasks += [(v.value, g) for v in ABLATION_VARIANTS
               for g in range(config.n_graph_seeds)]
-    results = _map_tasks(_ablation_cell, tasks, prep, config, jobs)
+    results = _map_tasks(_ablation_cell, tasks, prep, jobs)
 
     records: list[RunRecord] = []
     u_by_variant: dict[str, list[float]] = {}
@@ -464,7 +440,7 @@ def run_ablation_study(dataset: Dataset, config: StudyConfig,
     return StudyReport(
         schema_version=SCHEMA_VERSION,
         config=config.to_dict(),
-        dataset_summary=dataset_summary(prep.dataset, config),
+        dataset_summary=dataset_summary(prep),
         records=records,
         uncertainty=uncertainty,
         significance=significance,
@@ -501,20 +477,16 @@ def _baseline_tests(records: list[RunRecord],
     return out
 
 
-def run_perturbation_sweep(dataset: Dataset, config: StudyConfig,
-                           fractions: Sequence[float] | None = None,
-                           jobs: int = 1) -> SweepResult:
+def run_perturbation_sweep(prep: PreparedStudy, jobs: int = 1) -> SweepResult:
     """Swap-perturb the rebuilt block-model graphs at increasing fractions,
     re-detect communities, and track alignment against GCN accuracy.
 
     The fraction-0 column reproduces the block-model variant of the
     ablation study exactly (same derived seeds)."""
-    if fractions is not None:
-        config = replace(config, fractions=tuple(fractions))
-    prep = prepare_study(dataset, config)
+    config = prep.config
     tasks = [(fi, g) for fi in range(len(config.fractions))
              for g in range(config.n_graph_seeds)]
-    cells = _map_tasks(_sweep_cell, tasks, prep, config, jobs)
+    cells = _map_tasks(_sweep_cell, tasks, prep, jobs)
     rows = []
     for fi, fraction in enumerate(config.fractions):
         group = [c for c in cells if c.fraction == fraction]
@@ -528,14 +500,13 @@ def run_perturbation_sweep(dataset: Dataset, config: StudyConfig,
 
 
 def guideline_verdict(u_original: float, sweep=None,
-                      thresholds: tuple[float, float] = (0.3, 0.7),
-                      slope_epsilon: float = SLOPE_EPSILON) -> Verdict:
+                      thresholds: tuple[float, float] = (0.3, 0.7)) -> Verdict:
     """Two-step applicability rule.
 
     Below the low threshold: use a feature-only model. Above the high
     threshold: graph propagation should help. In between, a perturbation
     sweep decides: a declining alignment curve (least-squares slope below
-    -slope_epsilon) indicates exploitable structure; a flat one does not.
+    -SLOPE_EPSILON) indicates exploitable structure; a flat one does not.
     Without a sweep, the middle band is inconclusive.
     """
     if not 0.0 <= u_original <= 1.0:
@@ -552,7 +523,7 @@ def guideline_verdict(u_original: float, sweep=None,
     xs = np.array([r.fraction for r in rows])
     ys = np.array([r.u_mean for r in rows])
     slope = float(np.polyfit(xs, ys, 1)[0])
-    if slope < -slope_epsilon:
+    if slope < -SLOPE_EPSILON:
         return Verdict(decision=Decision.GNN_APPLICABLE_AFTER_SWEEP,
                        u_original=u_original, sweep_slope=slope)
     return Verdict(decision=Decision.FEATURE_ONLY_AFTER_SWEEP,
@@ -577,29 +548,25 @@ def _jsonable(value):
     return value
 
 
-def emit_report(report: StudyReport, out_dir, formats=("json", "csv")) -> list[Path]:
+def emit_report(report: StudyReport, out_dir) -> list[Path]:
     """Write report.json and accuracies.csv (plus sweep.csv when the report
     carries sweep rows). Floats are written with full round-trip precision,
     so identical studies produce byte-identical files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "json" in formats:
-        path = out / "report.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_jsonable(report), fh, indent=2)
-            fh.write("\n")
-        written.append(path)
-    if "csv" in formats:
-        path = out / "accuracies.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("model,variant,graph_seed,split,init,accuracy\n")
-            for r in report.records:
-                fh.write(f"{r.model},{r.variant},{r.graph_seed},{r.split},"
-                         f"{r.init},{r.accuracy!r}\n")
-        written.append(path)
-        if report.sweep:
-            written.append(write_sweep_csv(report.sweep, out / "sweep.csv"))
+    json_path = out / "report.json"
+    with open(json_path, "w", encoding="utf-8") as fh:
+        json.dump(_jsonable(report), fh, indent=2)
+        fh.write("\n")
+    csv_path = out / "accuracies.csv"
+    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("model,variant,graph_seed,split,init,accuracy\n")
+        for r in report.records:
+            fh.write(f"{r.model},{r.variant},{r.graph_seed},{r.split},"
+                     f"{r.init},{r.accuracy!r}\n")
+    written = [json_path, csv_path]
+    if report.sweep:
+        written.append(write_sweep_csv(report.sweep, out / "sweep.csv"))
     return written
 
 
@@ -628,15 +595,11 @@ class AnalysisResult:
     u_values: tuple[float, ...]
 
 
-def analyze_dataset(dataset: Dataset, config: StudyConfig) -> AnalysisResult:
-    """Preprocess, detect communities, and summarize label/community
+def analyze_prepared(prep: PreparedStudy) -> AnalysisResult:
+    """Summarize the prepared dataset, its communities, and label/community
     alignment over the study's labeled masks."""
-    return analyze_prepared(prepare_study(dataset, config), config)
-
-
-def analyze_prepared(prep: PreparedStudy, config: StudyConfig) -> AnalysisResult:
     u_values = _uncertainty_values(prep, prep.base_partition)
-    summary = dataset_summary(prep.dataset, config)
+    summary = dataset_summary(prep)
     return AnalysisResult(
         num_nodes=summary["num_nodes"],
         num_edges=summary["num_edges"],

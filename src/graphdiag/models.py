@@ -35,17 +35,28 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Hyperparameters shared by every training run of a study."""
+
     # full-batch plain GD wants a large base step; the backoff halves it
     # whenever a step would overshoot
     learning_rate: float = 2.0
     max_epochs: int = 300
     weight_decay: float = 5e-4
     patience: int = 30
-    init_seed: int = 0
+    hidden_dim: int = 16
+    sgc_k: int = 2
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0 or self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("invalid training configuration")
+        rules = (("learning_rate", "> 0", self.learning_rate > 0),
+                 ("max_epochs", ">= 1", self.max_epochs >= 1),
+                 ("weight_decay", ">= 0", self.weight_decay >= 0),
+                 ("patience", ">= 1", self.patience >= 1),
+                 ("hidden_dim", ">= 1", self.hidden_dim >= 1),
+                 ("sgc_k", ">= 0", self.sgc_k >= 0))
+        for key, rule, ok in rules:
+            if not ok:
+                raise ValueError(
+                    f"train.{key} must be {rule}, got {getattr(self, key)!r}")
 
 
 @dataclass(frozen=True)
@@ -153,8 +164,9 @@ def _descend(params: list[np.ndarray],
 
 def logreg_loss_grad(params: list[np.ndarray], X: np.ndarray, y: np.ndarray,
                      train_idx: np.ndarray, weight_decay: float):
-    """Loss, parameter gradients, and full-graph probabilities for softmax
-    regression: mean train cross-entropy + (weight_decay / 2) ||W||^2."""
+    """Loss, parameter gradients, and the probabilities of every row of X
+    for softmax regression: mean train cross-entropy + (weight_decay / 2)
+    ||W||^2."""
     W, b = params
     probs = _softmax(X @ W.T + b)
     pt = probs[train_idx]
@@ -171,21 +183,26 @@ def train_logreg(features: FeatureMatrix, labels: LabelVector, split,
                  config: TrainConfig) -> LogRegModel:
     """Softmax regression on raw features by full-batch gradient descent.
 
-    Weights start at zero, so the outcome does not depend on
-    ``config.init_seed``; the field exists for interface symmetry with the
-    graph models. Returns the parameters of the best-validation epoch.
+    Weights start at zero, so the fit needs no seed. Only the train rows
+    (loss) and validation rows (early stopping) are read, so the descent
+    runs on those rows alone. Returns the parameters of the
+    best-validation epoch.
     """
-    X = features.values
-    y = labels.labels
     train, val = np.asarray(split.train), np.asarray(split.val)
     if len(train) == 0 or len(val) == 0:
         raise ValueError("train and validation sets must be non-empty")
+    rows = np.concatenate([train, val])
+    X = features.values[rows]
+    fit_labels = LabelVector(labels.labels[rows], labels.num_labels)
+    fit_train = np.arange(len(train))
+    fit_val = np.arange(len(train), len(rows))
 
     def loss_grad(params):
-        return logreg_loss_grad(params, X, y, train, config.weight_decay)
+        return logreg_loss_grad(params, X, fit_labels.labels, fit_train,
+                                config.weight_decay)
 
     def val_acc(probs):
-        return accuracy(probs, labels, val)
+        return accuracy(probs, fit_labels, fit_val)
 
     params0 = [np.zeros((labels.num_labels, features.d)), np.zeros(labels.num_labels)]
     (W, b), _ = _descend(params0, loss_grad, val_acc, config)
@@ -236,18 +253,16 @@ def gcn_loss_grad(params: list[np.ndarray], adj: NormalizedAdjacency,
 
 
 def train_gcn(adj: NormalizedAdjacency, features: FeatureMatrix, labels: LabelVector,
-              split, config: TrainConfig, hidden_dim: int = 16) -> GcnModel:
+              split, config: TrainConfig, init_seed: int = 0) -> GcnModel:
     """Two-layer GCN trained with hand-derived gradients.
 
     ``adj`` is the graph's A_hat (``normalized_adjacency``), built once by
     the caller and shared by every run on that graph. Forward:
     P = softmax(A_hat relu(A_hat X W0) W1), loss = mean cross-entropy on
     the train rows plus (weight_decay / 2) ||W||^2 over both weight
-    matrices. Weights are Glorot-uniform from ``config.init_seed``; early
-    stopping watches validation accuracy.
+    matrices. Weights are Glorot-uniform from ``init_seed``; early stopping
+    watches validation accuracy.
     """
-    if hidden_dim < 1:
-        raise ValueError("hidden_dim must be >= 1")
     X = features.values
     y = labels.labels
     train, val = np.asarray(split.train), np.asarray(split.val)
@@ -261,9 +276,9 @@ def train_gcn(adj: NormalizedAdjacency, features: FeatureMatrix, labels: LabelVe
     def val_acc(probs):
         return accuracy(probs, labels, val)
 
-    rng = np.random.default_rng(config.init_seed)
-    params0 = [glorot_uniform((features.d, hidden_dim), rng),
-               glorot_uniform((hidden_dim, labels.num_labels), rng)]
+    rng = np.random.default_rng(init_seed)
+    params0 = [glorot_uniform((features.d, config.hidden_dim), rng),
+               glorot_uniform((config.hidden_dim, labels.num_labels), rng)]
     (W0, W1), _ = _descend(params0, loss_grad, val_acc, config)
     return GcnModel(W0=W0, W1=W1)
 

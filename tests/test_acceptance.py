@@ -53,22 +53,26 @@ def anti_dataset():
 
 @pytest.fixture(scope="module")
 def aligned_report(aligned_dataset):
-    return gd.run_ablation_study(aligned_dataset, gd.StudyConfig(**DESK_CONFIG))
+    return gd.run_ablation_study(
+        gd.prepare_study(aligned_dataset, gd.StudyConfig(**DESK_CONFIG)))
 
 
 @pytest.fixture(scope="module")
 def anti_report(anti_dataset):
-    return gd.run_ablation_study(anti_dataset, gd.StudyConfig(**DESK_CONFIG))
+    return gd.run_ablation_study(
+        gd.prepare_study(anti_dataset, gd.StudyConfig(**DESK_CONFIG)))
 
 
 @pytest.fixture(scope="module")
 def aligned_sweep(aligned_dataset):
-    return gd.run_perturbation_sweep(aligned_dataset, gd.StudyConfig(**DESK_CONFIG))
+    return gd.run_perturbation_sweep(
+        gd.prepare_study(aligned_dataset, gd.StudyConfig(**DESK_CONFIG)))
 
 
 @pytest.fixture(scope="module")
 def anti_sweep(anti_dataset):
-    return gd.run_perturbation_sweep(anti_dataset, gd.StudyConfig(**DESK_CONFIG))
+    return gd.run_perturbation_sweep(
+        gd.prepare_study(anti_dataset, gd.StudyConfig(**DESK_CONFIG)))
 
 
 def medians_by_cell(report):
@@ -265,12 +269,12 @@ def test_criterion_9_real_data_anchor():
         config = gd.StudyConfig(train_per_class=20, val_per_class=30,
                                 n_splits=5, n_inits=2, n_graph_seeds=1,
                                 models=("logreg", "gcn"), seed=7)
-        analysis = gd.analyze_dataset(dataset, config)
+        prep = gd.prepare_study(dataset, config)
+        analysis = gd.analyze_prepared(prep)
         assert abs(analysis.u_mean - 0.691) <= 0.08
-        from graphdiag.harness import (_evaluate_models, prepare_study)
-        prep = prepare_study(dataset, config)
-        records = _evaluate_models(prep, config, prep.dataset.graph,
-                                   "original", 0, ("logreg", "gcn"))
+        from graphdiag.harness import _evaluate_models
+        records = _evaluate_models(prep, prep.dataset.graph, "original", 0,
+                                   ("logreg", "gcn"))
         accs = {}
         for r in records:
             accs.setdefault(r.model, []).append(r.accuracy)
@@ -301,5 +305,6 @@ def test_criterion_10_byte_identical_reports(tmp_path):
             out = tmp_path / f"run-{len(outputs)}"
             main(["ablate", str(tmp_path / "config.json"),
                   "--out", str(out), "--jobs", jobs])
-            outputs.append((out / "accuracies.csv").read_bytes())
+            outputs.append(((out / "report.json").read_bytes(),
+                            (out / "accuracies.csv").read_bytes()))
         assert outputs[0] == outputs[1] == outputs[2]

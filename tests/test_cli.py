@@ -103,6 +103,27 @@ def test_verdict_middle_band_runs_sweep(workdir, capsys):
     assert payload["sweep"] is not None
 
 
+def test_verdict_middle_band_prepares_once(workdir, monkeypatch):
+    # the analysis and the swap sweep share one prepared study
+    import graphdiag.cli as cli
+    from graphdiag import harness
+    prepare = harness.prepare_study
+    calls = []
+
+    def counting_prepare(*args, **kwargs):
+        calls.append(args)
+        return prepare(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "prepare_study", counting_prepare)
+    monkeypatch.setattr(cli, "prepare_study", counting_prepare, raising=False)
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["thresholds"] = {"low": 0.0, "high": 1.0}
+    band = workdir / "band-once.json"
+    band.write_text(json.dumps(cfg))
+    assert main(["verdict", str(band), "--out", str(workdir / "verdict-once")]) == 0
+    assert len(calls) == 1
+
+
 def test_unknown_config_key_fails(workdir):
     bad = workdir / "bad.json"
     cfg = json.loads((workdir / "config.json").read_text())

@@ -168,6 +168,23 @@ class TestBlockDensityMatrix:
         blocks = block_density_matrix(g, part)
         assert blocks.densities[1, 1] == 0.0
 
+    def test_counts_match_per_edge_reference(self):
+        rng = np.random.default_rng(17)
+        for _ in range(15):
+            g = random_simple_graph(rng, n=int(rng.integers(4, 30)), p=0.2)
+            k = int(rng.integers(1, g.n + 1))
+            assignment = np.concatenate([np.arange(k),
+                                         rng.integers(0, k, size=g.n - k)])
+            part = Partition(rng.permutation(assignment), k)
+            expected = np.zeros((k, k), dtype=np.int64)
+            for u, v in g.edge_array():
+                a, b = part.assignment[u], part.assignment[v]
+                expected[a, b] += 1
+                if a != b:
+                    expected[b, a] += 1
+            counts = block_density_matrix(g, part).edge_counts
+            assert counts.dtype == np.int64 and np.array_equal(counts, expected)
+
     def test_reconstruction_equals_edge_count(self):
         rng = np.random.default_rng(31)
         for _ in range(15):

@@ -94,6 +94,51 @@ class TestComponents:
         comps = connected_components(ds.graph)
         assert [len(c) for c in comps] == [2, 1]
 
+    def test_matches_breadth_first_reference(self):
+        # sparse random graphs (many components, isolated nodes, size ties)
+        # and shuffled long paths, which take several hooking rounds
+        rng = np.random.default_rng(5)
+        graphs = []
+        for _ in range(30):
+            n = int(rng.integers(1, 40))
+            edges = rng.integers(0, n, size=(int(rng.integers(0, n)), 2))
+            graphs.append(to_undirected(edges, n=n))
+        for n in (50, 300):
+            perm = rng.permutation(n)
+            graphs.append(to_undirected(np.column_stack([perm[:-2], perm[1:-1]]), n=n))
+        for g in graphs:
+            got = connected_components(g)
+            want = reference_components(g)
+            assert len(got) == len(want)
+            for c, r in zip(got, want):
+                assert c.dtype == np.int64 and np.array_equal(c, r)
+
+    def test_empty_graph_has_no_components(self):
+        assert connected_components(to_undirected([], n=0)) == []
+
+
+def reference_components(graph):
+    """Breadth-first components, largest first, ties by smallest id."""
+    seen = np.zeros(graph.n, dtype=bool)
+    components = []
+    for start in range(graph.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        members, frontier = [start], [start]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in graph.neighbors_of(u):
+                    if not seen[v]:
+                        seen[v] = True
+                        members.append(int(v))
+                        nxt.append(int(v))
+            frontier = nxt
+        components.append(np.array(sorted(members), dtype=np.int64))
+    components.sort(key=lambda c: (-len(c), c[0]))
+    return components
+
 
 class TestRemoveRareLabels:
     def test_drops_rare_class(self):

@@ -3,16 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from graphdiag import (Decision, LabelVector, StudyConfig, accuracy, emit_report,
-                       guideline_verdict, logreg_forward, make_splits,
-                       normalized_adjacency, run_ablation_study,
+from graphdiag import (Decision, LabelVector, StudyConfig, TrainConfig, accuracy,
+                       emit_report, guideline_verdict, logreg_forward, make_splits,
+                       normalized_adjacency, prepare_study, run_ablation_study,
                        run_perturbation_sweep, sgc_propagate, train_logreg)
 from graphdiag import harness
-from graphdiag.harness import (StudyReport, SweepRow, TrainSettings, Verdict,
-                               derive_seed)
+from graphdiag.harness import StudyReport, SweepRow, Verdict, derive_seed
 from graphdiag.synthetic import planted_dataset
 
-FAST_TRAIN = TrainSettings(max_epochs=60, patience=15, hidden_dim=8)
+FAST_TRAIN = TrainConfig(max_epochs=60, patience=15, hidden_dim=8)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +26,10 @@ def tiny_config(**overrides):
                 fractions=(0.0, 0.3))
     base.update(overrides)
     return StudyConfig(**base)
+
+
+def tiny_prep(dataset, **overrides):
+    return prepare_study(dataset, tiny_config(**overrides))
 
 
 class TestMakeSplits:
@@ -99,18 +102,27 @@ class TestStudyConfig:
         with pytest.raises(ValueError):
             StudyConfig(fractions=(0.5, 0.1))
 
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", 0), ("max_epochs", 0), ("weight_decay", -1),
+        ("patience", 0), ("hidden_dim", 0), ("sgc_k", -1)])
+    def test_bad_train_value_rejected_at_load(self, tmp_path, key, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"train": {key: value}}))
+        with pytest.raises(ValueError, match=rf"train\.{key} must be"):
+            harness.load_config(path)
+
 
 @pytest.fixture(scope="module")
 def report(tiny_dataset):
-    return run_ablation_study(tiny_dataset, tiny_config())
+    return run_ablation_study(tiny_prep(tiny_dataset))
 
 
 class TestRunAblationStudy:
 
     def test_record_count_arithmetic(self, tiny_dataset):
-        cfg = tiny_config(n_splits=1, n_inits=1, n_graph_seeds=1)
-        report = run_ablation_study(tiny_dataset, cfg)
-        assert len(report.records) == len(cfg.models) * 4
+        prep = tiny_prep(tiny_dataset, n_splits=1, n_inits=1, n_graph_seeds=1)
+        report = run_ablation_study(prep)
+        assert len(report.records) == len(prep.config.models) * 4
 
     def test_record_count_general(self, report):
         cfg = tiny_config()
@@ -139,9 +151,9 @@ class TestRunAblationStudy:
         assert isinstance(report.verdict, Verdict)
 
     def test_deterministic_across_jobs(self, tiny_dataset):
-        cfg = tiny_config()
-        seq = run_ablation_study(tiny_dataset, cfg, jobs=1)
-        par = run_ablation_study(tiny_dataset, cfg, jobs=3)
+        prep = tiny_prep(tiny_dataset)
+        seq = run_ablation_study(prep, jobs=1)
+        par = run_ablation_study(prep, jobs=3)
         assert seq.records == par.records
         assert seq.uncertainty == par.uncertainty
 
@@ -170,18 +182,36 @@ class TestRunAblationStudy:
         monkeypatch.setattr(harness, "sgc_propagate", counting_propagate)
         monkeypatch.setattr(harness, "train_logreg", counting_logreg)
         monkeypatch.setattr(harness, "train_gcn", counting_gcn)
-        run_ablation_study(tiny_dataset, cfg, jobs=1)
+        run_ablation_study(prepare_study(tiny_dataset, cfg), jobs=1)
         graphs = 1 + 3 * cfg.n_graph_seeds
         assert fits == {"logreg": cfg.n_splits, "sgc": graphs * cfg.n_splits,
                         "gcn": graphs * cfg.n_splits * cfg.n_inits}
+
+    def test_original_communities_come_from_the_prepared_study(
+            self, tiny_dataset, monkeypatch):
+        # one Louvain run for the original graph (in prepare_study) plus one
+        # per rebuilt graph; the ablation's original cell reuses the first
+        detect = harness.louvain
+        calls = []
+
+        def counting_louvain(*args, **kwargs):
+            calls.append(args[1])
+            return detect(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "louvain", counting_louvain)
+        prep = tiny_prep(tiny_dataset)
+        report = run_ablation_study(prep)
+        assert len(calls) == 1 + 3 * prep.config.n_graph_seeds
+        assert len(set(calls)) == len(calls)
+        u_values = harness.analyze_prepared(prep).u_values
+        assert report.uncertainty["original"]["mean"] == float(np.mean(u_values))
 
     def test_linear_records_match_direct_fits(self, tiny_dataset, report):
         # oracle: an independent fit per (model, variant, graph, split) on
         # that graph gives the accuracy every init of the cell carries
         cfg = tiny_config()
-        prep = harness.prepare_study(tiny_dataset, cfg)
+        prep = prepare_study(tiny_dataset, cfg)
         features, labels = prep.dataset.features, prep.dataset.labels
-        tc = cfg.train.to_train_config(0)
         accs = {}
         for r in report.records:
             if r.model != "gcn":
@@ -190,21 +220,21 @@ class TestRunAblationStudy:
         assert len(accs) == 2 * (1 + 3 * cfg.n_graph_seeds) * cfg.n_splits
         for (model, variant, g, s), values in accs.items():
             assert len(values) == cfg.n_inits
-            graph = harness._variant_graph(prep, cfg, variant, g)
+            graph = harness._variant_graph(prep, variant, g)
             inputs = (sgc_propagate(normalized_adjacency(graph), features,
                                     cfg.train.sgc_k)
                       if model == "sgc" else features)
             split = prep.splits[s]
-            fitted = train_logreg(inputs, labels, split, tc)
+            fitted = train_logreg(inputs, labels, split, cfg.train)
             expected = accuracy(logreg_forward(fitted, inputs), labels, split.test)
             assert values == [expected] * cfg.n_inits, (model, variant, g, s)
 
 
 class TestPerturbationSweep:
     def test_fraction_zero_matches_sbm_cells(self, tiny_dataset):
-        cfg = tiny_config()
-        report = run_ablation_study(tiny_dataset, cfg)
-        sweep = run_perturbation_sweep(tiny_dataset, cfg)
+        prep = tiny_prep(tiny_dataset)
+        report = run_ablation_study(prep)
+        sweep = run_perturbation_sweep(prep)
         sbm_gcn = sorted(r.accuracy for r in report.records
                          if r.model == "gcn" and r.variant == "sbm")
         zero_cells = [c for c in sweep.cells if c.fraction == 0.0]
@@ -215,10 +245,10 @@ class TestPerturbationSweep:
         assert u_sweep == pytest.approx(u_study, abs=0)
 
     def test_rows_cover_fractions(self, tiny_dataset):
-        cfg = tiny_config()
-        sweep = run_perturbation_sweep(tiny_dataset, cfg, fractions=[0.0, 0.25])
+        prep = tiny_prep(tiny_dataset, fractions=(0.0, 0.25))
+        sweep = run_perturbation_sweep(prep)
         assert [r.fraction for r in sweep.rows] == [0.0, 0.25]
-        assert len(sweep.cells) == 2 * cfg.n_graph_seeds
+        assert len(sweep.cells) == 2 * prep.config.n_graph_seeds
 
 
 class TestGuidelineVerdict:
@@ -269,7 +299,7 @@ class TestGuidelineVerdict:
 class TestEmitReport:
     def test_round_trip_and_row_count(self, tmp_path, tiny_dataset):
         cfg = tiny_config(n_splits=1, n_inits=1, n_graph_seeds=1)
-        report = run_ablation_study(tiny_dataset, cfg)
+        report = run_ablation_study(prepare_study(tiny_dataset, cfg))
         files = emit_report(report, tmp_path)
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["schema_version"] == report.schema_version
@@ -318,7 +348,6 @@ class TestPreprocessing:
         # a class of exactly train + val nodes would leave no test node, so
         # the default min_label_count drops it rather than failing the splits
         from conftest import make_dataset
-        from graphdiag.harness import prepare_study
         labels = np.repeat([0, 1, 2], [70, 60, 50])
         ds = make_dataset([(i, i + 1) for i in range(179)], n=180, labels=labels)
         cfg = StudyConfig(n_splits=1)
