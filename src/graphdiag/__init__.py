@@ -19,9 +19,9 @@ from .infotheory import (DegenerateDistributionError, JointCounts, entropy,
                          joint_counts, mutual_information,
                          normalized_mutual_information, uncertainty_coefficient)
 from .io import load_dataset
-from .models import (GcnModel, LogRegModel, NormalizedAdjacency, TrainConfig,
-                     TrainingDivergedError, accuracy, gcn_forward, logreg_forward,
-                     normalized_adjacency, sgc_propagate, train_gcn, train_logreg)
+from .models import (GcnModel, LogRegModel, TrainConfig, TrainingDivergedError,
+                     accuracy, gcn_forward, logreg_forward, normalized_adjacency,
+                     sgc_propagate, train_gcn, train_logreg)
 from .nullmodels import (GraphVariant, RewireStallWarning, generate_erdos_renyi,
                          generate_sbm, rewire_configuration_model,
                          swap_perturbation)

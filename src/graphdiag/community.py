@@ -98,8 +98,7 @@ def block_density_matrix(graph: LabeledGraph, partition: Partition) -> BlockMatr
 
 
 def _local_moves(adj: list[dict[int, float]], self_weight: np.ndarray,
-                 two_m: float, resolution: float,
-                 rng: np.random.Generator) -> np.ndarray:
+                 two_m: float, rng: np.random.Generator) -> np.ndarray:
     """One move phase; returns the (uncompacted) community of each node."""
     n = len(adj)
     degree = np.array([2.0 * self_weight[u] + sum(adj[u].values()) for u in range(n)])
@@ -117,12 +116,12 @@ def _local_moves(adj: list[dict[int, float]], self_weight: np.ndarray,
                 cv = comm[v]
                 links[cv] = links.get(cv, 0.0) + w
             comm_total[cu] -= degree[u]
-            stay = links.get(cu, 0.0) - resolution * degree[u] * comm_total[cu] / two_m
+            stay = links.get(cu, 0.0) - degree[u] * comm_total[cu] / two_m
             best_c, best_gain = cu, stay
             for c in sorted(links):
                 if c == cu:
                     continue
-                gain = links[c] - resolution * degree[u] * comm_total[c] / two_m
+                gain = links[c] - degree[u] * comm_total[c] / two_m
                 if gain > best_gain and gain - stay > eps:
                     best_c, best_gain = c, gain
             comm_total[best_c] += degree[u]
@@ -152,7 +151,7 @@ def _aggregate(adj: list[dict[int, float]], self_weight: np.ndarray,
     return new_adj, new_self, relabel
 
 
-def louvain(graph: LabeledGraph, seed: int, resolution: float = 1.0) -> Partition:
+def louvain(graph: LabeledGraph, seed: int) -> Partition:
     """Greedy modularity maximization; deterministic for a given seed.
 
     The seed only drives the per-pass node visit shuffle. Community ids in
@@ -168,7 +167,7 @@ def louvain(graph: LabeledGraph, seed: int, resolution: float = 1.0) -> Partitio
     two_m = 2.0 * graph.m
     node_to_super = np.arange(graph.n)
     while True:
-        comm = _local_moves(adj, self_weight, two_m, resolution, rng)
+        comm = _local_moves(adj, self_weight, two_m, rng)
         if len(np.unique(comm)) == len(adj):
             break
         adj, self_weight, relabel = _aggregate(adj, self_weight, comm)

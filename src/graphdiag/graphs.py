@@ -214,46 +214,50 @@ def _compact_labels(labels: np.ndarray) -> tuple[np.ndarray, int]:
     return remap[labels], len(present)
 
 
+def induced_subgraph(graph: LabeledGraph, nodes: np.ndarray) -> LabeledGraph:
+    """Induced subgraph on ``nodes`` (ascending ids), renumbered 0..k-1."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    new_id = np.full(graph.n, -1, dtype=np.int64)
+    new_id[nodes] = np.arange(len(nodes))
+    edges = graph.edge_array()
+    keep = (new_id[edges[:, 0]] >= 0) & (new_id[edges[:, 1]] >= 0)
+    return to_undirected(new_id[edges[keep]], n=len(nodes))
+
+
 def induced_subdataset(dataset: Dataset, nodes: np.ndarray) -> Dataset:
     """Induced subgraph on ``nodes`` (ascending ids), labels re-compacted."""
     nodes = np.asarray(nodes, dtype=np.int64)
     if len(nodes) == 0:
         raise GraphError("cannot induce an empty dataset")
-    new_id = np.full(dataset.n, -1, dtype=np.int64)
-    new_id[nodes] = np.arange(len(nodes))
-    edges = dataset.graph.edge_array()
-    keep = (new_id[edges[:, 0]] >= 0) & (new_id[edges[:, 1]] >= 0)
-    graph = to_undirected(new_id[edges[keep]], n=len(nodes))
     labels, num = _compact_labels(dataset.labels.labels[nodes])
     return Dataset(
-        graph=graph,
+        graph=induced_subgraph(dataset.graph, nodes),
         features=FeatureMatrix(dataset.features.values[nodes]),
         labels=LabelVector(labels, num),
         node_tokens=tuple(dataset.node_tokens[i] for i in nodes),
     )
 
 
-def select_components(dataset: Dataset, keep_top_k: int = 1) -> Dataset:
-    """Restrict the dataset to the union of its k largest components."""
+def select_components(graph: LabeledGraph, keep_top_k: int = 1) -> np.ndarray:
+    """Ascending ids of the nodes in the graph's k largest components."""
     if keep_top_k < 1:
         raise GraphError("keep_top_k must be >= 1")
-    if dataset.n == 0:
+    if graph.n == 0:
         raise GraphError("empty graph has no components")
-    comps = connected_components(dataset.graph)
-    chosen = np.sort(np.concatenate(comps[:keep_top_k]))
-    return induced_subdataset(dataset, chosen)
+    comps = connected_components(graph)
+    return np.sort(np.concatenate(comps[:keep_top_k]))
 
 
-def remove_rare_labels(dataset: Dataset, min_count: int) -> Dataset:
-    """Drop nodes whose class has fewer than ``min_count`` members.
+def remove_rare_labels(labels: np.ndarray, min_count: int) -> np.ndarray:
+    """Ascending ids of the nodes whose class has at least ``min_count``
+    members among the per-node class ids ``labels``.
 
-    Label ids are re-compacted afterwards. Raises if nothing survives.
+    Raises if nothing survives.
     """
     if min_count < 1:
         raise GraphError("min_count must be >= 1")
-    counts = dataset.labels.class_counts()
-    keep_class = counts >= min_count
-    keep_nodes = np.flatnonzero(keep_class[dataset.labels.labels])
+    keep_class = np.bincount(labels) >= min_count
+    keep_nodes = np.flatnonzero(keep_class[labels])
     if len(keep_nodes) == 0:
         raise GraphError("all label classes fall below min_count")
-    return induced_subdataset(dataset, keep_nodes)
+    return keep_nodes

@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .community import BlockMatrix, Partition, block_density_matrix, louvain, modularity
-from .graphs import Dataset, GraphError, edge_density, remove_rare_labels, select_components
+from .graphs import (Dataset, GraphError, edge_density, induced_subdataset, induced_subgraph,
+                     remove_rare_labels, select_components)
 from .infotheory import joint_counts, uncertainty_coefficient
 from .models import (TrainConfig, accuracy, gcn_forward, logreg_forward,
                      normalized_adjacency, sgc_propagate, train_gcn, train_logreg)
@@ -109,8 +110,11 @@ class StudyConfig:
     train: TrainConfig = TrainConfig()
 
     def __post_init__(self) -> None:
-        if min(self.n_splits, self.n_inits, self.n_graph_seeds) < 1:
-            raise ValueError("n_splits, n_inits, n_graph_seeds must be >= 1")
+        for key in ("train_per_class", "val_per_class", "n_splits", "n_inits",
+                    "n_graph_seeds", "keep_top_k_components", "min_label_count"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value!r}")
         if not self.models or any(m not in MODEL_NAMES for m in self.models):
             raise ValueError(f"models must be a non-empty subset of {MODEL_NAMES}")
         low, high = self.thresholds
@@ -149,12 +153,7 @@ class StudyConfig:
                 extra = set(th) - {"low", "high"}
                 if extra:
                     raise ValueError(f"unknown threshold keys: {sorted(extra)}")
-                th = (th["low"], th["high"])
-            data["thresholds"] = tuple(th)
-        if "models" in data:
-            data["models"] = tuple(data["models"])
-        if "fractions" in data:
-            data["fractions"] = tuple(data["fractions"])
+                data["thresholds"] = (th["low"], th["high"])
         return cls(**data)
 
     def to_dict(self) -> dict:
@@ -258,8 +257,18 @@ class PreparedStudy:
 
 
 def preprocess_dataset(dataset: Dataset, config: StudyConfig) -> Dataset:
-    ds = remove_rare_labels(dataset, config.effective_min_label_count)
-    return select_components(ds, config.keep_top_k_components)
+    """Drop the rare classes and keep the largest components, repeating both
+    until neither removes a node, so ``min_label_count`` holds on the
+    returned dataset, which is built once from the kept node ids."""
+    labels = dataset.labels.labels
+    nodes = remove_rare_labels(labels, config.effective_min_label_count)
+    while True:
+        nodes = nodes[select_components(induced_subgraph(dataset.graph, nodes),
+                                        config.keep_top_k_components)]
+        kept = remove_rare_labels(labels[nodes], config.effective_min_label_count)
+        if len(kept) == len(nodes):
+            return induced_subdataset(dataset, nodes)
+        nodes = nodes[kept]
 
 
 def prepare_study(dataset: Dataset, config: StudyConfig) -> PreparedStudy:
@@ -305,30 +314,34 @@ def _evaluate_models(prep: PreparedStudy, graph, variant_value: str, g: int,
                      models: Sequence[str]) -> list[RunRecord]:
     """Accuracy records per (model, split, init) on one graph.
 
-    Logreg is SGC with K=0. Both linear models start from zero weights, so
-    each is fit once per split and its record repeats for every init; only
-    the GCN draws a fresh initialization per init.
+    Each model reads one power of A_hat applied to the features: logreg
+    (SGC with K=0) power 0, the GCN's first layer power 1 and SGC power K;
+    each power is propagated at most once per graph. Both linear models
+    start from zero weights, so each is fit once per split and its record
+    repeats for every init; only the GCN draws a fresh initialization per
+    init.
     """
     config = prep.config
-    features = prep.dataset.features
     labels = prep.dataset.labels
     adj = normalized_adjacency(graph)
+    steps = {"logreg": 0, "sgc": config.train.sgc_k, "gcn": 1}
+    powers = [prep.dataset.features]  # powers[k] = A_hat^k X
+    for _ in range(max((steps[m] for m in models), default=0)):
+        powers.append(sgc_propagate(adj, powers[-1], 1))
     vi = _VARIANT_INDEX[variant_value]
     records = []
     for model in models:
         mi = MODEL_NAMES.index(model)
-        if model != "gcn":
-            k = config.train.sgc_k if model == "sgc" else 0
-            inputs = sgc_propagate(adj, features, k)
+        inputs = powers[steps[model]]
         for s, split in enumerate(prep.splits):
             for i in range(config.n_inits):
                 if model == "gcn" or i == 0:
                     try:
                         if model == "gcn":
                             seed = derive_seed(config.seed, _ROLE_INIT, vi, g, s, i, mi)
-                            fitted = train_gcn(adj, features, labels, split,
+                            fitted = train_gcn(adj, inputs, labels, split,
                                                config.train, seed)
-                            probs = gcn_forward(fitted, adj, features)
+                            probs = gcn_forward(fitted, adj, inputs)
                         else:
                             fitted = train_logreg(inputs, labels, split, config.train)
                             probs = logreg_forward(fitted, inputs)
@@ -358,51 +371,36 @@ def _set_task_state(prep: PreparedStudy) -> None:
     _TASK_STATE = prep
 
 
-def _ablation_cell(task: tuple[str, int]):
+def _study_cell(task: tuple[str, int, int | None, tuple[str, ...]]):
+    """One measurement on one graph: detect its communities, score
+    U(L|C) on every split and train the task's models.
+
+    The graph is the variant's graph for ``graph_seed``, swap-perturbed
+    when the task carries a fraction index, so a sweep cell at fraction 0
+    is the ablation's cell for the same variant and graph seed.
+    """
     prep = _TASK_STATE
     config = prep.config
-    variant_value, g = task
-    original = variant_value == GraphVariant.ORIGINAL.value
+    variant_value, g, fraction_index, models = task
     graph = _variant_graph(prep, variant_value, g)
+    if fraction_index is not None:
+        graph = swap_perturbation(graph, prep.base_partition,
+                                  config.fractions[fraction_index],
+                                  derive_seed(config.seed, _ROLE_SWAP, g, fraction_index))
     # the original graph's communities were detected once, in prepare_study
-    partition = prep.base_partition if original else louvain(
+    partition = prep.base_partition if graph is prep.dataset.graph else louvain(
         graph, derive_seed(config.seed, _ROLE_LOUVAIN, _VARIANT_INDEX[variant_value], g))
-    u_values = _uncertainty_values(prep, partition)
-    # the feature-only baseline ignores the graph: run_ablation_study copies
-    # the original graph's logreg records to every rebuilt one
-    models = [m for m in config.models if m != "logreg" or original]
-    records = _evaluate_models(prep, graph, variant_value, g, models)
-    return variant_value, g, records, u_values
+    return (_uncertainty_values(prep, partition),
+            _evaluate_models(prep, graph, variant_value, g, models))
 
 
-def _sweep_cell(task: tuple[int, int]):
-    prep = _TASK_STATE
-    config = prep.config
-    fraction_index, g = task
-    fraction = config.fractions[fraction_index]
-    sbm_index = _VARIANT_INDEX[GraphVariant.SBM.value]
-    base = generate_sbm(prep.blocks, prep.base_partition,
-                        derive_seed(config.seed, _ROLE_GRAPH, sbm_index, g))
-    perturbed = swap_perturbation(base, prep.base_partition, fraction,
-                                  derive_seed(config.seed, _ROLE_SWAP, g,
-                                              fraction_index))
-    partition = louvain(perturbed, derive_seed(config.seed, _ROLE_LOUVAIN,
-                                               sbm_index, g))
-    u_values = _uncertainty_values(prep, partition)
-    records = _evaluate_models(prep, perturbed, GraphVariant.SBM.value, g,
-                               models=("gcn",))
-    accs = tuple(r.accuracy for r in records)
-    return SweepCell(fraction=fraction, graph_seed=g,
-                     u_values=tuple(u_values), accuracies=accs)
-
-
-def _map_tasks(cell_fn, tasks, prep: PreparedStudy, jobs: int) -> list:
+def _map_tasks(tasks, prep: PreparedStudy, jobs: int) -> list:
     if jobs <= 1:
         _set_task_state(prep)
-        return [cell_fn(t) for t in tasks]
+        return [_study_cell(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs, initializer=_set_task_state,
                              initargs=(prep,)) as pool:
-        return list(pool.map(cell_fn, tasks))
+        return list(pool.map(_study_cell, tasks))
 
 
 def run_ablation_study(prep: PreparedStudy, jobs: int = 1) -> StudyReport:
@@ -410,19 +408,22 @@ def run_ablation_study(prep: PreparedStudy, jobs: int = 1) -> StudyReport:
     rebuilt variant, measure per-graph label/community alignment, and test
     each cell against the feature-only baseline."""
     config = prep.config
-    tasks = [(GraphVariant.ORIGINAL.value, 0)]
-    tasks += [(v.value, g) for v in ABLATION_VARIANTS
+    # the feature-only baseline ignores the graph: it is fit on the original
+    # graph only, and its records are copied to every rebuilt one
+    rebuilt_models = tuple(m for m in config.models if m != "logreg")
+    tasks = [(GraphVariant.ORIGINAL.value, 0, None, config.models)]
+    tasks += [(v.value, g, None, rebuilt_models) for v in ABLATION_VARIANTS
               for g in range(config.n_graph_seeds)]
-    results = _map_tasks(_ablation_cell, tasks, prep, jobs)
+    results = _map_tasks(tasks, prep, jobs)
 
     records: list[RunRecord] = []
     u_by_variant: dict[str, list[float]] = {}
-    for variant_value, g, recs, u_values in results:
+    for (variant_value, _, _, _), (u_values, recs) in zip(tasks, results):
         records.extend(recs)
         u_by_variant.setdefault(variant_value, []).extend(u_values)
     baseline = [r for r in records if r.model == "logreg"]
     records += [replace(r, variant=v, graph_seed=g)
-                for v, g in tasks[1:] for r in baseline]
+                for v, g, _, _ in tasks[1:] for r in baseline]
     records.sort(key=lambda r: (config.models.index(r.model),
                                 _VARIANT_INDEX[r.variant],
                                 r.graph_seed, r.split, r.init))
@@ -481,14 +482,19 @@ def run_perturbation_sweep(prep: PreparedStudy, jobs: int = 1) -> SweepResult:
     """Swap-perturb the rebuilt block-model graphs at increasing fractions,
     re-detect communities, and track alignment against GCN accuracy.
 
-    The fraction-0 column reproduces the block-model variant of the
-    ablation study exactly (same derived seeds)."""
+    Each cell is the ablation's block-model cell with a swap fraction, so
+    the fraction-0 column is the block-model variant of the ablation."""
     config = prep.config
-    tasks = [(fi, g) for fi in range(len(config.fractions))
+    tasks = [(GraphVariant.SBM.value, g, fi, ("gcn",))
+             for fi in range(len(config.fractions))
              for g in range(config.n_graph_seeds)]
-    cells = _map_tasks(_sweep_cell, tasks, prep, jobs)
+    results = _map_tasks(tasks, prep, jobs)
+    cells = [SweepCell(fraction=config.fractions[fi], graph_seed=g,
+                       u_values=tuple(u_values),
+                       accuracies=tuple(r.accuracy for r in recs))
+             for (_, g, fi, _), (u_values, recs) in zip(tasks, results)]
     rows = []
-    for fi, fraction in enumerate(config.fractions):
+    for fraction in config.fractions:
         group = [c for c in cells if c.fraction == fraction]
         u_all = np.concatenate([c.u_values for c in group])
         acc_all = np.concatenate([c.accuracies for c in group])

@@ -59,14 +59,6 @@ class TrainConfig:
                     f"train.{key} must be {rule}, got {getattr(self, key)!r}")
 
 
-@dataclass(frozen=True)
-class NormalizedAdjacency:
-    """Symmetric propagation operator in CSR form; spectral radius <= 1."""
-
-    n: int
-    matrix: sp.csr_matrix
-
-
 @dataclass
 class LogRegModel:
     W: np.ndarray  # (num_labels, d)
@@ -79,26 +71,26 @@ class GcnModel:
     W1: np.ndarray  # (hidden, num_labels)
 
 
-def normalized_adjacency(graph: LabeledGraph) -> NormalizedAdjacency:
-    """Build A_hat = D^(-1/2) (A + I) D^(-1/2); isolated nodes get weight 1."""
+def normalized_adjacency(graph: LabeledGraph) -> sp.csr_matrix:
+    """Build A_hat = D^(-1/2) (A + I) D^(-1/2) in CSR form; isolated nodes
+    get weight 1. It is symmetric with spectral radius <= 1."""
     deg = graph.degrees() + 1.0
     inv_sqrt = 1.0 / np.sqrt(deg)
     src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees())
     rows = np.concatenate([src, np.arange(graph.n, dtype=np.int64)])
     cols = np.concatenate([graph.neighbors, np.arange(graph.n, dtype=np.int64)])
     data = inv_sqrt[rows] * inv_sqrt[cols]
-    matrix = sp.coo_matrix((data, (rows, cols)), shape=(graph.n, graph.n)).tocsr()
-    return NormalizedAdjacency(n=graph.n, matrix=matrix)
+    return sp.coo_matrix((data, (rows, cols)), shape=(graph.n, graph.n)).tocsr()
 
 
-def sgc_propagate(adj: NormalizedAdjacency, features: FeatureMatrix,
+def sgc_propagate(adj: sp.csr_matrix, features: FeatureMatrix,
                   k: int) -> FeatureMatrix:
     """Apply the propagation operator k times; k = 0 is the identity."""
     if k < 0:
         raise ValueError("k must be >= 0")
     out = features.values
     for _ in range(k):
-        out = adj.matrix @ out
+        out = adj @ out
     return FeatureMatrix(out)
 
 
@@ -218,15 +210,15 @@ def glorot_uniform(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-bound, bound, size=shape)
 
 
-def gcn_forward(model: GcnModel, adj: NormalizedAdjacency,
-                features: FeatureMatrix | np.ndarray) -> np.ndarray:
-    """Per-node class probabilities; every row sums to one."""
-    X = features.values if isinstance(features, FeatureMatrix) else features
-    hidden = np.maximum(adj.matrix @ X @ model.W0, 0.0)
-    return _softmax(adj.matrix @ hidden @ model.W1)
+def gcn_forward(model: GcnModel, adj: sp.csr_matrix,
+                propagated: FeatureMatrix) -> np.ndarray:
+    """Per-node class probabilities from the propagated input A_hat X;
+    every row sums to one."""
+    hidden = np.maximum(propagated.values @ model.W0, 0.0)
+    return _softmax(adj @ hidden @ model.W1)
 
 
-def gcn_loss_grad(params: list[np.ndarray], adj: NormalizedAdjacency,
+def gcn_loss_grad(params: list[np.ndarray], adj: sp.csr_matrix,
                   AX: np.ndarray, y: np.ndarray, train_idx: np.ndarray,
                   weight_decay: float):
     """Loss, hand-derived gradients, and probabilities for the two-layer GCN.
@@ -238,13 +230,13 @@ def gcn_loss_grad(params: list[np.ndarray], adj: NormalizedAdjacency,
     W0, W1 = params
     pre = AX @ W0
     hidden = np.maximum(pre, 0.0)
-    probs = _softmax(adj.matrix @ hidden @ W1)
+    probs = _softmax(adj @ hidden @ W1)
     onehot = np.eye(W1.shape[1])[y[train_idx]]
     loss = (_cross_entropy(probs[train_idx], y[train_idx])
             + 0.5 * weight_decay * float(np.sum(W0 * W0) + np.sum(W1 * W1)))
     dlogits = np.zeros_like(probs)
     dlogits[train_idx] = (probs[train_idx] - onehot) / len(train_idx)
-    d_ah = adj.matrix @ dlogits  # A_hat is symmetric
+    d_ah = adj @ dlogits  # A_hat is symmetric
     dW1 = hidden.T @ d_ah + weight_decay * W1
     dhidden = d_ah @ W1.T
     dpre = np.where(pre > 0, dhidden, 0.0)
@@ -252,33 +244,32 @@ def gcn_loss_grad(params: list[np.ndarray], adj: NormalizedAdjacency,
     return loss, [dW0, dW1], probs
 
 
-def train_gcn(adj: NormalizedAdjacency, features: FeatureMatrix, labels: LabelVector,
+def train_gcn(adj: sp.csr_matrix, propagated: FeatureMatrix, labels: LabelVector,
               split, config: TrainConfig, init_seed: int = 0) -> GcnModel:
     """Two-layer GCN trained with hand-derived gradients.
 
-    ``adj`` is the graph's A_hat (``normalized_adjacency``), built once by
-    the caller and shared by every run on that graph. Forward:
-    P = softmax(A_hat relu(A_hat X W0) W1), loss = mean cross-entropy on
-    the train rows plus (weight_decay / 2) ||W||^2 over both weight
-    matrices. Weights are Glorot-uniform from ``init_seed``; early stopping
-    watches validation accuracy.
+    ``adj`` is the graph's A_hat (``normalized_adjacency``) and
+    ``propagated`` its first power applied to the features, A_hat X; the
+    caller builds both once and shares them with every run on that graph.
+    Forward: P = softmax(A_hat relu(A_hat X W0) W1), loss = mean
+    cross-entropy on the train rows plus (weight_decay / 2) ||W||^2 over
+    both weight matrices. Weights are Glorot-uniform from ``init_seed``;
+    early stopping watches validation accuracy.
     """
-    X = features.values
     y = labels.labels
     train, val = np.asarray(split.train), np.asarray(split.val)
     if len(train) == 0 or len(val) == 0:
         raise ValueError("train and validation sets must be non-empty")
-    AX = adj.matrix @ X
 
     def loss_grad(params):
-        return gcn_loss_grad(params, adj, AX, y, train, config.weight_decay)
+        return gcn_loss_grad(params, adj, propagated.values, y, train,
+                             config.weight_decay)
 
     def val_acc(probs):
         return accuracy(probs, labels, val)
 
     rng = np.random.default_rng(init_seed)
-    params0 = [glorot_uniform((features.d, config.hidden_dim), rng),
+    params0 = [glorot_uniform((propagated.d, config.hidden_dim), rng),
                glorot_uniform((config.hidden_dim, labels.num_labels), rng)]
     (W0, W1), _ = _descend(params0, loss_grad, val_acc, config)
     return GcnModel(W0=W0, W1=W1)
-

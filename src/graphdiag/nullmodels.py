@@ -23,6 +23,10 @@ from .community import BlockMatrix, Partition
 from .graphs import GraphError, LabeledGraph, to_undirected
 
 
+# accepted double-edge swaps per edge in degree-preserving rewiring
+SWAPS_PER_EDGE = 10.0
+
+
 class GraphVariant(enum.Enum):
     """Identity of a graph in an ablation run."""
 
@@ -101,14 +105,13 @@ def generate_sbm(blocks: BlockMatrix, partition: Partition,
     return to_undirected(edges, n=n)
 
 
-def rewire_configuration_model(graph: LabeledGraph, seed: int,
-                               swaps_per_edge: float = 10.0) -> LabeledGraph:
+def rewire_configuration_model(graph: LabeledGraph, seed: int) -> LabeledGraph:
     """Randomize wiring by repeated double-edge swaps.
 
     Two edges (a,b), (c,d) are rewired to (a,d), (b,c) only when that
     creates no self-loop and no duplicate, so every node keeps its exact
     degree and the graph stays simple. The walk runs until
-    ceil(swaps_per_edge * m) swaps are accepted; a graph that cannot swap
+    ceil(SWAPS_PER_EDGE * m) swaps are accepted; a graph that cannot swap
     at all (e.g. a star) is returned unchanged with a warning.
     """
     if graph.m < 2:
@@ -117,7 +120,7 @@ def rewire_configuration_model(graph: LabeledGraph, seed: int,
     n = graph.n
     edges = graph.edge_array().copy()
     edge_set = {int(u) * n + int(v) for u, v in edges}
-    target = math.ceil(swaps_per_edge * graph.m)
+    target = math.ceil(SWAPS_PER_EDGE * graph.m)
     attempt_cap = max(100 * target, 1000)
     successes = 0
     attempts = 0

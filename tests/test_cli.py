@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import graphdiag
 from graphdiag import io as gio
 from graphdiag.cli import main
 from graphdiag.synthetic import planted_dataset
@@ -141,9 +144,14 @@ def test_missing_dataset_paths_fails(tmp_path):
 
 
 def test_console_entry_point(workdir, tmp_path):
+    # the child process runs the package this suite imports, installed or
+    # found through pytest's pythonpath setting
+    src = str(Path(graphdiag.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "graphdiag.cli", "analyze",
          str(workdir / "config.json"), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path))
     assert result.returncode == 0
     assert "U(L|C)" in result.stdout

@@ -121,14 +121,6 @@ class TestLouvain:
         with pytest.raises(GraphError):
             louvain(to_undirected([], n=4), seed=0)
 
-    def test_resolution_controls_granularity(self, bridged_triangles):
-        coarse = louvain(bridged_triangles, seed=0, resolution=0.1)
-        default = louvain(bridged_triangles, seed=0)
-        fine = louvain(bridged_triangles, seed=0, resolution=3.0)
-        assert coarse.num_communities <= default.num_communities \
-            <= fine.num_communities
-        assert default.num_communities == 2
-
     def test_planted_partition_recovery(self):
         hits = 0
         for s in range(5):

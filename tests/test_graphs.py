@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from graphdiag import (GraphError, connected_components, edge_density,
                        remove_rare_labels, select_components, to_undirected)
-from graphdiag.graphs import LabeledGraph
+from graphdiag.graphs import LabeledGraph, induced_subdataset
 
 from conftest import make_dataset
 
@@ -58,12 +58,12 @@ class TestComponents:
         # component sizes 5 and 3
         ds = make_dataset([(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7)],
                           n=8, labels=[0, 0, 0, 0, 0, 1, 1, 1])
-        out = select_components(ds)
+        out = induced_subdataset(ds, select_components(ds.graph))
         assert out.n == 5
 
     def test_connected_graph_identity(self):
         ds = make_dataset([(0, 1), (1, 2)], n=3, labels=[0, 1, 0])
-        out = select_components(ds)
+        out = induced_subdataset(ds, select_components(ds.graph))
         assert out.n == 3
         assert np.array_equal(out.graph.offsets, ds.graph.offsets)
         assert np.array_equal(out.labels.labels, ds.labels.labels)
@@ -71,20 +71,20 @@ class TestComponents:
     def test_size_tie_keeps_smallest_min_id(self):
         ds = make_dataset([(0, 1), (1, 2), (3, 4), (4, 5)], n=6,
                           labels=[0, 0, 0, 1, 1, 1])
-        out = select_components(ds)
+        out = induced_subdataset(ds, select_components(ds.graph))
         assert out.node_tokens == ("0", "1", "2")
 
     def test_idempotent(self):
         ds = make_dataset([(0, 1), (2, 3), (3, 4)], n=5, labels=[0, 1, 0, 1, 0])
-        once = select_components(ds)
-        twice = select_components(once)
+        once = induced_subdataset(ds, select_components(ds.graph))
+        twice = induced_subdataset(once, select_components(once.graph))
         assert np.array_equal(once.graph.neighbors, twice.graph.neighbors)
         assert once.node_tokens == twice.node_tokens
 
     def test_keep_top_k(self):
         ds = make_dataset([(0, 1), (1, 2), (3, 4), (5, 6)], n=7,
                           labels=[0, 0, 0, 1, 1, 0, 1])
-        out = select_components(ds, keep_top_k=2)
+        out = induced_subdataset(ds, select_components(ds.graph, keep_top_k=2))
         assert out.n == 5  # sizes 3 + 2
         comps = connected_components(out.graph)
         assert [len(c) for c in comps] == [3, 2]
@@ -143,36 +143,36 @@ def reference_components(graph):
 class TestRemoveRareLabels:
     def test_drops_rare_class(self):
         ds = make_dataset([(0, 1), (1, 2), (2, 3)], n=4, labels=[0, 0, 0, 1])
-        out = remove_rare_labels(ds, min_count=2)
+        out = induced_subdataset(ds, remove_rare_labels(ds.labels.labels, min_count=2))
         assert out.n == 3
         assert out.labels.num_labels == 1
 
     def test_min_count_one_is_identity(self):
         ds = make_dataset([(0, 1), (1, 2)], n=3, labels=[0, 1, 2])
-        out = remove_rare_labels(ds, min_count=1)
+        out = induced_subdataset(ds, remove_rare_labels(ds.labels.labels, min_count=1))
         assert out.n == 3 and out.labels.num_labels == 3
 
     def test_all_rare_errors(self):
         ds = make_dataset([(0, 1)], n=2, labels=[0, 1])
         with pytest.raises(GraphError):
-            remove_rare_labels(ds, min_count=5)
+            remove_rare_labels(ds.labels.labels, min_count=5)
 
     def test_survivors_meet_min_count(self):
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 5, size=40)
         ds = make_dataset([(i, i + 1) for i in range(39)], n=40, labels=labels,
                           num_labels=5)
-        out = remove_rare_labels(ds, min_count=7)
+        out = induced_subdataset(ds, remove_rare_labels(ds.labels.labels, min_count=7))
         assert out.labels.class_counts().min() >= 7
 
     def test_label_ids_recompacted(self):
         ds = make_dataset([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], n=6,
                           labels=[0, 0, 1, 2, 2, 1], num_labels=3)
-        out = remove_rare_labels(ds, min_count=2)
+        out = induced_subdataset(ds, remove_rare_labels(ds.labels.labels, min_count=2))
         assert out.labels.num_labels == 3
         ds2 = make_dataset([(0, 1), (1, 2), (2, 3), (3, 4)], n=5,
                            labels=[0, 0, 1, 2, 2], num_labels=3)
-        out2 = remove_rare_labels(ds2, min_count=2)
+        out2 = induced_subdataset(ds2, remove_rare_labels(ds2.labels.labels, min_count=2))
         assert out2.labels.num_labels == 2
         assert set(out2.labels.labels) == {0, 1}
 

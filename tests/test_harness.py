@@ -111,6 +111,16 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match=rf"train\.{key} must be"):
             harness.load_config(path)
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("key", [
+        "train_per_class", "val_per_class", "keep_top_k_components",
+        "min_label_count", "n_splits", "n_inits", "n_graph_seeds"])
+    def test_bad_count_rejected_at_load(self, tmp_path, key, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ValueError, match=rf"^{key} must be >= 1, got {value}$"):
+            harness.load_config(path)
+
 
 @pytest.fixture(scope="module")
 def report(tiny_dataset):
@@ -123,6 +133,14 @@ class TestRunAblationStudy:
         prep = tiny_prep(tiny_dataset, n_splits=1, n_inits=1, n_graph_seeds=1)
         report = run_ablation_study(prep)
         assert len(report.records) == len(prep.config.models) * 4
+
+    def test_logreg_only_study(self, tiny_dataset):
+        # the rebuilt graphs train nothing; the baseline is copied to them
+        prep = tiny_prep(tiny_dataset, models=("logreg",), n_graph_seeds=1)
+        report = run_ablation_study(prep)
+        cfg = prep.config
+        assert len(report.records) == 4 * cfg.n_splits * cfg.n_inits
+        assert set(report.uncertainty) == {"original", "sbm", "cm", "random"}
 
     def test_record_count_general(self, report):
         cfg = tiny_config()
@@ -186,6 +204,23 @@ class TestRunAblationStudy:
         graphs = 1 + 3 * cfg.n_graph_seeds
         assert fits == {"logreg": cfg.n_splits, "sgc": graphs * cfg.n_splits,
                         "gcn": graphs * cfg.n_splits * cfg.n_inits}
+
+    def test_each_feature_power_is_propagated_once_per_graph(
+            self, tiny_dataset, monkeypatch):
+        # logreg reads X, the GCN A_hat X and SGC A_hat^K X: one product
+        # per power above zero, shared by the models of a graph
+        propagate = harness.sgc_propagate
+        steps = []
+
+        def counting_propagate(adj, features, k):
+            steps.append(k)
+            return propagate(adj, features, k)
+
+        monkeypatch.setattr(harness, "sgc_propagate", counting_propagate)
+        prep = tiny_prep(tiny_dataset)
+        run_ablation_study(prep)
+        graphs = 1 + 3 * prep.config.n_graph_seeds
+        assert steps == [1] * (graphs * prep.config.train.sgc_k)
 
     def test_original_communities_come_from_the_prepared_study(
             self, tiny_dataset, monkeypatch):
@@ -355,3 +390,18 @@ class TestPreprocessing:
         assert prep.dataset.labels.num_labels == 2
         assert list(prep.dataset.labels.class_counts()) == [70, 60]
         assert cfg.effective_min_label_count == 51
+
+    def test_class_shrunk_by_component_selection_is_dropped(self):
+        # class 2 has 60 nodes, enough for the default min_label_count of
+        # 51, but only 5 of them lie on the largest component (a 300-node
+        # cycle); the other 55 form their own cycle. The two filters repeat
+        # until neither removes a node, so class 2 goes too
+        from conftest import make_dataset
+        big = [(i, (i + 1) % 300) for i in range(300)]
+        small = [(300 + i, 300 + (i + 1) % 55) for i in range(55)]
+        labels = np.concatenate([np.arange(295) % 2, np.full(60, 2)])
+        ds = make_dataset(big + small, n=355, labels=labels)
+        prep = prepare_study(ds, StudyConfig(n_splits=1))
+        assert prep.dataset.labels.num_labels == 2
+        assert list(prep.dataset.labels.class_counts()) == [148, 147]
+        assert prep.dataset.node_tokens == tuple(str(i) for i in range(295))

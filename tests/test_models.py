@@ -24,20 +24,20 @@ def split_thirds(n):
 class TestNormalizedAdjacency:
     def test_isolated_node(self):
         adj = normalized_adjacency(to_undirected([], n=1))
-        assert adj.matrix.toarray().tolist() == [[1.0]]
+        assert adj.toarray().tolist() == [[1.0]]
 
     def test_single_edge(self):
         adj = normalized_adjacency(to_undirected([(0, 1)], n=2))
-        assert np.allclose(adj.matrix.toarray(), [[0.5, 0.5], [0.5, 0.5]])
+        assert np.allclose(adj.toarray(), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_row_sums_on_single_edge(self):
         adj = normalized_adjacency(to_undirected([(0, 1)], n=2))
-        assert np.allclose(adj.matrix @ np.ones(2), [1.0, 1.0])
+        assert np.allclose(adj @ np.ones(2), [1.0, 1.0])
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(0)
         g = random_simple_graph(rng, n=15, p=0.3)
-        A = normalized_adjacency(g).matrix.toarray()
+        A = normalized_adjacency(g).toarray()
         assert np.allclose(A, A.T)
         eigs = np.linalg.eigvalsh(A)
         assert eigs.max() <= 1 + 1e-9
@@ -115,12 +115,17 @@ class TestTrainLogreg:
         assert np.array_equal(a.W, b.W) and np.array_equal(a.b, b.b)
 
 
+def gcn_forward_on(model, graph, X):
+    """GCN probabilities on a graph, propagating the features first."""
+    adj = normalized_adjacency(graph)
+    return gcn_forward(model, adj, sgc_propagate(adj, FeatureMatrix(X), 1))
+
+
 class TestGcnForward:
     def test_zero_weights_uniform(self):
         g = to_undirected([(0, 1), (1, 2)], n=3)
         model = GcnModel(W0=np.zeros((2, 4)), W1=np.zeros((4, 3)))
-        probs = gcn_forward(model, normalized_adjacency(g),
-                            FeatureMatrix(np.ones((3, 2))))
+        probs = gcn_forward_on(model, g, np.ones((3, 2)))
         assert np.allclose(probs, 1.0 / 3.0)
 
     def test_edgeless_reduces_to_mlp(self):
@@ -128,8 +133,7 @@ class TestGcnForward:
         g = to_undirected([], n=5)
         X = rng.standard_normal((5, 3))
         W0, W1 = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
-        probs = gcn_forward(GcnModel(W0, W1), normalized_adjacency(g),
-                            FeatureMatrix(X))
+        probs = gcn_forward_on(GcnModel(W0, W1), g, X)
         hidden = np.maximum(X @ W0, 0.0)
         logits = hidden @ W1
         expect = np.exp(logits - logits.max(1, keepdims=True))
@@ -142,8 +146,7 @@ class TestGcnForward:
         # = [[1, -1], [1, -1]]; softmax row = [e/(e + 1/e), ...]
         g = to_undirected([(0, 1)], n=2)
         model = GcnModel(W0=np.array([[1.0]]), W1=np.array([[1.0, -1.0]]))
-        probs = gcn_forward(model, normalized_adjacency(g),
-                            FeatureMatrix(np.array([[2.0], [0.0]])))
+        probs = gcn_forward_on(model, g, np.array([[2.0], [0.0]]))
         p1 = np.e / (np.e + 1.0 / np.e)
         assert np.allclose(probs, [[p1, 1 - p1], [p1, 1 - p1]], atol=1e-12)
 
@@ -152,10 +155,23 @@ class TestGcnForward:
         g = random_simple_graph(rng, n=12, p=0.3)
         model = GcnModel(W0=rng.standard_normal((4, 6)) * 10,
                          W1=rng.standard_normal((6, 3)) * 10)
-        probs = gcn_forward(model, normalized_adjacency(g),
-                            FeatureMatrix(rng.standard_normal((12, 4))))
+        probs = gcn_forward_on(model, g, rng.standard_normal((12, 4)))
         assert np.all(probs >= 0)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_input_is_read_as_already_propagated(self):
+        # the first layer reads A_hat X from the caller and applies no A_hat
+        # of its own; only the second layer propagates
+        rng = np.random.default_rng(11)
+        g = random_simple_graph(rng, n=9, p=0.4)
+        adj = normalized_adjacency(g).toarray()
+        P = rng.standard_normal((9, 3))
+        model = GcnModel(rng.standard_normal((3, 4)), rng.standard_normal((4, 2)))
+        probs = gcn_forward(model, normalized_adjacency(g), FeatureMatrix(P))
+        logits = adj @ np.maximum(P @ model.W0, 0.0) @ model.W1
+        expect = np.exp(logits - logits.max(1, keepdims=True))
+        expect /= expect.sum(1, keepdims=True)
+        assert np.allclose(probs, expect, atol=1e-12)
 
     def test_permutation_equivariance_exact_on_dyadic_instance(self):
         # cube graph: 3-regular (degree+1 = 4, a power of two); one-hot
@@ -169,12 +185,12 @@ class TestGcnForward:
                        [-0.125], [1.0]])
         W1 = np.array([[0.5, -0.25]])
         model = GcnModel(W0, W1)
-        probs = gcn_forward(model, normalized_adjacency(g), FeatureMatrix(X))
+        probs = gcn_forward_on(model, g, X)
         perm = np.array([2, 0, 3, 1, 6, 4, 7, 5])
         g_p = to_undirected(perm[g.edge_array()], n=8)
         X_p = np.empty_like(X)
         X_p[perm] = X
-        probs_p = gcn_forward(model, normalized_adjacency(g_p), FeatureMatrix(X_p))
+        probs_p = gcn_forward_on(model, g_p, X_p)
         assert np.array_equal(probs_p[perm], probs)
 
     def test_permutation_equivariance_random(self):
@@ -186,8 +202,8 @@ class TestGcnForward:
         g_p = to_undirected(perm[g.edge_array()], n=10)
         X_p = np.empty_like(X)
         X_p[perm] = X
-        probs = gcn_forward(model, normalized_adjacency(g), FeatureMatrix(X))
-        probs_p = gcn_forward(model, normalized_adjacency(g_p), FeatureMatrix(X_p))
+        probs = gcn_forward_on(model, g, X)
+        probs_p = gcn_forward_on(model, g_p, X_p)
         assert np.allclose(probs_p[perm], probs, atol=1e-12)
 
 
@@ -233,7 +249,7 @@ def _max_grad_error_gcn(n_instances, eps=1e-4, seed0=900):
         g = random_simple_graph(rng, n=8, p=0.4)
         adj = normalized_adjacency(g)
         X = rng.standard_normal((8, 5))
-        AX = adj.matrix @ X
+        AX = adj @ X
         y = rng.integers(0, 3, 8)
         train = np.arange(5)
         params = [glorot_uniform((5, 4), rng), glorot_uniform((4, 3), rng)]
@@ -262,8 +278,9 @@ class TestTrainGcn:
         split = SplitSet(train=np.sort(perm[:20]), val=np.sort(perm[20:50]),
                          test=np.sort(perm[50:]))
         adj = normalized_adjacency(g)
-        model = train_gcn(adj, X, labels, split, TrainConfig(), init_seed=3)
-        probs = gcn_forward(model, adj, X)
+        AX = sgc_propagate(adj, X, 1)
+        model = train_gcn(adj, AX, labels, split, TrainConfig(), init_seed=3)
+        probs = gcn_forward(model, adj, AX)
         assert accuracy(probs, labels, split.test) >= 0.9
 
     def test_edgeless_graph_close_to_logreg(self):
@@ -277,14 +294,15 @@ class TestTrainGcn:
         X = FeatureMatrix(signs + rng.standard_normal((n, 3)))
         g = to_undirected([], n=n)
         adj = normalized_adjacency(g)
+        AX = sgc_propagate(adj, X, 1)
         splits = make_splits(y, (20, 20), n_splits=6, seed=0)
         acc_lr, acc_gcn = [], []
         for i, split in enumerate(splits):
             base = train_logreg(X, y, split, TrainConfig())
             acc_lr.append(accuracy(logreg_forward(base, X), y, split.test))
-            model = train_gcn(adj, X, y, split, TrainConfig(hidden_dim=8),
+            model = train_gcn(adj, AX, y, split, TrainConfig(hidden_dim=8),
                               init_seed=i)
-            acc_gcn.append(accuracy(gcn_forward(model, adj, X), y, split.test))
+            acc_gcn.append(accuracy(gcn_forward(model, adj, AX), y, split.test))
         assert abs(np.median(acc_gcn) - np.median(acc_lr)) <= 0.05
         assert mann_whitney_u(acc_gcn, acc_lr).p_value > 0.01
 
@@ -293,7 +311,7 @@ class TestTrainGcn:
         g = random_simple_graph(rng, n=20, p=0.2)
         adj = normalized_adjacency(g)
         X = rng.standard_normal((20, 4))
-        AX = adj.matrix @ X
+        AX = adj @ X
         y = rng.integers(0, 2, 20)
         train, val = np.arange(10), np.arange(10, 15)
         labels = LabelVector(y, 2)
