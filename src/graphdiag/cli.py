@@ -7,6 +7,9 @@ Subcommands:
   verdict  <config.json>   two-step applicability decision
 
 Common flags: --out DIR, --seed N, --jobs N, --keep-top-k-components K.
+
+A config, data or file error prints one line, "graphdiag: error: ...", to
+stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -33,6 +36,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="admit the k largest components instead of just one")
 
 
+def _fraction_list(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(x) for x in text.split(",") if x != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphdiag",
@@ -48,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         _add_common(cmd)
         if name == "perturb":
-            cmd.add_argument("--fractions", default=None,
+            cmd.add_argument("--fractions", type=_fraction_list, default=None,
                              help="comma-separated swap fractions, e.g. 0,0.1,0.2")
     return parser
 
@@ -61,8 +72,9 @@ def _prepare(args, **overrides) -> PreparedStudy:
     if args.keep_top_k_components is not None:
         overrides["keep_top_k_components"] = args.keep_top_k_components
     config = replace(load_config(args.config), **overrides)
-    if not (config.edges and config.features and config.labels):
-        raise SystemExit("config must set the edges/features/labels paths")
+    missing = [key for key in ("edges", "features", "labels") if not getattr(config, key)]
+    if missing:
+        raise ValueError(f"config must set the dataset paths; missing: {', '.join(missing)}")
     dataset = gio.load_dataset(config.edges, config.features, config.labels)
     return prepare_study(dataset, config)
 
@@ -142,10 +154,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    overrides = {}
-    if args.fractions:
-        overrides["fractions"] = tuple(float(x) for x in args.fractions.split(",")
-                                       if x != "")
+    overrides = {"fractions": args.fractions} if args.fractions else {}
     sweep = run_perturbation_sweep(_prepare(args, **overrides), jobs=args.jobs)
     print("fraction  U(L|C) mean+/-std   accuracy mean+/-std")
     for row in sweep.rows:
@@ -180,7 +189,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"analyze": cmd_analyze, "ablate": cmd_ablate,
                 "perturb": cmd_perturb, "verdict": cmd_verdict}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ValueError, OSError) as exc:
+        # bad configs, data files and paths; a failed study cell is a
+        # RuntimeError and keeps its traceback
+        print(f"graphdiag: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,9 +2,14 @@
 
 The detector is the classic two-phase scheme: repeated single-node moves
 that greedily improve modularity, followed by aggregation of communities
-into super-nodes, until an aggregation pass produces no merge. Node visit
-order is reshuffled every pass from a seeded generator, and gain ties are
-broken toward the lowest community id, so results are reproducible.
+into super-nodes, until an aggregation pass produces no merge. Each level
+is a CSR graph (offsets, neighbors, weights) plus each node's degree, which
+also counts the edges inside a super-node; level 0 is the input graph's own
+arrays with unit weights. Weights and degrees are integer-valued floats far
+below 2**53, so every sum is exact in any order. Node visit order is
+reshuffled every pass from a seeded generator and gain ties go to the
+lowest community id. These two rules fix the search path, and with it the
+partitions that the benchmark reference pins.
 """
 
 from __future__ import annotations
@@ -97,58 +102,42 @@ def block_density_matrix(graph: LabeledGraph, partition: Partition) -> BlockMatr
     return BlockMatrix(sizes=sizes, densities=densities, edge_counts=counts)
 
 
-def _local_moves(adj: list[dict[int, float]], self_weight: np.ndarray,
-                 two_m: float, rng: np.random.Generator) -> np.ndarray:
-    """One move phase; returns the (uncompacted) community of each node."""
-    n = len(adj)
-    degree = np.array([2.0 * self_weight[u] + sum(adj[u].values()) for u in range(n)])
-    comm = np.arange(n)
-    comm_total = degree.copy()
+def _local_moves(offsets: np.ndarray, neighbors: np.ndarray, weights: np.ndarray,
+                 degree: np.ndarray, two_m: float, rng: np.random.Generator) -> np.ndarray:
+    """One move phase on a CSR level; returns the (uncompacted) community of
+    each node. The loop reads Python lists: numpy scalar indexing and
+    arithmetic would cost most of its time, and Python floats round alike."""
+    n = len(degree)
+    offsets, neighbors, weights = offsets.tolist(), neighbors.tolist(), weights.tolist()
+    degree = degree.tolist()
+    comm = list(range(n))
+    comm_total = list(degree)
     # gains are tracked in units of m * dQ; rescale the threshold to match
     eps = GAIN_EPS * (two_m / 2.0)
     moved = True
     while moved:
         moved = False
-        for u in rng.permutation(n):
-            cu = comm[u]
+        for u in rng.permutation(n).tolist():
+            cu, du = comm[u], degree[u]
             links: dict[int, float] = {}
-            for v, w in adj[u].items():
+            lo, hi = offsets[u], offsets[u + 1]
+            for v, w in zip(neighbors[lo:hi], weights[lo:hi]):
                 cv = comm[v]
                 links[cv] = links.get(cv, 0.0) + w
-            comm_total[cu] -= degree[u]
-            stay = links.get(cu, 0.0) - degree[u] * comm_total[cu] / two_m
+            comm_total[cu] -= du
+            stay = links.get(cu, 0.0) - du * comm_total[cu] / two_m
             best_c, best_gain = cu, stay
             for c in sorted(links):
                 if c == cu:
                     continue
-                gain = links[c] - degree[u] * comm_total[c] / two_m
+                gain = links[c] - du * comm_total[c] / two_m
                 if gain > best_gain and gain - stay > eps:
                     best_c, best_gain = c, gain
-            comm_total[best_c] += degree[u]
+            comm_total[best_c] += du
             if best_c != cu:
                 comm[u] = best_c
                 moved = True
-    return comm
-
-
-def _aggregate(adj: list[dict[int, float]], self_weight: np.ndarray,
-               comm: np.ndarray) -> tuple[list[dict[int, float]], np.ndarray, np.ndarray]:
-    """Collapse communities into super-nodes; returns (adj, self_weight, relabel)."""
-    _, relabel = np.unique(comm, return_inverse=True)
-    k = relabel.max() + 1
-    new_self = np.zeros(k)
-    new_adj: list[dict[int, float]] = [dict() for _ in range(k)]
-    for u, row in enumerate(adj):
-        cu = relabel[u]
-        new_self[cu] += self_weight[u]
-        for v, w in row.items():
-            cv = relabel[v]
-            if cu == cv:
-                if u < v:
-                    new_self[cu] += w
-            else:
-                new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + w
-    return new_adj, new_self, relabel
+    return np.array(comm, dtype=np.int64)
 
 
 def louvain(graph: LabeledGraph, seed: int) -> Partition:
@@ -160,22 +149,31 @@ def louvain(graph: LabeledGraph, seed: int) -> Partition:
     if graph.m == 0:
         raise GraphError("community detection needs at least one edge")
     rng = np.random.default_rng(seed)
-    adj: list[dict[int, float]] = [
-        {int(v): 1.0 for v in graph.neighbors_of(u)} for u in range(graph.n)
-    ]
-    self_weight = np.zeros(graph.n)
+    offsets, neighbors = graph.offsets, graph.neighbors
+    weights = np.ones(len(neighbors))
+    degree = graph.degrees().astype(np.float64)
     two_m = 2.0 * graph.m
     node_to_super = np.arange(graph.n)
     while True:
-        comm = _local_moves(adj, self_weight, two_m, rng)
-        if len(np.unique(comm)) == len(adj):
+        comm = _local_moves(offsets, neighbors, weights, degree, two_m, rng)
+        _, relabel = np.unique(comm, return_inverse=True)
+        k = int(relabel.max()) + 1
+        if k == len(degree):
             break
-        adj, self_weight, relabel = _aggregate(adj, self_weight, comm)
+        # collapse each community into a super-node with its members' total
+        # degree; edges inside it leave the CSR (its degree keeps them) and
+        # edges between the same two super-nodes merge into one
+        src = relabel[np.repeat(np.arange(len(degree)), np.diff(offsets))]
+        dst = relabel[neighbors]
+        cross = src != dst
+        codes, group = np.unique(src[cross] * k + dst[cross], return_inverse=True)
+        weights = np.bincount(group, weights=weights[cross], minlength=len(codes))
+        neighbors = codes % k
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(codes // k, minlength=k))])
+        degree = np.bincount(relabel, weights=degree, minlength=k)
         node_to_super = relabel[node_to_super]
     # number communities by smallest member node id
-    raw = node_to_super
-    order: dict[int, int] = {}
-    assignment = np.empty(graph.n, dtype=np.int64)
-    for u in range(graph.n):
-        assignment[u] = order.setdefault(int(raw[u]), len(order))
-    return Partition(assignment=assignment, num_communities=len(order))
+    _, first, raw = np.unique(node_to_super, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return Partition(assignment=rank[raw], num_communities=len(first))

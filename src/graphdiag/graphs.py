@@ -256,8 +256,9 @@ def remove_rare_labels(labels: np.ndarray, min_count: int) -> np.ndarray:
     """
     if min_count < 1:
         raise GraphError("min_count must be >= 1")
-    keep_class = np.bincount(labels) >= min_count
-    keep_nodes = np.flatnonzero(keep_class[labels])
+    counts = np.bincount(labels)
+    keep_nodes = np.flatnonzero(counts[labels] >= min_count)
     if len(keep_nodes) == 0:
-        raise GraphError("all label classes fall below min_count")
+        raise GraphError(f"no class reaches min_label_count={min_count} (largest has "
+                         f"{counts.max(initial=0)} nodes); lower train_per_class/val_per_class")
     return keep_nodes

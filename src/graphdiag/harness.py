@@ -605,13 +605,8 @@ def analyze_prepared(prep: PreparedStudy) -> AnalysisResult:
     """Summarize the prepared dataset, its communities, and label/community
     alignment over the study's labeled masks."""
     u_values = _uncertainty_values(prep, prep.base_partition)
-    summary = dataset_summary(prep)
     return AnalysisResult(
-        num_nodes=summary["num_nodes"],
-        num_edges=summary["num_edges"],
-        edge_density=summary["edge_density"],
-        num_labels=summary["num_labels"],
-        label_rate=summary["label_rate"],
+        **dataset_summary(prep),
         num_communities=prep.base_partition.num_communities,
         modularity=modularity(prep.dataset.graph, prep.base_partition),
         u_mean=float(np.mean(u_values)),

@@ -127,20 +127,70 @@ def test_verdict_middle_band_prepares_once(workdir, monkeypatch):
     assert len(calls) == 1
 
 
-def test_unknown_config_key_fails(workdir):
-    bad = workdir / "bad.json"
+def run_failing(argv, capsys):
+    """Run a command that must fail at the error boundary; returns its
+    one stderr line."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("graphdiag: error: ")
+    return err
+
+
+def with_config(workdir, name, **changes):
     cfg = json.loads((workdir / "config.json").read_text())
-    cfg["typo_key"] = 1
-    bad.write_text(json.dumps(cfg))
-    with pytest.raises(ValueError, match="typo_key"):
-        main(["analyze", str(bad)])
+    cfg.update(changes)
+    path = workdir / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
 
 
-def test_missing_dataset_paths_fails(tmp_path):
+def test_unknown_config_key_fails(workdir, tmp_path, capsys):
+    bad = with_config(workdir, "bad.json", typo_key=1)
+    assert "typo_key" in run_failing(["analyze", bad, "--out", str(tmp_path)], capsys)
+
+
+def test_missing_dataset_paths_fails(tmp_path, capsys):
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"n_splits": 2}))
-    with pytest.raises(SystemExit):
-        main(["analyze", str(cfg)])
+    cfg.write_text(json.dumps({"n_splits": 2, "labels": "labels.tsv"}))
+    err = run_failing(["analyze", str(cfg), "--out", str(tmp_path)], capsys)
+    assert "missing: edges, features" in err
+
+
+def test_bad_fractions_is_a_usage_error(workdir, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["perturb", str(workdir / "config.json"), "--fractions", "abc"])
+    assert exit_info.value.code == 2
+    assert "--fractions: expected comma-separated numbers, got 'abc'" in capsys.readouterr().err
+
+
+def test_bad_config_value_fails_in_one_line(workdir, tmp_path, capsys):
+    bad = with_config(workdir, "zero-splits.json", n_splits=0)
+    err = run_failing(["ablate", bad, "--out", str(tmp_path)], capsys)
+    assert err == "graphdiag: error: n_splits must be >= 1, got 0\n"
+
+
+def test_missing_edge_file_fails_in_one_line(workdir, tmp_path, capsys):
+    bad = with_config(workdir, "no-edges.json", edges=str(tmp_path / "absent.txt"))
+    err = run_failing(["analyze", bad, "--out", str(tmp_path)], capsys)
+    assert "No such file" in err and "absent.txt" in err
+
+
+def test_quota_above_every_class_fails_in_one_line(workdir, tmp_path, capsys):
+    # the classes have 40 nodes; 100 + 8 + 1 is the default min_label_count
+    bad = with_config(workdir, "big-quota.json", train_per_class=100)
+    err = run_failing(["analyze", bad, "--out", str(tmp_path)], capsys)
+    assert "no class reaches min_label_count=109 (largest has 40 nodes)" in err
+
+
+def test_failed_study_cell_keeps_its_traceback(workdir, tmp_path, monkeypatch):
+    from graphdiag import harness
+
+    def broken(*args, **kwargs):
+        raise ValueError("broken fit")
+
+    monkeypatch.setattr(harness, "train_logreg", broken)
+    with pytest.raises(RuntimeError, match="study cell failed"):
+        main(["ablate", str(workdir / "config.json"), "--out", str(tmp_path)])
 
 
 def test_console_entry_point(workdir, tmp_path):

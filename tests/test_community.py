@@ -2,10 +2,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphdiag import (GraphError, Partition, block_density_matrix,
-                       edge_density, louvain, modularity,
-                       normalized_mutual_information, to_undirected)
+from graphdiag import (GraphError, LabelVector, Partition, block_density_matrix,
+                       edge_density, joint_counts, louvain, modularity,
+                       normalized_mutual_information, rewire_configuration_model,
+                       to_undirected, uncertainty_coefficient)
+from graphdiag.community import GAIN_EPS
 from graphdiag.synthetic import planted_partition_graph
 
 from conftest import random_simple_graph
@@ -36,6 +40,84 @@ def brute_force_best_partition(graph):
         if q > best_q:
             best_q, best = q, assignment
     return best_q, best
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the dict-of-dicts detector the CSR one must match exactly
+# ---------------------------------------------------------------------------
+
+def _reference_local_moves(adj, self_weight, two_m, rng):
+    n = len(adj)
+    degree = np.array([2.0 * self_weight[u] + sum(adj[u].values()) for u in range(n)])
+    comm = np.arange(n)
+    comm_total = degree.copy()
+    eps = GAIN_EPS * (two_m / 2.0)
+    moved = True
+    while moved:
+        moved = False
+        for u in rng.permutation(n):
+            cu = comm[u]
+            links = {}
+            for v, w in adj[u].items():
+                cv = comm[v]
+                links[cv] = links.get(cv, 0.0) + w
+            comm_total[cu] -= degree[u]
+            stay = links.get(cu, 0.0) - degree[u] * comm_total[cu] / two_m
+            best_c, best_gain = cu, stay
+            for c in sorted(links):
+                if c == cu:
+                    continue
+                gain = links[c] - degree[u] * comm_total[c] / two_m
+                if gain > best_gain and gain - stay > eps:
+                    best_c, best_gain = c, gain
+            comm_total[best_c] += degree[u]
+            if best_c != cu:
+                comm[u] = best_c
+                moved = True
+    return comm
+
+
+def _reference_aggregate(adj, self_weight, comm):
+    _, relabel = np.unique(comm, return_inverse=True)
+    k = relabel.max() + 1
+    new_self = np.zeros(k)
+    new_adj = [dict() for _ in range(k)]
+    for u, row in enumerate(adj):
+        cu = relabel[u]
+        new_self[cu] += self_weight[u]
+        for v, w in row.items():
+            cv = relabel[v]
+            if cu == cv:
+                if u < v:
+                    new_self[cu] += w
+            else:
+                new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + w
+    return new_adj, new_self, relabel
+
+
+def _reference_louvain(graph, seed):
+    rng = np.random.default_rng(seed)
+    adj = [{int(v): 1.0 for v in graph.neighbors_of(u)} for u in range(graph.n)]
+    self_weight = np.zeros(graph.n)
+    two_m = 2.0 * graph.m
+    node_to_super = np.arange(graph.n)
+    while True:
+        comm = _reference_local_moves(adj, self_weight, two_m, rng)
+        if len(np.unique(comm)) == len(adj):
+            break
+        adj, self_weight, relabel = _reference_aggregate(adj, self_weight, comm)
+        node_to_super = relabel[node_to_super]
+    order = {}
+    assignment = np.empty(graph.n, dtype=np.int64)
+    for u in range(graph.n):
+        assignment[u] = order.setdefault(int(node_to_super[u]), len(order))
+    return Partition(assignment=assignment, num_communities=len(order))
+
+
+def assert_matches_reference(graph, seed):
+    part, ref = louvain(graph, seed), _reference_louvain(graph, seed)
+    assert part.num_communities == ref.num_communities
+    assert np.array_equal(part.assignment, ref.assignment)
 
 
 class TestModularity:
@@ -130,6 +212,43 @@ class TestLouvain:
                                                 planted.assignment)
             hits += nmi >= 0.95
         assert hits >= 4
+
+
+class TestLouvainMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 60), st.floats(0.02, 0.5), st.integers(0, 2**32 - 1),
+           st.integers(0, 2**32 - 1))
+    def test_random_graphs(self, n, p, graph_seed, seed):
+        # isolated nodes and several components are allowed
+        rng = np.random.default_rng(graph_seed)
+        edges = np.argwhere(np.triu(rng.random((n, n)) < p, 1))
+        if len(edges) == 0:
+            edges = np.array([[0, 1]])
+        assert_matches_reference(to_undirected(edges, n), seed)
+
+    def test_multi_level_planted_graph(self):
+        g, _ = planted_partition_graph(60, 5, 0.2, 0.01, seed=4)
+        for seed in range(3):
+            assert_matches_reference(g, seed)
+
+    def test_cora_scale_planted_graph_and_its_rewiring(self):
+        g, _ = planted_partition_graph(400, 7, 0.0115, 0.0004, seed=8)
+        assert_matches_reference(g, 0)
+        assert_matches_reference(rewire_configuration_model(g, seed=1), 0)
+
+
+def test_u_spread_across_louvain_seeds():
+    # the bench's Cora-scale structure, labels = planted blocks. The spread
+    # of U(L|C) over detector seeds is the number to beat: a detector that
+    # restarts and keeps its best partition should narrow it
+    g, planted = planted_partition_graph(
+        400, 7, 0.0115, 0.0004, seed=int(np.random.default_rng([0, 1]).integers(2**32)))
+    labels = LabelVector(planted.assignment, 7)
+    everyone = np.arange(g.n)
+    u = np.array([uncertainty_coefficient(joint_counts(labels, louvain(g, seed), everyone))
+                  for seed in range(12)])
+    assert np.std(u) <= 0.0175
+    assert np.max(u) - np.min(u) <= 0.073
 
 
 class TestBlockDensityMatrix:

@@ -157,6 +157,11 @@ class TestRemoveRareLabels:
         with pytest.raises(GraphError):
             remove_rare_labels(ds.labels.labels, min_count=5)
 
+    def test_all_rare_message_names_threshold_and_largest_class(self):
+        labels = np.array([0, 0, 1, 2, 2, 2])
+        with pytest.raises(GraphError, match=r"min_label_count=5 \(largest has 3 nodes\)"):
+            remove_rare_labels(labels, min_count=5)
+
     def test_survivors_meet_min_count(self):
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 5, size=40)
