@@ -15,7 +15,6 @@ stderr and exits with status 2.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +23,7 @@ from . import io as gio
 from .harness import (AnalysisResult, Decision, PreparedStudy, Verdict,
                       analyze_prepared, emit_report, guideline_verdict, load_config,
                       prepare_study, run_ablation_study, run_perturbation_sweep,
-                      write_sweep_csv, _jsonable)
+                      write_json, write_sweep_csv)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -66,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _prepare(args, **overrides) -> PreparedStudy:
     """Load the config (with command-line overrides) and its dataset, and
-    prepare the study every stage of the command shares."""
+    prepare the study every stage of the command shares. ``analyze`` trains
+    nothing, so it loads no features."""
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.keep_top_k_components is not None:
@@ -75,17 +75,9 @@ def _prepare(args, **overrides) -> PreparedStudy:
     missing = [key for key in ("edges", "features", "labels") if not getattr(config, key)]
     if missing:
         raise ValueError(f"config must set the dataset paths; missing: {', '.join(missing)}")
-    dataset = gio.load_dataset(config.edges, config.features, config.labels)
+    features = None if args.command == "analyze" else config.features
+    dataset = gio.load_dataset(config.edges, features, config.labels)
     return prepare_study(dataset, config)
-
-
-def _write_json(out_dir: str, name: str, payload) -> Path:
-    out = gio.ensure_dir(out_dir)
-    path = out / name
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, indent=2)
-        fh.write("\n")
-    return path
 
 
 def _print_analysis(result: AnalysisResult) -> None:
@@ -132,7 +124,7 @@ def cmd_analyze(args) -> int:
     out = gio.ensure_dir(args.out)
     gio.write_partition(out / "partition.tsv", prep.base_partition,
                         prep.dataset.node_tokens)
-    path = _write_json(args.out, "analyze.json", result)
+    path = write_json(result, out / "analyze.json")
     print(f"wrote {path}")
     print(f"wrote {out / 'partition.tsv'}")
     return 0
@@ -171,16 +163,15 @@ def cmd_verdict(args) -> int:
     analysis = analyze_prepared(prep)
     _print_analysis(analysis)
     low, high = config.thresholds
-    sweep = None
+    sweep_rows = None
     if low <= analysis.u_mean <= high:
         print("alignment score is in the middle band; running the swap sweep...")
-        sweep = run_perturbation_sweep(prep, jobs=args.jobs)
-    verdict = guideline_verdict(analysis.u_mean, sweep, config.thresholds)
+        sweep_rows = run_perturbation_sweep(prep, jobs=args.jobs).rows
+    verdict = guideline_verdict(analysis.u_mean, sweep_rows, config.thresholds)
     print(f"verdict: {verdict.decision.value}")
     print(_justification(verdict, config.thresholds))
-    payload = {"verdict": verdict, "analysis": analysis,
-               "sweep": list(sweep.rows) if sweep else None}
-    path = _write_json(args.out, "verdict.json", payload)
+    payload = {"verdict": verdict, "analysis": analysis, "sweep": sweep_rows}
+    path = write_json(payload, Path(args.out) / "verdict.json")
     print(f"wrote {path}")
     return 0
 

@@ -147,10 +147,11 @@ class LabelVector:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A graph with aligned node features, labels, and original node tokens."""
+    """A graph with aligned node features (None if not loaded), labels, and
+    original node tokens."""
 
     graph: LabeledGraph
-    features: FeatureMatrix
+    features: FeatureMatrix | None
     labels: LabelVector
     node_tokens: tuple[str, ...] = ()
 
@@ -158,8 +159,8 @@ class Dataset:
         if not self.node_tokens:
             object.__setattr__(
                 self, "node_tokens", tuple(str(i) for i in range(self.graph.n)))
-        if not (self.graph.n == self.features.n == len(self.labels)
-                == len(self.node_tokens)):
+        if not (self.graph.n == len(self.labels) == len(self.node_tokens)
+                and (self.features is None or self.features.n == self.graph.n)):
             raise GraphError("graph, features, labels, and tokens disagree on n")
 
     @property
@@ -232,7 +233,8 @@ def induced_subdataset(dataset: Dataset, nodes: np.ndarray) -> Dataset:
     labels, num = _compact_labels(dataset.labels.labels[nodes])
     return Dataset(
         graph=induced_subgraph(dataset.graph, nodes),
-        features=FeatureMatrix(dataset.features.values[nodes]),
+        features=(None if dataset.features is None
+                  else FeatureMatrix(dataset.features.values[nodes])),
         labels=LabelVector(labels, num),
         node_tokens=tuple(dataset.node_tokens[i] for i in nodes),
     )

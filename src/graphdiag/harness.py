@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -21,7 +21,7 @@ from .community import BlockMatrix, Partition, block_density_matrix, louvain, mo
 from .graphs import (Dataset, GraphError, edge_density, induced_subdataset, induced_subgraph,
                      remove_rare_labels, select_components)
 from .infotheory import joint_counts, uncertainty_coefficient
-from .models import (TrainConfig, accuracy, gcn_forward, logreg_forward,
+from .models import (TrainConfig, accuracy, check_number, gcn_forward, logreg_forward,
                      normalized_adjacency, sgc_propagate, train_gcn, train_logreg)
 from .nullmodels import (GraphVariant, generate_erdos_renyi, generate_sbm,
                          rewire_configuration_model, swap_perturbation)
@@ -110,17 +110,39 @@ class StudyConfig:
     train: TrainConfig = TrainConfig()
 
     def __post_init__(self) -> None:
+        for key in ("edges", "features", "labels"):
+            value = getattr(self, key)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{key} must be a path string, got {value!r}")
         for key in ("train_per_class", "val_per_class", "n_splits", "n_inits",
                     "n_graph_seeds", "keep_top_k_components", "min_label_count"):
             value = getattr(self, key)
-            if value is not None and value < 1:
-                raise ValueError(f"{key} must be >= 1, got {value!r}")
-        if not self.models or any(m not in MODEL_NAMES for m in self.models):
-            raise ValueError(f"models must be a non-empty subset of {MODEL_NAMES}")
-        low, high = self.thresholds
+            if value is not None:
+                check_number(key, value, integer=True)
+                if value < 1:
+                    raise ValueError(f"{key} must be >= 1, got {value!r}")
+        check_number("seed", self.seed, integer=True)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        if (not isinstance(self.models, (list, tuple)) or not self.models
+                or any(m not in MODEL_NAMES for m in self.models)
+                or len(set(self.models)) < len(self.models)):
+            raise ValueError(f"models must be a non-empty subset of {MODEL_NAMES} "
+                             "with no repeats")
+        try:
+            low, high = self.thresholds
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"thresholds must be a pair (low, high), got {self.thresholds!r}") from None
+        check_number("thresholds.low", low)
+        check_number("thresholds.high", high)
         if not (0.0 <= low < high <= 1.0):
             raise ValueError("thresholds must satisfy 0 <= low < high <= 1")
         fr = self.fractions
+        if not isinstance(fr, (list, tuple, np.ndarray)):
+            raise ValueError(f"fractions must be a list of numbers, got {fr!r}")
+        for i, f in enumerate(fr):
+            check_number(f"fractions[{i}]", f)
         if any(not 0.0 <= f <= 1.0 for f in fr) or list(fr) != sorted(fr):
             raise ValueError("fractions must be ascending values in [0, 1]")
         object.__setattr__(self, "models", tuple(self.models))
@@ -136,12 +158,16 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StudyConfig":
+        if not isinstance(raw, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(raw).__name__}")
         known = set(cls.__dataclass_fields__)
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         data = dict(raw)
         if "train" in data:
+            if not isinstance(data["train"], dict):
+                raise ValueError(f"train must be a JSON object, got {data['train']!r}")
             train_known = set(TrainConfig.__dataclass_fields__)
             train_unknown = set(data["train"]) - train_known
             if train_unknown:
@@ -150,9 +176,9 @@ class StudyConfig:
         if "thresholds" in data:
             th = data["thresholds"]
             if isinstance(th, dict):
-                extra = set(th) - {"low", "high"}
-                if extra:
-                    raise ValueError(f"unknown threshold keys: {sorted(extra)}")
+                if set(th) != {"low", "high"}:
+                    raise ValueError(
+                        f"thresholds must set exactly low and high, got {sorted(th)}")
                 data["thresholds"] = (th["low"], th["high"])
         return cls(**data)
 
@@ -395,6 +421,8 @@ def _study_cell(task: tuple[str, int, int | None, tuple[str, ...]]):
 
 
 def _map_tasks(tasks, prep: PreparedStudy, jobs: int) -> list:
+    if prep.dataset.features is None:
+        raise ValueError("the study's dataset was loaded without features; training needs them")
     if jobs <= 1:
         _set_task_state(prep)
         return [_study_cell(t) for t in tasks]
@@ -505,7 +533,7 @@ def run_perturbation_sweep(prep: PreparedStudy, jobs: int = 1) -> SweepResult:
     return SweepResult(rows=tuple(rows), cells=tuple(cells))
 
 
-def guideline_verdict(u_original: float, sweep=None,
+def guideline_verdict(u_original: float, sweep_rows: Sequence[SweepRow] | None = None,
                       thresholds: tuple[float, float] = (0.3, 0.7)) -> Verdict:
     """Two-step applicability rule.
 
@@ -522,12 +550,10 @@ def guideline_verdict(u_original: float, sweep=None,
         return Verdict(decision=Decision.FEATURE_ONLY, u_original=u_original)
     if u_original > high:
         return Verdict(decision=Decision.GNN_APPLICABLE, u_original=u_original)
-    rows = list(sweep.rows) if isinstance(sweep, SweepResult) else (
-        list(sweep) if sweep is not None else [])
-    if len(rows) < 2:
+    if sweep_rows is None or len(sweep_rows) < 2:
         return Verdict(decision=Decision.INCONCLUSIVE, u_original=u_original)
-    xs = np.array([r.fraction for r in rows])
-    ys = np.array([r.u_mean for r in rows])
+    xs = np.array([r.fraction for r in sweep_rows])
+    ys = np.array([r.u_mean for r in sweep_rows])
     slope = float(np.polyfit(xs, ys, 1)[0])
     if slope < -SLOPE_EPSILON:
         return Verdict(decision=Decision.GNN_APPLICABLE_AFTER_SWEEP,
@@ -536,22 +562,28 @@ def guideline_verdict(u_original: float, sweep=None,
                    u_original=u_original, sweep_slope=slope)
 
 
-def _jsonable(value):
+def _json_default(value):
+    """json.dump hook: dataclasses as field dicts, enums as values, numpy as Python."""
+    if is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
     if isinstance(value, enum.Enum):
         return value.value
-    if isinstance(value, (np.integer,)):
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "__dataclass_fields__"):
-        return {k: _jsonable(getattr(value, k)) for k in value.__dataclass_fields__}
-    return value
+        return value.tolist()
+    raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+
+def write_json(payload, path) -> Path:
+    """Write ``payload`` as indented JSON. Floats keep full round-trip
+    precision, so identical payloads give byte-identical files."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, default=_json_default)
+        fh.write("\n")
+    return path
 
 
 def emit_report(report: StudyReport, out_dir) -> list[Path]:
@@ -559,11 +591,7 @@ def emit_report(report: StudyReport, out_dir) -> list[Path]:
     carries sweep rows). Floats are written with full round-trip precision,
     so identical studies produce byte-identical files."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    json_path = out / "report.json"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(report), fh, indent=2)
-        fh.write("\n")
+    json_path = write_json(report, out / "report.json")
     csv_path = out / "accuracies.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("model,variant,graph_seed,split,init,accuracy\n")

@@ -154,13 +154,15 @@ def load_features(path, node_index: dict[str, int]) -> np.ndarray:
 
 
 def load_dataset(edge_path, feature_path, label_path) -> Dataset:
-    """Load a dataset; node ids are compacted in label-file order."""
+    """Load a dataset; node ids are compacted in label-file order. With
+    ``feature_path=None`` no feature file is opened and ``features`` is None."""
     node_tokens, labels, _ = load_labels(label_path)
     node_index = {t: i for i, t in enumerate(node_tokens)}
-    features = load_features(feature_path, node_index)
+    features = None if feature_path is None else FeatureMatrix(
+        load_features(feature_path, node_index))
     edges = load_edges(edge_path, node_index)
     graph = to_undirected(edges, n=len(node_tokens))
-    return Dataset(graph=graph, features=FeatureMatrix(features), labels=labels,
+    return Dataset(graph=graph, features=features, labels=labels,
                    node_tokens=tuple(node_tokens))
 
 

@@ -14,7 +14,9 @@ Model selection keeps the epoch with the best validation accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -33,6 +35,17 @@ class TrainingDivergedError(RuntimeError):
         self.epoch = epoch
 
 
+def check_number(key: str, value, integer: bool = False) -> None:
+    """Raise a ValueError naming ``key`` unless ``value`` is a finite real
+    number, or an integer when ``integer`` is set; a bool is neither."""
+    # an infinite learning rate would never be halved below MIN_LEARNING_RATE
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integer else numbers.Real) or (
+            not integer and not math.isfinite(value)):
+        raise ValueError(
+            f"{key} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters shared by every training run of a study."""
@@ -47,6 +60,9 @@ class TrainConfig:
     sgc_k: int = 2
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            check_number(f"train.{field.name}", getattr(self, field.name),
+                         integer=field.type == "int")
         rules = (("learning_rate", "> 0", self.learning_rate > 0),
                  ("max_epochs", ">= 1", self.max_epochs >= 1),
                  ("weight_decay", ">= 0", self.weight_decay >= 0),

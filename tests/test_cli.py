@@ -169,6 +169,73 @@ def test_bad_config_value_fails_in_one_line(workdir, tmp_path, capsys):
     assert err == "graphdiag: error: n_splits must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"thresholds": {"low": 0.1}}, "thresholds must set exactly low and high, got ['low']"),
+    ({"thresholds": [0.1, 0.5, 0.9]},
+     "thresholds must be a pair (low, high), got [0.1, 0.5, 0.9]"),
+    ({"n_splits": "2"}, "n_splits must be an integer, got '2'"),
+    ({"n_splits": 2.5}, "n_splits must be an integer, got 2.5"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"fractions": "0.1"}, "fractions must be a list of numbers, got '0.1'"),
+    ({"fractions": [0, "0.1"]}, "fractions[1] must be a finite number, got '0.1'"),
+    ({"models": ["gcn", "gcn"]},
+     "models must be a non-empty subset of ('logreg', 'sgc', 'gcn') with no repeats"),
+    ({"edges": 5}, "edges must be a path string, got 5"),
+    ({"train": {"hidden_dim": "8"}}, "train.hidden_dim must be an integer, got '8'"),
+    ({"train": {"learning_rate": "0.1"}},
+     "train.learning_rate must be a finite number, got '0.1'"),
+    ({"train": {"learning_rate": float("inf")}},
+     "train.learning_rate must be a finite number, got inf"),
+    ({"train": [8]}, "train must be a JSON object, got [8]"),
+], ids=["thresholds-without-high", "thresholds-triple", "n_splits-string",
+        "n_splits-float", "seed-negative", "fractions-string", "fractions-item-string",
+        "models-repeated", "edges-number", "hidden_dim-string", "learning_rate-string",
+        "learning_rate-infinite", "train-list"])
+def test_bad_config_type_fails_in_one_line(workdir, tmp_path, capsys, changes, message):
+    bad = with_config(workdir, "bad-type.json", **changes)
+    err = run_failing(["analyze", bad, "--out", str(tmp_path)], capsys)
+    assert err == f"graphdiag: error: {message}\n"
+
+
+def test_config_that_is_not_an_object_fails_in_one_line(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    err = run_failing(["analyze", str(cfg), "--out", str(tmp_path)], capsys)
+    assert err == "graphdiag: error: a config must be a JSON object, got list\n"
+
+
+def test_analyze_opens_no_feature_file(workdir, tmp_path):
+    real = tmp_path / "real"
+    assert main(["analyze", str(workdir / "config.json"), "--out", str(real)]) == 0
+    absent = with_config(workdir, "no-features.json",
+                         features=str(tmp_path / "absent.csv"))
+    bare = tmp_path / "bare"
+    assert main(["analyze", absent, "--out", str(bare)]) == 0
+    for name in ("analyze.json", "partition.tsv"):
+        assert (bare / name).read_bytes() == (real / name).read_bytes()
+
+
+def test_each_command_loads_the_dataset_once(workdir, tmp_path, monkeypatch):
+    # benchmark runs mark the end of set-up when load_dataset returns, so
+    # every command calls it exactly once; only the ones that train read
+    # the feature file
+    load = gio.load_dataset
+    calls = []
+
+    def counting_load(edge_path, feature_path, label_path):
+        calls.append(feature_path)
+        return load(edge_path, feature_path, label_path)
+
+    monkeypatch.setattr(gio, "load_dataset", counting_load)
+    features = json.loads((workdir / "config.json").read_text())["features"]
+    for command, expected in [("analyze", None), ("ablate", features),
+                              ("perturb", features), ("verdict", features)]:
+        calls.clear()
+        assert main([command, str(workdir / "config.json"),
+                     "--out", str(tmp_path / command)]) == 0
+        assert calls == [expected], command
+
+
 def test_missing_edge_file_fails_in_one_line(workdir, tmp_path, capsys):
     bad = with_config(workdir, "no-edges.json", edges=str(tmp_path / "absent.txt"))
     err = run_failing(["analyze", bad, "--out", str(tmp_path)], capsys)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from graphdiag import (Decision, LabelVector, StudyConfig, TrainConfig, accuracy,
-                       emit_report, guideline_verdict, logreg_forward, make_splits,
-                       normalized_adjacency, prepare_study, run_ablation_study,
-                       run_perturbation_sweep, sgc_propagate, train_logreg)
+                       analyze_prepared, emit_report, guideline_verdict, load_dataset,
+                       logreg_forward, make_splits, normalized_adjacency, prepare_study,
+                       run_ablation_study, run_perturbation_sweep, sgc_propagate,
+                       train_logreg)
 from graphdiag import harness
+from graphdiag import io as gio
 from graphdiag.harness import StudyReport, SweepRow, Verdict, derive_seed
 from graphdiag.synthetic import planted_dataset
 
@@ -329,6 +331,25 @@ class TestGuidelineVerdict:
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
             guideline_verdict(1.5)
+
+
+class TestStudyWithoutFeatures:
+    def test_analysis_runs_and_training_is_refused(self, tmp_path, tiny_dataset):
+        ds = tiny_dataset
+        gio.write_edge_list(tmp_path / "edges.txt", ds.graph, ds.node_tokens)
+        gio.write_labels(tmp_path / "labels.tsv", ds.labels, ds.node_tokens)
+        gio.write_features_csv(tmp_path / "features.csv", ds.features, ds.node_tokens)
+        cfg = tiny_config(n_splits=1, n_inits=1, n_graph_seeds=1)
+        bare = prepare_study(load_dataset(tmp_path / "edges.txt", None,
+                                          tmp_path / "labels.tsv"), cfg)
+        full = prepare_study(load_dataset(tmp_path / "edges.txt",
+                                          tmp_path / "features.csv",
+                                          tmp_path / "labels.tsv"), cfg)
+        assert bare.dataset.features is None
+        assert analyze_prepared(bare) == analyze_prepared(full)
+        for stage in (run_ablation_study, run_perturbation_sweep):
+            with pytest.raises(ValueError, match="loaded without features; training needs them"):
+                stage(bare)
 
 
 class TestEmitReport:
