@@ -12,9 +12,10 @@ from .graphs import (Dataset, FeatureMatrix, GraphError, LabeledGraph, LabelVect
                      connected_components, edge_density, remove_rare_labels,
                      select_components, to_undirected)
 from .harness import (AnalysisResult, Decision, PreparedStudy, SplitSet, StudyConfig,
-                      StudyReport, SweepResult, SweepRow, Verdict, analyze_prepared,
-                      emit_report, guideline_verdict, load_config, make_splits,
-                      prepare_study, run_ablation_study, run_perturbation_sweep)
+                      StudyReport, SweepResult, SweepRow, Thresholds, Verdict,
+                      analyze_prepared, emit_report, guideline_verdict, load_config,
+                      make_splits, prepare_study, run_ablation_study,
+                      run_perturbation_sweep)
 from .infotheory import (DegenerateDistributionError, JointCounts, entropy,
                          joint_counts, mutual_information,
                          normalized_mutual_information, uncertainty_coefficient)
@@ -22,9 +23,8 @@ from .io import load_dataset
 from .models import (GcnModel, LogRegModel, TrainConfig, TrainingDivergedError,
                      accuracy, gcn_forward, logreg_forward, normalized_adjacency,
                      sgc_propagate, train_gcn, train_logreg)
-from .nullmodels import (GraphVariant, RewireStallWarning, generate_erdos_renyi,
-                         generate_sbm, rewire_configuration_model,
-                         swap_perturbation)
+from .nullmodels import (RewireStallWarning, generate_erdos_renyi, generate_sbm,
+                         rewire_configuration_model, swap_perturbation)
 from .stats import UTestResult, bonferroni, mann_whitney_u
 
 __version__ = "0.1.0"

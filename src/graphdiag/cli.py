@@ -18,29 +18,46 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 from . import io as gio
-from .harness import (AnalysisResult, Decision, PreparedStudy, Verdict,
-                      analyze_prepared, emit_report, guideline_verdict, load_config,
-                      prepare_study, run_ablation_study, run_perturbation_sweep,
-                      write_json, write_sweep_csv)
+from .graphs import Dataset, FeatureMatrix
+from .harness import (AnalysisResult, Decision, PreparedStudy, StudyConfig, Thresholds,
+                      Verdict, analyze_prepared, emit_report, guideline_verdict,
+                      load_config, prepare_study, run_ablation_study,
+                      run_perturbation_sweep, write_json, write_sweep_csv)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("config", help="path to a study config JSON file")
     sub.add_argument("--out", default="graphdiag-out", help="output directory")
     sub.add_argument("--seed", type=int, default=None, help="override the master seed")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel worker count")
+    sub.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker count")
     sub.add_argument("--keep-top-k-components", type=int, default=None,
                      help="admit the k largest components instead of just one")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _fraction_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(x) for x in text.split(",") if x != "")
+        fractions = tuple(float(x) for x in text.split(",") if x != "")
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}") from None
+    if not fractions:
+        raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
+    return fractions
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,10 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _prepare(args, **overrides) -> PreparedStudy:
-    """Load the config (with command-line overrides) and its dataset, and
-    prepare the study every stage of the command shares. ``analyze`` trains
-    nothing, so it loads no features."""
+def _load(args, features: bool, **overrides) -> tuple[Dataset, StudyConfig]:
+    """Load the config (with command-line overrides) and its dataset. The
+    feature file is read only when ``features`` is set: only training reads it."""
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.keep_top_k_components is not None:
@@ -75,9 +91,19 @@ def _prepare(args, **overrides) -> PreparedStudy:
     missing = [key for key in ("edges", "features", "labels") if not getattr(config, key)]
     if missing:
         raise ValueError(f"config must set the dataset paths; missing: {', '.join(missing)}")
-    features = None if args.command == "analyze" else config.features
-    dataset = gio.load_dataset(config.edges, features, config.labels)
-    return prepare_study(dataset, config)
+    dataset = gio.load_dataset(config.edges, config.features if features else None,
+                               config.labels)
+    return dataset, config
+
+
+def _with_features(prep: PreparedStudy, file_tokens: Sequence[str]) -> PreparedStudy:
+    """The prepared study with the feature rows of its kept nodes added; the
+    feature file is checked against ``file_tokens``, every node of the label
+    file, as a study that loads features up front checks it."""
+    node_index = {token: i for i, token in enumerate(file_tokens)}
+    values = FeatureMatrix(gio.load_features(prep.config.features, node_index)).values
+    rows = [node_index[token] for token in prep.dataset.node_tokens]
+    return replace(prep, dataset=replace(prep.dataset, features=FeatureMatrix(values[rows])))
 
 
 def _print_analysis(result: AnalysisResult) -> None:
@@ -96,8 +122,8 @@ def _print_analysis(result: AnalysisResult) -> None:
         print(f"  {key:<{width}}  {value}")
 
 
-def _justification(verdict: Verdict, thresholds: tuple[float, float]) -> str:
-    low, high = thresholds
+def _justification(verdict: Verdict, thresholds: Thresholds) -> str:
+    low, high = thresholds.low, thresholds.high
     u = verdict.u_original
     if verdict.decision is Decision.FEATURE_ONLY:
         return (f"U(L|C) = {u:.3f} < {low}: communities say almost nothing about "
@@ -118,7 +144,7 @@ def _justification(verdict: Verdict, thresholds: tuple[float, float]) -> str:
 
 
 def cmd_analyze(args) -> int:
-    prep = _prepare(args)
+    prep = prepare_study(*_load(args, features=False))
     result = analyze_prepared(prep)
     _print_analysis(result)
     out = gio.ensure_dir(args.out)
@@ -131,23 +157,24 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    report = run_ablation_study(_prepare(args), jobs=args.jobs)
+    report = run_ablation_study(prepare_study(*_load(args, features=True)),
+                                jobs=args.jobs)
     written = emit_report(report, args.out)
     medians: dict[tuple[str, str], list[float]] = {}
     for r in report.records:
         medians.setdefault((r.model, r.variant), []).append(r.accuracy)
     print("median accuracy per (model, variant):")
     for (model, variant), accs in sorted(medians.items()):
-        mid = sorted(accs)[len(accs) // 2]
-        print(f"  {model:<7} {variant:<9} {mid:.4f}  ({len(accs)} runs)")
+        print(f"  {model:<7} {variant:<9} {np.median(accs):.4f}  ({len(accs)} runs)")
     for path in written:
         print(f"wrote {path}")
     return 0
 
 
 def cmd_perturb(args) -> int:
-    overrides = {"fractions": args.fractions} if args.fractions else {}
-    sweep = run_perturbation_sweep(_prepare(args, **overrides), jobs=args.jobs)
+    overrides = {} if args.fractions is None else {"fractions": args.fractions}
+    sweep = run_perturbation_sweep(prepare_study(*_load(args, features=True, **overrides)),
+                                   jobs=args.jobs)
     print("fraction  U(L|C) mean+/-std   accuracy mean+/-std")
     for row in sweep.rows:
         print(f"  {row.fraction:>6.3f}  {row.u_mean:.4f} +/- {row.u_std:.4f}   "
@@ -158,15 +185,16 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_verdict(args) -> int:
-    prep = _prepare(args)
-    config = prep.config
+    # only the middle band trains, so the features are read only there
+    dataset, config = _load(args, features=False)
+    prep = prepare_study(dataset, config)
     analysis = analyze_prepared(prep)
     _print_analysis(analysis)
-    low, high = config.thresholds
     sweep_rows = None
-    if low <= analysis.u_mean <= high:
+    if config.thresholds.low <= analysis.u_mean <= config.thresholds.high:
         print("alignment score is in the middle band; running the swap sweep...")
-        sweep_rows = run_perturbation_sweep(prep, jobs=args.jobs).rows
+        sweep_rows = run_perturbation_sweep(_with_features(prep, dataset.node_tokens),
+                                            jobs=args.jobs).rows
     verdict = guideline_verdict(analysis.u_mean, sweep_rows, config.thresholds)
     print(f"verdict: {verdict.decision.value}")
     print(_justification(verdict, config.thresholds))

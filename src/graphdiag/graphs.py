@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,34 +17,34 @@ class LabeledGraph:
     """Undirected simple graph stored in compressed sparse row form.
 
     Each undirected edge {u, v} appears twice in ``neighbors`` (once per
-    endpoint); ``m`` counts it once. Neighbor lists are sorted ascending
-    with no self-loops or duplicates. The arrays are frozen after
-    construction, so instances can be shared freely across workers.
+    endpoint); ``m`` counts it once. ``n`` and ``m`` are read off the
+    arrays. Neighbor lists are sorted ascending with no self-loops or
+    duplicates. The arrays are frozen after construction, so instances can
+    be shared freely across workers.
     """
 
-    n: int
     offsets: np.ndarray
     neighbors: np.ndarray
-    m: int
+    n: int = field(init=False)
+    m: int = field(init=False)
 
     def __post_init__(self) -> None:
         offsets = np.asarray(self.offsets, dtype=np.int64)
         neighbors = np.asarray(self.neighbors, dtype=np.int64)
+        if offsets.ndim != 1 or len(offsets) == 0:
+            raise GraphError("offsets must be a non-empty 1-D array")
+        n = len(offsets) - 1
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "neighbors", neighbors)
-        if self.n < 0:
-            raise GraphError("node count must be non-negative")
-        if offsets.shape != (self.n + 1,):
-            raise GraphError("offsets must have length n + 1")
-        if len(neighbors) and (neighbors.min() < 0 or neighbors.max() >= self.n):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", len(neighbors) // 2)
+        if len(neighbors) and (neighbors.min() < 0 or neighbors.max() >= n):
             raise GraphError("neighbor index out of range")
         if offsets[0] != 0 or offsets[-1] != len(neighbors):
             raise GraphError("offsets do not span the neighbor array")
-        if offsets[-1] != 2 * self.m:
-            raise GraphError("adjacency size must equal 2m")
         if np.any(np.diff(offsets) < 0):
             raise GraphError("offsets must be non-decreasing")
-        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(offsets))
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
         if np.any(src == neighbors):
             raise GraphError("self-loops are not allowed")
         # sorted strictly ascending within each row (=> no duplicates)
@@ -53,8 +53,8 @@ class LabeledGraph:
         if np.any(np.diff(neighbors)[interior[1:]] <= 0):
             raise GraphError("neighbor lists must be sorted and duplicate-free")
         # symmetry: the directed-edge code multiset is invariant under reversal
-        fwd = np.sort(src * self.n + neighbors)
-        rev = np.sort(neighbors * self.n + src)
+        fwd = np.sort(src * n + neighbors)
+        rev = np.sort(neighbors * n + src)
         if not np.array_equal(fwd, rev):
             raise GraphError("adjacency must be symmetric")
         offsets.setflags(write=False)
@@ -93,7 +93,7 @@ def to_undirected(edges: Iterable[Sequence[int]] | np.ndarray, n: int) -> Labele
     src, dst = both // n, both % n
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return LabeledGraph(n=n, offsets=offsets, neighbors=dst, m=len(codes))
+    return LabeledGraph(offsets, dst)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -23,15 +23,15 @@ from .graphs import (Dataset, GraphError, edge_density, induced_subdataset, indu
 from .infotheory import joint_counts, uncertainty_coefficient
 from .models import (TrainConfig, accuracy, check_number, gcn_forward, logreg_forward,
                      normalized_adjacency, sgc_propagate, train_gcn, train_logreg)
-from .nullmodels import (GraphVariant, generate_erdos_renyi, generate_sbm,
-                         rewire_configuration_model, swap_perturbation)
+from .nullmodels import (generate_erdos_renyi, generate_sbm, rewire_configuration_model,
+                         swap_perturbation)
 from .stats import bonferroni, mann_whitney_u
 
 SCHEMA_VERSION = "1"
 MODEL_NAMES = ("logreg", "sgc", "gcn")
-ABLATION_VARIANTS = (GraphVariant.SBM, GraphVariant.CM, GraphVariant.RANDOM)
-VARIANT_ORDER = (GraphVariant.ORIGINAL,) + ABLATION_VARIANTS
-_VARIANT_INDEX = {v.value: i for i, v in enumerate(VARIANT_ORDER)}
+# the input graph, then its block-model, configuration-model and uniform
+# random rebuilds; a variant's index keys its seeds and orders the report
+VARIANTS = ("original", "sbm", "cm", "random")
 
 # roles for hierarchical seed derivation
 _ROLE_SPLITS, _ROLE_GRAPH, _ROLE_LOUVAIN, _ROLE_INIT, _ROLE_SWAP = range(5)
@@ -90,6 +90,23 @@ def make_splits(labels, quotas: tuple[int, int], n_splits: int,
 
 
 @dataclass(frozen=True)
+class Thresholds:
+    """Verdict bands: U(L|C) below ``low`` favours a feature-only model,
+    above ``high`` graph propagation; in between the sweep decides."""
+
+    low: float
+    high: float
+
+    def __post_init__(self) -> None:
+        check_number("thresholds.low", self.low)
+        check_number("thresholds.high", self.high)
+        if not (0.0 <= self.low < self.high <= 1.0):
+            raise ValueError("thresholds must satisfy 0 <= low < high <= 1")
+        object.__setattr__(self, "low", float(self.low))
+        object.__setattr__(self, "high", float(self.high))
+
+
+@dataclass(frozen=True)
 class StudyConfig:
     edges: str | None = None
     features: str | None = None
@@ -106,7 +123,7 @@ class StudyConfig:
     # past ~0.5 a two-community graph inverts rather than scrambles (the
     # coefficient is symmetric to label flips), so the default sweep stops there
     fractions: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
-    thresholds: tuple[float, float] = (0.3, 0.7)
+    thresholds: Thresholds = Thresholds(0.3, 0.7)
     train: TrainConfig = TrainConfig()
 
     def __post_init__(self) -> None:
@@ -129,25 +146,17 @@ class StudyConfig:
                 or len(set(self.models)) < len(self.models)):
             raise ValueError(f"models must be a non-empty subset of {MODEL_NAMES} "
                              "with no repeats")
-        try:
-            low, high = self.thresholds
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"thresholds must be a pair (low, high), got {self.thresholds!r}") from None
-        check_number("thresholds.low", low)
-        check_number("thresholds.high", high)
-        if not (0.0 <= low < high <= 1.0):
-            raise ValueError("thresholds must satisfy 0 <= low < high <= 1")
         fr = self.fractions
         if not isinstance(fr, (list, tuple, np.ndarray)):
             raise ValueError(f"fractions must be a list of numbers, got {fr!r}")
         for i, f in enumerate(fr):
             check_number(f"fractions[{i}]", f)
-        if any(not 0.0 <= f <= 1.0 for f in fr) or list(fr) != sorted(fr):
-            raise ValueError("fractions must be ascending values in [0, 1]")
+        if (not len(fr) or any(not 0.0 <= f <= 1.0 for f in fr)
+                or any(a >= b for a, b in zip(fr, fr[1:]))):
+            raise ValueError(
+                f"fractions must be non-empty, strictly ascending values in [0, 1], got {fr!r}")
         object.__setattr__(self, "models", tuple(self.models))
         object.__setattr__(self, "fractions", tuple(float(f) for f in fr))
-        object.__setattr__(self, "thresholds", (float(low), float(high)))
 
     @property
     def effective_min_label_count(self) -> int:
@@ -165,28 +174,24 @@ class StudyConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         data = dict(raw)
-        if "train" in data:
-            if not isinstance(data["train"], dict):
-                raise ValueError(f"train must be a JSON object, got {data['train']!r}")
-            train_known = set(TrainConfig.__dataclass_fields__)
-            train_unknown = set(data["train"]) - train_known
-            if train_unknown:
-                raise ValueError(f"unknown train config keys: {sorted(train_unknown)}")
-            data["train"] = TrainConfig(**data["train"])
-        if "thresholds" in data:
-            th = data["thresholds"]
-            if isinstance(th, dict):
-                if set(th) != {"low", "high"}:
-                    raise ValueError(
-                        f"thresholds must set exactly low and high, got {sorted(th)}")
-                data["thresholds"] = (th["low"], th["high"])
+        for key, nested in (("train", TrainConfig), ("thresholds", Thresholds)):
+            if key in data:
+                data[key] = _load_object(key, nested, data[key])
         return cls(**data)
 
-    def to_dict(self) -> dict:
-        out = {k: list(v) if isinstance(v, tuple) else v
-               for k, v in asdict(self).items()}
-        out["thresholds"] = {"low": self.thresholds[0], "high": self.thresholds[1]}
-        return out
+
+def _load_object(key: str, cls, raw):
+    """Build the nested config object ``cls`` from the JSON object ``raw``,
+    naming ``key`` if a field is unknown or a field without a default is unset."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{key} must be a JSON object, got {raw!r}")
+    unknown = set(raw) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown {key} config keys: {sorted(unknown)}")
+    unset = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
+    if unset:
+        raise ValueError(f"{key} must set {' and '.join(unset)}, got {sorted(raw)}")
+    return cls(**raw)
 
 
 def load_config(path) -> StudyConfig:
@@ -261,7 +266,7 @@ class SweepResult:
 @dataclass
 class StudyReport:
     schema_version: str
-    config: dict
+    config: StudyConfig
     dataset_summary: dict
     records: list[RunRecord]
     uncertainty: dict
@@ -304,8 +309,7 @@ def prepare_study(dataset: Dataset, config: StudyConfig) -> PreparedStudy:
     splits = make_splits(ds.labels, (config.train_per_class, config.val_per_class),
                          config.n_splits, derive_seed(config.seed, _ROLE_SPLITS))
     base_partition = louvain(
-        ds.graph, derive_seed(config.seed, _ROLE_LOUVAIN,
-                              _VARIANT_INDEX["original"], 0))
+        ds.graph, derive_seed(config.seed, _ROLE_LOUVAIN, VARIANTS.index("original"), 0))
     blocks = block_density_matrix(ds.graph, base_partition)
     return PreparedStudy(config=config, dataset=ds, splits=tuple(splits),
                          base_partition=base_partition, blocks=blocks)
@@ -323,20 +327,20 @@ def dataset_summary(prep: PreparedStudy) -> dict:
     }
 
 
-def _variant_graph(prep: PreparedStudy, variant_value: str, g: int):
-    if variant_value == GraphVariant.ORIGINAL.value:
+def _variant_graph(prep: PreparedStudy, variant: str, g: int):
+    if variant == "original":
         return prep.dataset.graph
-    seed = derive_seed(prep.config.seed, _ROLE_GRAPH, _VARIANT_INDEX[variant_value], g)
-    if variant_value == GraphVariant.SBM.value:
-        return generate_sbm(prep.blocks, prep.base_partition, seed)
-    if variant_value == GraphVariant.CM.value:
+    seed = derive_seed(prep.config.seed, _ROLE_GRAPH, VARIANTS.index(variant), g)
+    if variant == "sbm":
+        return generate_sbm(prep.blocks.densities, prep.base_partition, seed)
+    if variant == "cm":
         return rewire_configuration_model(prep.dataset.graph, seed)
-    if variant_value == GraphVariant.RANDOM.value:
+    if variant == "random":
         return generate_erdos_renyi(prep.dataset.n, prep.dataset.graph.m, seed)
-    raise ValueError(f"unknown variant {variant_value!r}")
+    raise ValueError(f"unknown variant {variant!r}")
 
 
-def _evaluate_models(prep: PreparedStudy, graph, variant_value: str, g: int,
+def _evaluate_models(prep: PreparedStudy, graph, variant: str, g: int,
                      models: Sequence[str]) -> list[RunRecord]:
     """Accuracy records per (model, split, init) on one graph.
 
@@ -354,7 +358,7 @@ def _evaluate_models(prep: PreparedStudy, graph, variant_value: str, g: int,
     powers = [prep.dataset.features]  # powers[k] = A_hat^k X
     for _ in range(max((steps[m] for m in models), default=0)):
         powers.append(sgc_propagate(adj, powers[-1], 1))
-    vi = _VARIANT_INDEX[variant_value]
+    vi = VARIANTS.index(variant)
     records = []
     for model in models:
         mi = MODEL_NAMES.index(model)
@@ -373,10 +377,10 @@ def _evaluate_models(prep: PreparedStudy, graph, variant_value: str, g: int,
                             probs = logreg_forward(fitted, inputs)
                     except Exception as exc:
                         raise RuntimeError(
-                            f"study cell failed: variant={variant_value} graph_seed={g} "
+                            f"study cell failed: variant={variant} graph_seed={g} "
                             f"split={s} init={i} model={model}") from exc
                     acc = accuracy(probs, labels, split.test)
-                records.append(RunRecord(model=model, variant=variant_value,
+                records.append(RunRecord(model=model, variant=variant,
                                          graph_seed=g, split=s, init=i,
                                          accuracy=acc))
     return records
@@ -407,17 +411,17 @@ def _study_cell(task: tuple[str, int, int | None, tuple[str, ...]]):
     """
     prep = _TASK_STATE
     config = prep.config
-    variant_value, g, fraction_index, models = task
-    graph = _variant_graph(prep, variant_value, g)
+    variant, g, fraction_index, models = task
+    graph = _variant_graph(prep, variant, g)
     if fraction_index is not None:
         graph = swap_perturbation(graph, prep.base_partition,
                                   config.fractions[fraction_index],
                                   derive_seed(config.seed, _ROLE_SWAP, g, fraction_index))
     # the original graph's communities were detected once, in prepare_study
     partition = prep.base_partition if graph is prep.dataset.graph else louvain(
-        graph, derive_seed(config.seed, _ROLE_LOUVAIN, _VARIANT_INDEX[variant_value], g))
+        graph, derive_seed(config.seed, _ROLE_LOUVAIN, VARIANTS.index(variant), g))
     return (_uncertainty_values(prep, partition),
-            _evaluate_models(prep, graph, variant_value, g, models))
+            _evaluate_models(prep, graph, variant, g, models))
 
 
 def _map_tasks(tasks, prep: PreparedStudy, jobs: int) -> list:
@@ -439,28 +443,28 @@ def run_ablation_study(prep: PreparedStudy, jobs: int = 1) -> StudyReport:
     # the feature-only baseline ignores the graph: it is fit on the original
     # graph only, and its records are copied to every rebuilt one
     rebuilt_models = tuple(m for m in config.models if m != "logreg")
-    tasks = [(GraphVariant.ORIGINAL.value, 0, None, config.models)]
-    tasks += [(v.value, g, None, rebuilt_models) for v in ABLATION_VARIANTS
+    tasks = [("original", 0, None, config.models)]
+    tasks += [(v, g, None, rebuilt_models) for v in VARIANTS[1:]
               for g in range(config.n_graph_seeds)]
     results = _map_tasks(tasks, prep, jobs)
 
     records: list[RunRecord] = []
     u_by_variant: dict[str, list[float]] = {}
-    for (variant_value, _, _, _), (u_values, recs) in zip(tasks, results):
+    for (variant, _, _, _), (u_values, recs) in zip(tasks, results):
         records.extend(recs)
-        u_by_variant.setdefault(variant_value, []).extend(u_values)
+        u_by_variant.setdefault(variant, []).extend(u_values)
     baseline = [r for r in records if r.model == "logreg"]
     records += [replace(r, variant=v, graph_seed=g)
                 for v, g, _, _ in tasks[1:] for r in baseline]
     records.sort(key=lambda r: (config.models.index(r.model),
-                                _VARIANT_INDEX[r.variant],
+                                VARIANTS.index(r.variant),
                                 r.graph_seed, r.split, r.init))
 
     uncertainty = {
         variant: {"mean": float(np.mean(vals)), "std": float(np.std(vals)),
                   "n_samples": len(vals)}
         for variant, vals in sorted(u_by_variant.items(),
-                                    key=lambda kv: _VARIANT_INDEX[kv[0]])
+                                    key=lambda kv: VARIANTS.index(kv[0]))
     }
 
     significance = _baseline_tests(records, config)
@@ -468,7 +472,7 @@ def run_ablation_study(prep: PreparedStudy, jobs: int = 1) -> StudyReport:
                                 config.thresholds)
     return StudyReport(
         schema_version=SCHEMA_VERSION,
-        config=config.to_dict(),
+        config=config,
         dataset_summary=dataset_summary(prep),
         records=records,
         uncertainty=uncertainty,
@@ -491,7 +495,7 @@ def _baseline_tests(records: list[RunRecord],
             continue
         cells.setdefault((r.model, r.variant), []).append(r.accuracy)
     keys = sorted(cells, key=lambda k: (config.models.index(k[0]),
-                                        _VARIANT_INDEX[k[1]]))
+                                        VARIANTS.index(k[1])))
     tests = [mann_whitney_u(cells[k], baseline) for k in keys]
     adjusted = bonferroni([t.p_value for t in tests])
     out = []
@@ -513,7 +517,7 @@ def run_perturbation_sweep(prep: PreparedStudy, jobs: int = 1) -> SweepResult:
     Each cell is the ablation's block-model cell with a swap fraction, so
     the fraction-0 column is the block-model variant of the ablation."""
     config = prep.config
-    tasks = [(GraphVariant.SBM.value, g, fi, ("gcn",))
+    tasks = [("sbm", g, fi, ("gcn",))
              for fi in range(len(config.fractions))
              for g in range(config.n_graph_seeds)]
     results = _map_tasks(tasks, prep, jobs)
@@ -534,7 +538,7 @@ def run_perturbation_sweep(prep: PreparedStudy, jobs: int = 1) -> SweepResult:
 
 
 def guideline_verdict(u_original: float, sweep_rows: Sequence[SweepRow] | None = None,
-                      thresholds: tuple[float, float] = (0.3, 0.7)) -> Verdict:
+                      thresholds: Thresholds = StudyConfig.thresholds) -> Verdict:
     """Two-step applicability rule.
 
     Below the low threshold: use a feature-only model. Above the high
@@ -545,10 +549,9 @@ def guideline_verdict(u_original: float, sweep_rows: Sequence[SweepRow] | None =
     """
     if not 0.0 <= u_original <= 1.0:
         raise ValueError("u_original must lie in [0, 1]")
-    low, high = thresholds
-    if u_original < low:
+    if u_original < thresholds.low:
         return Verdict(decision=Decision.FEATURE_ONLY, u_original=u_original)
-    if u_original > high:
+    if u_original > thresholds.high:
         return Verdict(decision=Decision.GNN_APPLICABLE, u_original=u_original)
     if sweep_rows is None or len(sweep_rows) < 2:
         return Verdict(decision=Decision.INCONCLUSIVE, u_original=u_original)

@@ -38,11 +38,11 @@ def _data_lines(path, allow_comments: bool):
             yield lineno, line
 
 
-def load_labels(path) -> tuple[list[str], LabelVector, list[str]]:
+def load_labels(path) -> tuple[list[str], LabelVector]:
     """Read the label file.
 
-    Returns (node_tokens, labels, label_tokens); node and label ids are
-    assigned in first-appearance order.
+    Returns (node_tokens, labels); node and label ids are assigned in
+    first-appearance order.
     """
     node_tokens: list[str] = []
     node_index: dict[str, int] = {}
@@ -61,7 +61,7 @@ def load_labels(path) -> tuple[list[str], LabelVector, list[str]]:
     if not node_tokens:
         raise DatasetFormatError(path, None, "label file is empty")
     labels = LabelVector(np.array(ids, dtype=np.int64), len(label_index))
-    return node_tokens, labels, list(label_index)
+    return node_tokens, labels
 
 
 def load_edges(path, node_index: dict[str, int]) -> np.ndarray:
@@ -156,7 +156,7 @@ def load_features(path, node_index: dict[str, int]) -> np.ndarray:
 def load_dataset(edge_path, feature_path, label_path) -> Dataset:
     """Load a dataset; node ids are compacted in label-file order. With
     ``feature_path=None`` no feature file is opened and ``features`` is None."""
-    node_tokens, labels, _ = load_labels(label_path)
+    node_tokens, labels = load_labels(label_path)
     node_index = {t: i for i, t in enumerate(node_tokens)}
     features = None if feature_path is None else FeatureMatrix(
         load_features(feature_path, node_index))

@@ -13,27 +13,17 @@ All generators are deterministic given (inputs, seed).
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 
 import numpy as np
 
-from .community import BlockMatrix, Partition
+from .community import Partition
 from .graphs import GraphError, LabeledGraph, to_undirected
 
 
 # accepted double-edge swaps per edge in degree-preserving rewiring
 SWAPS_PER_EDGE = 10.0
-
-
-class GraphVariant(enum.Enum):
-    """Identity of a graph in an ablation run."""
-
-    ORIGINAL = "original"
-    SBM = "sbm"
-    CM = "cm"
-    RANDOM = "random"
 
 
 class RewireStallWarning(UserWarning):
@@ -70,21 +60,22 @@ def _decode_pairs(indices: np.ndarray, members: np.ndarray) -> np.ndarray:
     return np.column_stack([members[first], members[second]])
 
 
-def generate_sbm(blocks: BlockMatrix, partition: Partition,
+def generate_sbm(densities: np.ndarray, partition: Partition,
                  seed: int) -> LabeledGraph:
     """Sample a graph where each node pair carries an edge independently
-    with the density of its community pair. Node identities (and hence
-    features and labels) are untouched."""
-    if not np.array_equal(partition.sizes(), blocks.sizes):
-        raise ValueError("partition sizes disagree with the block matrix")
+    with the density of its community pair, ``densities[a, b]`` for a <= b.
+    Node identities (and hence features and labels) are untouched."""
+    k = partition.num_communities
+    if np.shape(densities) != (k, k):
+        raise ValueError(f"densities must be {k}x{k} for a partition into {k} "
+                         f"communities, got shape {np.shape(densities)}")
     rng = np.random.default_rng(seed)
     n = len(partition.assignment)
-    k = partition.num_communities
     members = [np.flatnonzero(partition.assignment == c) for c in range(k)]
     pieces = []
     for a in range(k):
         for b in range(a, k):
-            p = float(blocks.densities[a, b])
+            p = float(densities[a, b])
             if p <= 0.0:
                 continue
             if a == b:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .community import BlockMatrix, Partition
+from .community import Partition
 from .graphs import Dataset, FeatureMatrix, LabelVector
 from .nullmodels import generate_sbm
 
@@ -26,10 +26,7 @@ def planted_partition_graph(n_per_block: int, num_blocks: int, p_in: float,
     part = planted_blocks(n_per_block, num_blocks)
     densities = np.full((num_blocks, num_blocks), p_out)
     np.fill_diagonal(densities, p_in)
-    sizes = part.sizes()
-    counts = np.zeros((num_blocks, num_blocks), dtype=np.int64)
-    blocks = BlockMatrix(sizes=sizes, densities=densities, edge_counts=counts)
-    return generate_sbm(blocks, part, seed), part
+    return generate_sbm(densities, part, seed), part
 
 
 def gaussian_label_features(labels: np.ndarray, num_labels: int, dim: int,

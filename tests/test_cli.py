@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import graphdiag
@@ -156,11 +157,53 @@ def test_missing_dataset_paths_fails(tmp_path, capsys):
     assert "missing: edges, features" in err
 
 
-def test_bad_fractions_is_a_usage_error(workdir, capsys):
+def usage_error(argv, capsys):
+    """Run a command that argparse must refuse; returns its stderr."""
     with pytest.raises(SystemExit) as exit_info:
-        main(["perturb", str(workdir / "config.json"), "--fractions", "abc"])
+        main(argv)
     assert exit_info.value.code == 2
-    assert "--fractions: expected comma-separated numbers, got 'abc'" in capsys.readouterr().err
+    return capsys.readouterr().err
+
+
+def test_bad_fractions_is_a_usage_error(workdir, capsys):
+    err = usage_error(["perturb", str(workdir / "config.json"), "--fractions", "abc"], capsys)
+    assert "--fractions: expected comma-separated numbers, got 'abc'" in err
+
+
+@pytest.mark.parametrize("text", ["", ","])
+def test_empty_fractions_is_a_usage_error(workdir, capsys, text):
+    err = usage_error(["perturb", str(workdir / "config.json"), "--fractions", text], capsys)
+    assert f"--fractions: expected at least one number, got {text!r}" in err
+
+
+def test_repeated_fraction_fails_in_one_line(workdir, tmp_path, capsys):
+    err = run_failing(["perturb", str(workdir / "config.json"), "--out", str(tmp_path),
+                       "--fractions", "0,0.2,0.2"], capsys)
+    assert "fractions must be non-empty, strictly ascending" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_a_usage_error(workdir, capsys, jobs):
+    err = usage_error(["ablate", str(workdir / "config.json"), "--jobs", jobs], capsys)
+    assert f"--jobs: must be >= 1, got {jobs}" in err
+
+
+def test_ablate_prints_the_report_median(workdir, tmp_path, capsys):
+    # two splits x one init give two records per cell, where the upper
+    # median is the larger record rather than the median
+    assert main(["ablate", str(workdir / "config.json"), "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out
+    report = json.loads((tmp_path / "report.json").read_text())
+    cells = {}
+    for r in report["records"]:
+        cells.setdefault((r["model"], r["variant"]), []).append(r["accuracy"])
+    assert any(len(set(accs)) == 2 for accs in cells.values())
+    for (model, variant), accs in cells.items():
+        line = f"  {model:<7} {variant:<9} {np.median(accs):.4f}  ({len(accs)} runs)"
+        assert line in printed.splitlines()
+    medians = {(s["model"], s["variant"]): s["model_median"] for s in report["significance"]}
+    for key, median in medians.items():
+        assert median == np.median(cells[key])
 
 
 def test_bad_config_value_fails_in_one_line(workdir, tmp_path, capsys):
@@ -170,14 +213,21 @@ def test_bad_config_value_fails_in_one_line(workdir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("changes, message", [
-    ({"thresholds": {"low": 0.1}}, "thresholds must set exactly low and high, got ['low']"),
+    ({"thresholds": {"low": 0.1}}, "thresholds must set high, got ['low']"),
     ({"thresholds": [0.1, 0.5, 0.9]},
-     "thresholds must be a pair (low, high), got [0.1, 0.5, 0.9]"),
+     "thresholds must be a JSON object, got [0.1, 0.5, 0.9]"),
+    ({"thresholds": [0.2, 0.8]}, "thresholds must be a JSON object, got [0.2, 0.8]"),
+    ({"thresholds": {"low": 0.2, "high": 0.8, "mid": 0.5}},
+     "unknown thresholds config keys: ['mid']"),
     ({"n_splits": "2"}, "n_splits must be an integer, got '2'"),
     ({"n_splits": 2.5}, "n_splits must be an integer, got 2.5"),
     ({"seed": -1}, "seed must be >= 0, got -1"),
     ({"fractions": "0.1"}, "fractions must be a list of numbers, got '0.1'"),
     ({"fractions": [0, "0.1"]}, "fractions[1] must be a finite number, got '0.1'"),
+    ({"fractions": [0, 0.2, 0.2]},
+     "fractions must be non-empty, strictly ascending values in [0, 1], got [0, 0.2, 0.2]"),
+    ({"fractions": []},
+     "fractions must be non-empty, strictly ascending values in [0, 1], got []"),
     ({"models": ["gcn", "gcn"]},
      "models must be a non-empty subset of ('logreg', 'sgc', 'gcn') with no repeats"),
     ({"edges": 5}, "edges must be a path string, got 5"),
@@ -187,9 +237,11 @@ def test_bad_config_value_fails_in_one_line(workdir, tmp_path, capsys):
     ({"train": {"learning_rate": float("inf")}},
      "train.learning_rate must be a finite number, got inf"),
     ({"train": [8]}, "train must be a JSON object, got [8]"),
-], ids=["thresholds-without-high", "thresholds-triple", "n_splits-string",
+], ids=["thresholds-without-high", "thresholds-triple", "thresholds-pair",
+        "thresholds-unknown-key", "n_splits-string",
         "n_splits-float", "seed-negative", "fractions-string", "fractions-item-string",
-        "models-repeated", "edges-number", "hidden_dim-string", "learning_rate-string",
+        "fractions-repeated", "fractions-empty", "models-repeated", "edges-number",
+        "hidden_dim-string", "learning_rate-string",
         "learning_rate-infinite", "train-list"])
 def test_bad_config_type_fails_in_one_line(workdir, tmp_path, capsys, changes, message):
     bad = with_config(workdir, "bad-type.json", **changes)
@@ -215,6 +267,40 @@ def test_analyze_opens_no_feature_file(workdir, tmp_path):
         assert (bare / name).read_bytes() == (real / name).read_bytes()
 
 
+def test_out_of_band_verdict_opens_no_feature_file(workdir, tmp_path):
+    # the fixture's score lands outside the default middle band, so the
+    # verdict trains nothing and needs no features
+    real = tmp_path / "real"
+    assert main(["verdict", str(workdir / "config.json"), "--out", str(real)]) == 0
+    assert json.loads((real / "verdict.json").read_text())["sweep"] is None
+    absent = with_config(workdir, "verdict-no-features.json",
+                         features=str(tmp_path / "absent.csv"))
+    bare = tmp_path / "bare"
+    assert main(["verdict", absent, "--out", str(bare)]) == 0
+    assert (bare / "verdict.json").read_bytes() == (real / "verdict.json").read_bytes()
+
+
+def test_middle_band_verdict_sweeps_like_perturb(workdir, tmp_path):
+    # the verdict adds the kept nodes' feature rows to the study it already
+    # prepared; its sweep must equal the one perturb runs with features
+    # loaded up front
+    band = with_config(workdir, "band-like-perturb.json",
+                       thresholds={"low": 0.0, "high": 1.0})
+    assert main(["verdict", band, "--out", str(tmp_path / "verdict")]) == 0
+    assert main(["perturb", band, "--out", str(tmp_path / "perturb")]) == 0
+    sweep = json.loads((tmp_path / "verdict" / "verdict.json").read_text())["sweep"]
+    lines = (tmp_path / "perturb" / "sweep.csv").read_text().splitlines()[1:]
+    assert [",".join(repr(v) for v in row.values()) for row in sweep] == lines
+
+
+def test_middle_band_verdict_reads_the_feature_file(workdir, tmp_path, capsys):
+    absent = with_config(workdir, "band-no-features.json",
+                         features=str(tmp_path / "absent.csv"),
+                         thresholds={"low": 0.0, "high": 1.0})
+    err = run_failing(["verdict", absent, "--out", str(tmp_path)], capsys)
+    assert "No such file" in err and "absent.csv" in err
+
+
 def test_each_command_loads_the_dataset_once(workdir, tmp_path, monkeypatch):
     # benchmark runs mark the end of set-up when load_dataset returns, so
     # every command calls it exactly once; only the ones that train read
@@ -229,7 +315,7 @@ def test_each_command_loads_the_dataset_once(workdir, tmp_path, monkeypatch):
     monkeypatch.setattr(gio, "load_dataset", counting_load)
     features = json.loads((workdir / "config.json").read_text())["features"]
     for command, expected in [("analyze", None), ("ablate", features),
-                              ("perturb", features), ("verdict", features)]:
+                              ("perturb", features), ("verdict", None)]:
         calls.clear()
         assert main([command, str(workdir / "config.json"),
                      "--out", str(tmp_path / command)]) == 0

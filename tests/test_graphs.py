@@ -38,14 +38,14 @@ class TestToUndirected:
 
 class TestInvariantValidation:
     def test_asymmetric_adjacency_rejected(self):
-        with pytest.raises(GraphError):
-            LabeledGraph(n=2, offsets=np.array([0, 1, 1]),
-                         neighbors=np.array([1]), m=0)
+        with pytest.raises(GraphError, match="symmetric"):
+            LabeledGraph(offsets=np.array([0, 1, 1]), neighbors=np.array([1]))
 
-    def test_wrong_m_rejected(self):
-        with pytest.raises(GraphError):
-            LabeledGraph(n=2, offsets=np.array([0, 1, 2]),
-                         neighbors=np.array([1, 0]), m=3)
+    def test_sizes_read_off_the_arrays(self):
+        g = LabeledGraph(offsets=np.array([0, 1, 2, 2]), neighbors=np.array([1, 0]))
+        assert (g.n, g.m) == (3, 1)
+        with pytest.raises(GraphError, match="non-empty 1-D"):
+            LabeledGraph(offsets=np.array([], dtype=np.int64), neighbors=np.array([]))
 
     def test_arrays_frozen(self):
         g = to_undirected([(0, 1)], n=2)

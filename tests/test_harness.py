@@ -1,17 +1,23 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphdiag import (Decision, LabelVector, StudyConfig, TrainConfig, accuracy,
+from graphdiag import (Decision, GraphError, LabelVector, StudyConfig, TrainConfig, accuracy,
                        analyze_prepared, emit_report, guideline_verdict, load_dataset,
                        logreg_forward, make_splits, normalized_adjacency, prepare_study,
                        run_ablation_study, run_perturbation_sweep, sgc_propagate,
                        train_logreg)
 from graphdiag import harness
 from graphdiag import io as gio
-from graphdiag.harness import StudyReport, SweepRow, Verdict, derive_seed
+from graphdiag.harness import (StudyReport, SweepRow, Thresholds, Verdict, derive_seed,
+                               write_json)
 from graphdiag.synthetic import planted_dataset
+
+from conftest import make_dataset
 
 FAST_TRAIN = TrainConfig(max_epochs=60, patience=15, hidden_dim=8)
 
@@ -85,15 +91,17 @@ class TestStudyConfig:
 
     def test_threshold_dict_form(self):
         cfg = StudyConfig.from_dict({"thresholds": {"low": 0.2, "high": 0.8}})
-        assert cfg.thresholds == (0.2, 0.8)
+        assert cfg.thresholds == Thresholds(0.2, 0.8)
 
     def test_threshold_ordering_validated(self):
         with pytest.raises(ValueError):
-            StudyConfig(thresholds=(0.7, 0.3))
+            Thresholds(0.7, 0.3)
 
-    def test_round_trip(self):
-        cfg = tiny_config()
-        again = StudyConfig.from_dict(cfg.to_dict())
+    def test_round_trip(self, tmp_path):
+        # the config as report.json writes it loads back to the same config
+        cfg = tiny_config(thresholds=Thresholds(0.25, 0.75))
+        path = write_json(cfg, tmp_path / "config.json")
+        again = StudyConfig.from_dict(json.loads(path.read_text()))
         assert again == cfg
 
     def test_invalid_model_name(self):
@@ -103,6 +111,13 @@ class TestStudyConfig:
     def test_fractions_must_ascend(self):
         with pytest.raises(ValueError):
             StudyConfig(fractions=(0.5, 0.1))
+
+    @pytest.mark.parametrize("fractions", [(0.0, 0.2, 0.2), ()])
+    def test_fractions_must_be_strict_and_non_empty(self, fractions):
+        # a repeated fraction wrote two identical sweep rows, each pooling
+        # the cells of both; no fractions ran a sweep with no rows
+        with pytest.raises(ValueError, match="non-empty, strictly ascending"):
+            StudyConfig(fractions=fractions)
 
     @pytest.mark.parametrize("key, value", [
         ("learning_rate", 0), ("max_epochs", 0), ("weight_decay", -1),
@@ -362,7 +377,7 @@ class TestEmitReport:
         # bit-exact float round trip through JSON
         for rec, loaded in zip(report.records, data["records"]):
             assert loaded["accuracy"] == rec.accuracy
-        assert data["config"] == cfg.to_dict()
+        assert StudyConfig.from_dict(data["config"]) == cfg
         csv_lines = (tmp_path / "accuracies.csv").read_text().splitlines()
         assert len(csv_lines) == 1 + len(report.records)
         assert csv_lines[0] == "model,variant,graph_seed,split,init,accuracy"
@@ -390,7 +405,6 @@ class TestPreprocessing:
     def test_rare_labels_then_components(self):
         # class 2 falls below min_label_count; the surviving graph keeps
         # only its largest component
-        from conftest import make_dataset
         from graphdiag.harness import preprocess_dataset
         ds = make_dataset(
             [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3), (8, 9)],
@@ -403,7 +417,6 @@ class TestPreprocessing:
     def test_class_at_exactly_the_quota_is_dropped(self):
         # a class of exactly train + val nodes would leave no test node, so
         # the default min_label_count drops it rather than failing the splits
-        from conftest import make_dataset
         labels = np.repeat([0, 1, 2], [70, 60, 50])
         ds = make_dataset([(i, i + 1) for i in range(179)], n=180, labels=labels)
         cfg = StudyConfig(n_splits=1)
@@ -417,7 +430,6 @@ class TestPreprocessing:
         # 51, but only 5 of them lie on the largest component (a 300-node
         # cycle); the other 55 form their own cycle. The two filters repeat
         # until neither removes a node, so class 2 goes too
-        from conftest import make_dataset
         big = [(i, (i + 1) % 300) for i in range(300)]
         small = [(300 + i, 300 + (i + 1) % 55) for i in range(55)]
         labels = np.concatenate([np.arange(295) % 2, np.full(60, 2)])
@@ -426,3 +438,48 @@ class TestPreprocessing:
         assert prep.dataset.labels.num_labels == 2
         assert list(prep.dataset.labels.class_counts()) == [148, 147]
         assert prep.dataset.node_tokens == tuple(str(i) for i in range(295))
+
+
+# every way a small dataset can fail to prepare, each naming its cause
+PREPARE_ERRORS = (
+    r"^no class reaches min_label_count=\d+ \(largest has \d+ nodes\); "
+    r"lower train_per_class/val_per_class$",
+    r"^need at least two label classes after preprocessing$",
+    r"^class \d+ has \d+ nodes; needs more than \d+$",
+    r"^community detection needs at least one edge$",
+)
+
+
+@st.composite
+def small_studies(draw):
+    n = draw(st.integers(2, 40))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), min_size=n, max_size=3 * n))
+    num_labels = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.integers(0, num_labels - 1), min_size=n, max_size=n))
+    config = StudyConfig(
+        train_per_class=draw(st.integers(1, 2)), val_per_class=draw(st.integers(1, 2)),
+        n_splits=draw(st.integers(1, 2)), seed=draw(st.integers(0, 3)),
+        keep_top_k_components=draw(st.integers(1, 3)),
+        min_label_count=draw(st.none() | st.integers(1, 6)))
+    return make_dataset(edges, n, labels, num_labels=num_labels), config
+
+
+class TestPrepareStudyProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(small_studies())
+    def test_prepares_or_names_the_cause(self, study):
+        dataset, config = study
+        try:
+            prep = prepare_study(dataset, config)
+        except (GraphError, ValueError) as exc:
+            assert any(re.search(p, str(exc)) for p in PREPARE_ERRORS), str(exc)
+            return
+        counts = prep.dataset.labels.class_counts()
+        assert len(counts) >= 2 and counts.min() >= config.effective_min_label_count
+        assert len(prep.splits) == config.n_splits
+        assert len(prep.base_partition.assignment) == prep.dataset.n
+        labels = prep.dataset.labels.labels
+        for split in prep.splits:
+            assert set(split.labeled()).isdisjoint(split.test)
+            assert set(labels[split.test]) == set(range(len(counts)))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphdiag import (BlockMatrix, GraphError, Partition, RewireStallWarning,
+from graphdiag import (GraphError, Partition, RewireStallWarning,
                        block_density_matrix, edge_density,
                        generate_erdos_renyi, generate_sbm, modularity,
                        rewire_configuration_model, swap_perturbation,
@@ -13,58 +13,56 @@ from graphdiag.synthetic import planted_blocks
 from conftest import random_simple_graph
 
 
-def uniform_blocks(sizes, p_in, p_out):
-    k = len(sizes)
+def uniform_densities(k, p_in, p_out):
     densities = np.full((k, k), p_out, dtype=float)
     np.fill_diagonal(densities, p_in)
-    return BlockMatrix(sizes=np.asarray(sizes), densities=densities,
-                       edge_counts=np.zeros((k, k), dtype=np.int64))
+    return densities
 
 
 class TestGenerateSbm:
     def test_density_one_gives_complete_graph(self):
         part = planted_blocks(4, 2)
-        g = generate_sbm(uniform_blocks([4, 4], 1.0, 1.0), part, seed=0)
+        g = generate_sbm(uniform_densities(2, 1.0, 1.0), part, seed=0)
         assert g.m == 8 * 7 // 2
 
     def test_density_zero_gives_edgeless(self):
         part = planted_blocks(4, 2)
-        g = generate_sbm(uniform_blocks([4, 4], 0.0, 0.0), part, seed=0)
+        g = generate_sbm(uniform_densities(2, 0.0, 0.0), part, seed=0)
         assert g.m == 0
 
     def test_edge_count_within_four_sigma(self):
         part = planted_blocks(100, 2)
-        blocks = uniform_blocks([100, 100], 0.2, 0.01)
+        densities = uniform_densities(2, 0.2, 0.01)
         expected = 2 * (100 * 99 // 2) * 0.2 + 100 * 100 * 0.01
         variance = (2 * (100 * 99 // 2) * 0.2 * 0.8
                     + 100 * 100 * 0.01 * 0.99)
         for seed in range(5):
-            g = generate_sbm(blocks, part, seed=seed)
+            g = generate_sbm(densities, part, seed=seed)
             assert abs(g.m - expected) <= 4 * np.sqrt(variance)
 
     def test_block_densities_within_four_sigma(self):
         part = planted_blocks(60, 3)
-        blocks = uniform_blocks([60, 60, 60], 0.25, 0.03)
-        g = generate_sbm(blocks, part, seed=7)
+        p = uniform_densities(3, 0.25, 0.03)
+        g = generate_sbm(p, part, seed=7)
         observed = block_density_matrix(g, part)
-        sizes = blocks.sizes.astype(float)
+        sizes = part.sizes().astype(float)
         pairs = np.outer(sizes, sizes)
         np.fill_diagonal(pairs, sizes * (sizes - 1) / 2.0)
-        p = blocks.densities
         sigma = np.sqrt(p * (1 - p) / pairs)
         assert np.all(np.abs(observed.densities - p) <= 4 * sigma)
 
     def test_deterministic(self):
         part = planted_blocks(30, 2)
-        blocks = uniform_blocks([30, 30], 0.3, 0.05)
-        a = generate_sbm(blocks, part, seed=5)
-        b = generate_sbm(blocks, part, seed=5)
+        densities = uniform_densities(2, 0.3, 0.05)
+        a = generate_sbm(densities, part, seed=5)
+        b = generate_sbm(densities, part, seed=5)
         assert np.array_equal(a.neighbors, b.neighbors)
 
     def test_partition_mismatch_rejected(self):
+        # three blocks of densities for a partition into two communities
         part = planted_blocks(4, 2)
-        with pytest.raises(ValueError):
-            generate_sbm(uniform_blocks([3, 5], 0.5, 0.5), part, seed=0)
+        with pytest.raises(ValueError, match="densities must be 2x2"):
+            generate_sbm(uniform_densities(3, 0.5, 0.5), part, seed=0)
 
 
 class TestRewireConfigurationModel:
