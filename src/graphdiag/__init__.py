@@ -7,7 +7,7 @@ graph-propagation classifiers on every variant, and turns the outcome into
 an applicability verdict.
 """
 
-from .community import BlockMatrix, Partition, block_density_matrix, louvain, modularity
+from .community import Partition, block_density_matrix, louvain, modularity
 from .graphs import (Dataset, FeatureMatrix, GraphError, LabeledGraph, LabelVector,
                      connected_components, edge_density, remove_rare_labels,
                      select_components, to_undirected)

@@ -147,10 +147,10 @@ def cmd_analyze(args) -> int:
     prep = prepare_study(*_load(args, features=False))
     result = analyze_prepared(prep)
     _print_analysis(result)
-    out = gio.ensure_dir(args.out)
+    out = Path(args.out)
+    path = write_json(result, out / "analyze.json")
     gio.write_partition(out / "partition.tsv", prep.base_partition,
                         prep.dataset.node_tokens)
-    path = write_json(result, out / "analyze.json")
     print(f"wrote {path}")
     print(f"wrote {out / 'partition.tsv'}")
     return 0

@@ -14,7 +14,7 @@ partitions that the benchmark reference pins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,10 +26,11 @@ GAIN_EPS = 1e-9
 
 @dataclass(frozen=True)
 class Partition:
-    """Node-to-community assignment with compacted community ids."""
+    """Node-to-community assignment with compacted community ids; the
+    community count is read off the assignment."""
 
     assignment: np.ndarray
-    num_communities: int
+    num_communities: int = field(init=False)
 
     def __post_init__(self) -> None:
         assignment = np.asarray(self.assignment, dtype=np.int64)
@@ -37,31 +38,13 @@ class Partition:
         if assignment.ndim != 1:
             raise ValueError("assignment must be 1-D")
         present = np.unique(assignment)
-        if not np.array_equal(present, np.arange(self.num_communities)):
+        if not np.array_equal(present, np.arange(len(present))):
             raise ValueError("community ids must be exactly 0..K-1, all non-empty")
+        object.__setattr__(self, "num_communities", len(present))
         assignment.setflags(write=False)
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.num_communities)
-
-
-@dataclass(frozen=True)
-class BlockMatrix:
-    """Within/between-community edge densities plus the raw edge counts.
-
-    ``densities[a, a]`` is internal edges over size_a-choose-2 (0 for
-    singleton communities); ``densities[a, b]`` is cross edges over
-    size_a * size_b. ``edge_counts`` keeps the integer numerators so exact
-    reconstructions need no float round-trip.
-    """
-
-    sizes: np.ndarray
-    densities: np.ndarray
-    edge_counts: np.ndarray
-
-    @property
-    def num_communities(self) -> int:
-        return len(self.sizes)
 
 
 def modularity(graph: LabeledGraph, partition: Partition) -> float:
@@ -84,8 +67,12 @@ def modularity(graph: LabeledGraph, partition: Partition) -> float:
     return float(np.sum(internal / m - (comm_degree / (2.0 * m)) ** 2))
 
 
-def block_density_matrix(graph: LabeledGraph, partition: Partition) -> BlockMatrix:
-    """Edge densities within and between communities, as exact count ratios."""
+def block_density_matrix(graph: LabeledGraph, partition: Partition) -> np.ndarray:
+    """K x K edge densities within and between communities, as exact count ratios.
+
+    Entry [a, a] is internal edges over size_a-choose-2 (0 for singleton
+    communities); entry [a, b] is cross edges over size_a * size_b.
+    """
     comm = partition.assignment
     k = partition.num_communities
     sizes = partition.sizes()
@@ -98,8 +85,7 @@ def block_density_matrix(graph: LabeledGraph, partition: Partition) -> BlockMatr
     pairs = np.outer(sizes, sizes).astype(np.float64)
     np.fill_diagonal(pairs, sizes * (sizes - 1) / 2.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        densities = np.where(pairs > 0, counts / np.where(pairs > 0, pairs, 1.0), 0.0)
-    return BlockMatrix(sizes=sizes, densities=densities, edge_counts=counts)
+        return np.where(pairs > 0, counts / np.where(pairs > 0, pairs, 1.0), 0.0)
 
 
 def _local_moves(offsets: np.ndarray, neighbors: np.ndarray, weights: np.ndarray,
@@ -176,4 +162,4 @@ def louvain(graph: LabeledGraph, seed: int) -> Partition:
     _, first, raw = np.unique(node_to_super, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first)] = np.arange(len(first))
-    return Partition(assignment=rank[raw], num_communities=len(first))
+    return Partition(assignment=rank[raw])

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .community import BlockMatrix, Partition, block_density_matrix, louvain, modularity
+from .community import Partition, block_density_matrix, louvain, modularity
 from .graphs import (Dataset, GraphError, edge_density, induced_subdataset, induced_subgraph,
                      remove_rare_labels, select_components)
 from .infotheory import joint_counts, uncertainty_coefficient
@@ -284,7 +284,7 @@ class PreparedStudy:
     dataset: Dataset
     splits: tuple[SplitSet, ...]
     base_partition: Partition
-    blocks: BlockMatrix
+    densities: np.ndarray  # block densities of base_partition
 
 
 def preprocess_dataset(dataset: Dataset, config: StudyConfig) -> Dataset:
@@ -310,9 +310,9 @@ def prepare_study(dataset: Dataset, config: StudyConfig) -> PreparedStudy:
                          config.n_splits, derive_seed(config.seed, _ROLE_SPLITS))
     base_partition = louvain(
         ds.graph, derive_seed(config.seed, _ROLE_LOUVAIN, VARIANTS.index("original"), 0))
-    blocks = block_density_matrix(ds.graph, base_partition)
     return PreparedStudy(config=config, dataset=ds, splits=tuple(splits),
-                         base_partition=base_partition, blocks=blocks)
+                         base_partition=base_partition,
+                         densities=block_density_matrix(ds.graph, base_partition))
 
 
 def dataset_summary(prep: PreparedStudy) -> dict:
@@ -332,7 +332,7 @@ def _variant_graph(prep: PreparedStudy, variant: str, g: int):
         return prep.dataset.graph
     seed = derive_seed(prep.config.seed, _ROLE_GRAPH, VARIANTS.index(variant), g)
     if variant == "sbm":
-        return generate_sbm(prep.blocks.densities, prep.base_partition, seed)
+        return generate_sbm(prep.densities, prep.base_partition, seed)
     if variant == "cm":
         return rewire_configuration_model(prep.dataset.graph, seed)
     if variant == "random":
@@ -566,15 +566,9 @@ def guideline_verdict(u_original: float, sweep_rows: Sequence[SweepRow] | None =
 
 
 def _json_default(value):
-    """json.dump hook: dataclasses as field dicts, enums as values, numpy as Python."""
+    """json.dump hook: dataclasses as field dicts."""
     if is_dataclass(value):
         return {f.name: getattr(value, f.name) for f in fields(value)}
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
 

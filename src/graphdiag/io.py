@@ -11,7 +11,7 @@ Formats:
 
 from __future__ import annotations
 
-from pathlib import Path
+import math
 
 import numpy as np
 
@@ -82,6 +82,7 @@ def load_edges(path, node_index: dict[str, int]) -> np.ndarray:
 
 def _load_features_csv(path, node_index: dict[str, int]) -> np.ndarray:
     rows: dict[int, list[float]] = {}
+    linenos: list[int] = []  # of each row, in file order
     width = None
     for lineno, line in _data_lines(path, allow_comments=False):
         parts = line.split(",")
@@ -103,12 +104,19 @@ def _load_features_csv(path, node_index: dict[str, int]) -> np.ndarray:
             rows[node] = [float(x) for x in parts[1:]]
         except ValueError:
             raise DatasetFormatError(path, lineno, "non-numeric feature value") from None
+        linenos.append(lineno)
     missing = len(node_index) - len(rows)
     if missing:
         raise DatasetFormatError(path, None, f"{missing} nodes have no feature row")
     out = np.empty((len(node_index), width - 1), dtype=np.float64)
     for node, vals in rows.items():
         out[node] = vals
+    # a row is finite when its extremes are (min and max propagate nan);
+    # np.isfinite(out) would add an n x d temporary to the loader's peak memory
+    finite = np.isfinite(out.min(axis=1)) & np.isfinite(out.max(axis=1))
+    if not finite.all():
+        lineno = next(line for node, line in zip(rows, linenos) if not finite[node])
+        raise DatasetFormatError(path, lineno, "feature values must be finite")
     return out
 
 
@@ -131,6 +139,8 @@ def _load_features_triplet(path, node_index: dict[str, int]) -> np.ndarray:
             raise DatasetFormatError(path, lineno, "malformed column index or value") from None
         if col < 0:
             raise DatasetFormatError(path, lineno, "negative column index")
+        if not math.isfinite(val):
+            raise DatasetFormatError(path, lineno, "feature values must be finite")
         key = (node_index[token], col)
         if key in seen:
             raise DatasetFormatError(path, lineno, f"duplicate entry for {token!r} col {col}")
@@ -194,9 +204,3 @@ def write_partition(path, partition: Partition, node_tokens=None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for i, c in enumerate(partition.assignment):
             fh.write(f"{tokens[i]}\t{c}\n")
-
-
-def ensure_dir(path) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out

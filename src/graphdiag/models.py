@@ -73,6 +73,10 @@ class TrainConfig:
             if not ok:
                 raise ValueError(
                     f"train.{key} must be {rule}, got {getattr(self, key)!r}")
+        # stored as floats, so equal configs (a rate of 2 or 2.0) write equal bytes
+        for field in fields(self):
+            if field.type == "float":
+                object.__setattr__(self, field.name, float(getattr(self, field.name)))
 
 
 @dataclass

@@ -16,8 +16,7 @@ from .nullmodels import generate_sbm
 
 
 def planted_blocks(n_per_block: int, num_blocks: int) -> Partition:
-    assignment = np.repeat(np.arange(num_blocks), n_per_block)
-    return Partition(assignment=assignment, num_communities=num_blocks)
+    return Partition(assignment=np.repeat(np.arange(num_blocks), n_per_block))
 
 
 def planted_partition_graph(n_per_block: int, num_blocks: int, p_in: float,

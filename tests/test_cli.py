@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -358,3 +359,50 @@ def test_console_entry_point(workdir, tmp_path):
         env=dict(os.environ, PYTHONPATH=path))
     assert result.returncode == 0
     assert "U(L|C)" in result.stdout
+
+
+# sha256 of every output on one small study. The files must stay byte-identical
+# through refactors; a change that moves them on purpose updates these digests
+# and says why in CHANGES.md.
+GOLDEN_SHA256 = {
+    "analyze/analyze.json":
+        "705c2ee26903a6626d7a1249a0721e1b49bdc71da18e81e1b72922b15dae0b6a",
+    "analyze/partition.tsv":
+        "87cf758b9459f4c84a8acd2ad9c4e4e98965952240b6fb9abb3182fd6dfb18f8",
+    "ablate/report.json":
+        "5429ce052fda3a9ecd51e1e07adeb713cf15d7bb17c7638edd57998ce18f456e",
+    "ablate/accuracies.csv":
+        "d4a69c8cdafd870df8610dbc20324b4c06e8445c9cea77e99d8317582c25fd13",
+    "perturb/sweep.csv":
+        "8ecfa3f4c20d7a4977933740f72cfa85e1b80849b74bbe6d7b6feebe340c3002",
+    "verdict/verdict.json":
+        "ce991a885a779768ce6cce70cd5c2d85464452031dffa153b62d89d61fc84bd1",
+}
+
+
+def test_outputs_match_golden_digests(tmp_path, monkeypatch):
+    from graphdiag.synthetic import aligned_benchmark
+
+    # report.json embeds the config's dataset paths, so they are relative
+    monkeypatch.chdir(tmp_path)
+    ds = aligned_benchmark(seed=2)
+    gio.write_edge_list("edges.txt", ds.graph, ds.node_tokens)
+    gio.write_labels("labels.tsv", ds.labels, ds.node_tokens)
+    gio.write_features_csv("features.csv", ds.features, ds.node_tokens)
+    config = {
+        "edges": "edges.txt", "features": "features.csv", "labels": "labels.tsv",
+        "train_per_class": 10, "val_per_class": 15,
+        "n_splits": 2, "n_inits": 1, "n_graph_seeds": 2, "seed": 11,
+        "fractions": [0, 0.25],
+        "train": {"max_epochs": 60, "patience": 15, "hidden_dim": 8},
+    }
+    Path("config.json").write_text(json.dumps(config))
+    # bands of 0 and 1 put every score in the middle band, so verdict sweeps
+    Path("verdict-config.json").write_text(
+        json.dumps(dict(config, thresholds={"low": 0, "high": 1})))
+    for command in ("analyze", "ablate", "perturb"):
+        assert main([command, "config.json", "--out", command]) == 0
+    assert main(["verdict", "verdict-config.json", "--out", "verdict"]) == 0
+    digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+               for name in GOLDEN_SHA256}
+    assert digests == GOLDEN_SHA256

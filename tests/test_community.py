@@ -36,7 +36,7 @@ def brute_force_best_partition(graph):
         order = sorted(blocks, key=min)
         for cid, block in enumerate(order):
             assignment[block] = cid
-        q = modularity(graph, Partition(assignment, len(order)))
+        q = modularity(graph, Partition(assignment))
         if q > best_q:
             best_q, best = q, assignment
     return best_q, best
@@ -111,7 +111,7 @@ def _reference_louvain(graph, seed):
     assignment = np.empty(graph.n, dtype=np.int64)
     for u in range(graph.n):
         assignment[u] = order.setdefault(int(node_to_super[u]), len(order))
-    return Partition(assignment=assignment, num_communities=len(order))
+    return Partition(assignment)
 
 
 def assert_matches_reference(graph, seed):
@@ -122,22 +122,22 @@ def assert_matches_reference(graph, seed):
 
 class TestModularity:
     def test_bridged_triangles_value(self, bridged_triangles):
-        part = Partition(np.array([0, 0, 0, 1, 1, 1]), 2)
+        part = Partition(np.array([0, 0, 0, 1, 1, 1]))
         assert modularity(bridged_triangles, part) == pytest.approx(0.357143, abs=1e-6)
 
     def test_single_community_is_exactly_zero(self, bridged_triangles, triangle):
         for g in (bridged_triangles, triangle):
-            q = modularity(g, Partition(np.zeros(g.n, dtype=int), 1))
+            q = modularity(g, Partition(np.zeros(g.n, dtype=int)))
             assert q == 0.0
 
     def test_singleton_partition_negative(self, triangle):
-        q = modularity(triangle, Partition(np.arange(3), 3))
+        q = modularity(triangle, Partition(np.arange(3)))
         assert q < 0
 
     def test_edgeless_rejected(self):
         g = to_undirected([], n=3)
         with pytest.raises(GraphError):
-            modularity(g, Partition(np.zeros(3, dtype=int), 1))
+            modularity(g, Partition(np.zeros(3, dtype=int)))
 
     def test_range(self):
         rng = np.random.default_rng(5)
@@ -145,7 +145,7 @@ class TestModularity:
             g = random_simple_graph(rng)
             assignment = rng.integers(0, 3, g.n)
             _, assignment = np.unique(assignment, return_inverse=True)
-            q = modularity(g, Partition(assignment, assignment.max() + 1))
+            q = modularity(g, Partition(assignment))
             assert -0.5 <= q < 1.0
 
 
@@ -188,7 +188,7 @@ class TestLouvain:
         for _ in range(10):
             g = random_simple_graph(rng)
             part = louvain(g, seed=0)
-            q_single = modularity(g, Partition(np.arange(g.n), g.n))
+            q_single = modularity(g, Partition(np.arange(g.n)))
             assert modularity(g, part) >= q_single - 1e-12
 
     def test_community_ids_ordered_by_smallest_member(self):
@@ -251,33 +251,39 @@ def test_u_spread_across_louvain_seeds():
     assert np.max(u) - np.min(u) <= 0.073
 
 
+def pair_counts(sizes):
+    """Node pairs per block pair: size_a * size_b across, size_a-choose-2 within."""
+    sizes = sizes.astype(np.float64)
+    pairs = np.outer(sizes, sizes)
+    np.fill_diagonal(pairs, sizes * (sizes - 1) / 2.0)
+    return pairs
+
+
 class TestBlockDensityMatrix:
     def test_two_cliques_no_cross(self, disjoint_triangles):
-        part = Partition(np.array([0, 0, 0, 1, 1, 1]), 2)
-        blocks = block_density_matrix(disjoint_triangles, part)
-        assert np.allclose(np.diag(blocks.densities), 1.0)
-        assert blocks.densities[0, 1] == 0.0
+        part = Partition(np.array([0, 0, 0, 1, 1, 1]))
+        densities = block_density_matrix(disjoint_triangles, part)
+        assert np.allclose(np.diag(densities), 1.0)
+        assert densities[0, 1] == 0.0
 
     def test_two_pairs_with_cross(self):
         g = to_undirected([(0, 1), (2, 3), (1, 2)], n=4)
-        part = Partition(np.array([0, 0, 1, 1]), 2)
-        blocks = block_density_matrix(g, part)
-        assert np.allclose(np.diag(blocks.densities), 1.0)
-        assert blocks.densities[0, 1] == pytest.approx(0.25)
-        assert blocks.edge_counts[0, 1] == 1
+        part = Partition(np.array([0, 0, 1, 1]))
+        densities = block_density_matrix(g, part)
+        assert np.allclose(np.diag(densities), 1.0)
+        # one cross edge over 2 * 2 node pairs
+        assert densities[0, 1] == 0.25
 
     def test_single_community_reduces_to_density(self, bridged_triangles):
-        part = Partition(np.zeros(6, dtype=int), 1)
-        blocks = block_density_matrix(bridged_triangles, part)
-        assert blocks.densities.shape == (1, 1)
-        assert blocks.densities[0, 0] == pytest.approx(
-            edge_density(bridged_triangles))
+        part = Partition(np.zeros(6, dtype=int))
+        densities = block_density_matrix(bridged_triangles, part)
+        assert densities.shape == (1, 1)
+        assert densities[0, 0] == pytest.approx(edge_density(bridged_triangles))
 
     def test_singleton_community_diagonal_zero(self):
         g = to_undirected([(0, 1), (1, 2)], n=3)
-        part = Partition(np.array([0, 0, 1]), 2)
-        blocks = block_density_matrix(g, part)
-        assert blocks.densities[1, 1] == 0.0
+        part = Partition(np.array([0, 0, 1]))
+        assert block_density_matrix(g, part)[1, 1] == 0.0
 
     def test_counts_match_per_edge_reference(self):
         rng = np.random.default_rng(17)
@@ -286,48 +292,57 @@ class TestBlockDensityMatrix:
             k = int(rng.integers(1, g.n + 1))
             assignment = np.concatenate([np.arange(k),
                                          rng.integers(0, k, size=g.n - k)])
-            part = Partition(rng.permutation(assignment), k)
+            part = Partition(rng.permutation(assignment))
             expected = np.zeros((k, k), dtype=np.int64)
             for u, v in g.edge_array():
                 a, b = part.assignment[u], part.assignment[v]
                 expected[a, b] += 1
                 if a != b:
                     expected[b, a] += 1
-            counts = block_density_matrix(g, part).edge_counts
-            assert counts.dtype == np.int64 and np.array_equal(counts, expected)
+            pairs = pair_counts(part.sizes())
+            with np.errstate(invalid="ignore", divide="ignore"):
+                reference = np.where(pairs > 0, expected / pairs, 0.0)
+            densities = block_density_matrix(g, part)
+            assert densities.dtype == np.float64
+            assert np.array_equal(densities, reference)
 
     def test_reconstruction_equals_edge_count(self):
         rng = np.random.default_rng(31)
         for _ in range(15):
             g = random_simple_graph(rng)
             part = louvain(g, seed=2)
-            blocks = block_density_matrix(g, part)
-            k = blocks.num_communities
-            # exact via integer counts
-            total = int(np.triu(blocks.edge_counts).sum())
-            assert total == g.m
-            # density form agrees to float precision
-            sizes = blocks.sizes.astype(float)
-            pairs = np.outer(sizes, sizes)
-            np.fill_diagonal(pairs, sizes * (sizes - 1) / 2.0)
-            recon = (np.triu(blocks.densities * pairs, 1).sum()
-                     + np.diag(blocks.densities * pairs).sum())
-            assert recon == pytest.approx(g.m, rel=1e-12)
+            recon = block_density_matrix(g, part) * pair_counts(part.sizes())
+            # each block's edge count comes back to within rounding
+            assert np.allclose(recon, np.rint(recon), rtol=0, atol=1e-9)
+            assert int(np.rint(np.triu(recon)).sum()) == g.m
+            assert np.triu(recon).sum() == pytest.approx(g.m, rel=1e-12)
 
     def test_symmetric(self):
         rng = np.random.default_rng(37)
         g = random_simple_graph(rng, n=14, p=0.3)
-        part = louvain(g, seed=5)
-        blocks = block_density_matrix(g, part)
-        assert np.array_equal(blocks.densities, blocks.densities.T)
-        assert np.array_equal(blocks.edge_counts, blocks.edge_counts.T)
+        densities = block_density_matrix(g, louvain(g, seed=5))
+        assert np.array_equal(densities, densities.T)
 
 
 class TestPartitionValidation:
     def test_non_compact_ids_rejected(self):
         with pytest.raises(ValueError):
-            Partition(np.array([0, 2, 2]), 3)
+            Partition(np.array([0, 2, 2]))
 
     def test_valid(self):
-        part = Partition(np.array([1, 0, 1]), 2)
+        part = Partition(np.array([1, 0, 1]))
         assert list(part.sizes()) == [1, 2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-1, 5), max_size=10))
+    def test_accepted_exactly_when_ids_are_compact(self, ids):
+        distinct = sorted(set(ids))
+        assignment = np.array(ids, dtype=np.int64)
+        if distinct != list(range(len(distinct))):
+            with pytest.raises(ValueError, match="exactly 0..K-1"):
+                Partition(assignment)
+            return
+        part = Partition(assignment)
+        # analyze.json writes the count, and json writes no numpy integer
+        assert type(part.num_communities) is int
+        assert part.num_communities == len(distinct)

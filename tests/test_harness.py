@@ -128,6 +128,21 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match=rf"train\.{key} must be"):
             harness.load_config(path)
 
+    def test_whole_number_train_rate_writes_like_its_float(self, tmp_path):
+        # equal configs must write equal report bytes: 2 and 2.0 once wrote
+        # "learning_rate": 2 and "learning_rate": 2.0
+        as_int = StudyConfig.from_dict({"train": {"learning_rate": 2, "weight_decay": 0}})
+        as_float = StudyConfig.from_dict(
+            {"train": {"learning_rate": 2.0, "weight_decay": 0.0}})
+        assert as_int == as_float
+        assert type(as_int.train.learning_rate) is float
+        assert type(as_int.train.weight_decay) is float
+        assert (write_json(as_int, tmp_path / "int.json").read_bytes()
+                == write_json(as_float, tmp_path / "float.json").read_bytes())
+        # a rejected value is named as it was given
+        with pytest.raises(ValueError, match=r"^train\.learning_rate must be > 0, got 0$"):
+            StudyConfig.from_dict({"train": {"learning_rate": 0}})
+
     @pytest.mark.parametrize("value", [0, -1])
     @pytest.mark.parametrize("key", [
         "train_per_class", "val_per_class", "keep_top_k_components",
@@ -399,6 +414,13 @@ class TestEmitReport:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "fraction,u_mean,u_std,accuracy_mean,accuracy_std"
         assert len(lines) == 2
+
+
+class TestWriteJson:
+    def test_numpy_scalar_is_a_type_error(self, tmp_path):
+        # only dataclasses are converted; numpy values must become Python ones first
+        with pytest.raises(TypeError, match="cannot write int64 as JSON"):
+            write_json({"count": np.int64(3)}, tmp_path / "out.json")
 
 
 class TestPreprocessing:

@@ -102,25 +102,25 @@ class TestUncertaintyCoefficient:
 class TestJointCounts:
     def test_diagonal(self):
         labels = LabelVector(np.array([0, 0, 1, 1]), 2)
-        part = Partition(np.array([0, 0, 1, 1]), 2)
+        part = Partition(np.array([0, 0, 1, 1]))
         jc = joint_counts(labels, part, np.arange(4))
         assert jc.table.tolist() == [[2, 0], [0, 2]]
 
     def test_single_community(self):
         labels = LabelVector(np.array([0, 0, 1, 1]), 2)
-        part = Partition(np.zeros(4, dtype=int), 1)
+        part = Partition(np.zeros(4, dtype=int))
         jc = joint_counts(labels, part, np.arange(4))
         assert jc.table.tolist() == [[2], [2]]
 
     def test_mask_subset(self):
         labels = LabelVector(np.array([0, 0, 1, 1]), 2)
-        part = Partition(np.array([0, 0, 1, 1]), 2)
+        part = Partition(np.array([0, 0, 1, 1]))
         jc = joint_counts(labels, part, np.array([0, 2]))
         assert jc.table.tolist() == [[1, 0], [0, 1]]
 
     def test_empty_mask(self):
         labels = LabelVector(np.array([0, 1]), 2)
-        part = Partition(np.array([0, 1]), 2)
+        part = Partition(np.array([0, 1]))
         with pytest.raises(ValueError):
             joint_counts(labels, part, np.array([], dtype=int))
 

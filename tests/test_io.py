@@ -80,6 +80,18 @@ def test_features_csv_non_numeric(tmp_path):
         load_features(bad, {"a": 0})
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("name, text", [
+    ("f.csv", "b,1.0,2.0\nc,{v},1.0\na,0.5,{v}\n"),
+    ("f.txt", "b 0 1.0\nc 1 {v}\na 0 {v}\n")], ids=["csv", "triplet"])
+def test_non_finite_feature_value_names_its_line(tmp_path, name, text, value):
+    # the first offending line in file order, not in node order
+    bad = write(tmp_path / name, text.format(v=value))
+    with pytest.raises(DatasetFormatError,
+                       match=rf"{name}:2: feature values must be finite"):
+        load_features(bad, {"a": 0, "b": 1, "c": 2})
+
+
 def test_features_triplet_densifies(tmp_path):
     trip = write(tmp_path / "f.txt", "a 0 1.5\nb 2 -2.0\n")
     out = load_features(trip, {"a": 0, "b": 1})
@@ -123,7 +135,7 @@ def test_writers_round_trip(tmp_path, simple_files):
 
 def test_write_partition(tmp_path):
     from graphdiag import Partition
-    part = Partition(np.array([0, 0, 1]), 2)
+    part = Partition(np.array([0, 0, 1]))
     path = tmp_path / "part.tsv"
     write_partition(path, part, ("a", "b", "c"))
     assert path.read_text() == "a\t0\nb\t0\nc\t1\n"
