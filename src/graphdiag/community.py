@@ -10,6 +10,13 @@ below 2**53, so every sum is exact in any order. Node visit order is
 reshuffled every pass from a seeded generator and gain ties go to the
 lowest community id. These two rules fix the search path, and with it the
 partitions that the benchmark reference pins.
+
+A move decision reads only the node's community and degree, its summed
+weight to each neighbouring community, and the total degree of each of
+those communities. A visited node none of whose inputs changed since its
+last evaluation is skipped, since it would stay again. The skip is exact:
+the visit order, the RNG stream and the partitions are the same as when
+every node is evaluated on every pass.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ class Partition:
     num_communities: int = field(init=False)
 
     def __post_init__(self) -> None:
-        assignment = np.asarray(self.assignment, dtype=np.int64)
+        assignment = np.asarray(self.assignment, dtype=np.int64).view()
         object.__setattr__(self, "assignment", assignment)
         if assignment.ndim != 1:
             raise ValueError("assignment must be 1-D")
@@ -91,38 +98,67 @@ def block_density_matrix(graph: LabeledGraph, partition: Partition) -> np.ndarra
 def _local_moves(offsets: np.ndarray, neighbors: np.ndarray, weights: np.ndarray,
                  degree: np.ndarray, two_m: float, rng: np.random.Generator) -> np.ndarray:
     """One move phase on a CSR level; returns the (uncompacted) community of
-    each node. The loop reads Python lists: numpy scalar indexing and
-    arithmetic would cost most of its time, and Python floats round alike."""
+    each node.
+
+    A node's move decision reads its community, its degree, its summed
+    weight to each neighbouring community and the total degree of its own
+    and of each neighbouring community. Each evaluation takes the next tick
+    of a clock; a move stamps its old and its new community with that tick.
+    A visited node is skipped when its own community and every neighbour's
+    community were last stamped before its last evaluation: no input of its
+    decision has changed since, and the sums are exact, so it would stay
+    again. A node that moved is evaluated on its next visit, because its new
+    community carries its own tick. Every pass still draws its permutation,
+    and a pass with no move still ends the phase, so the RNG stream, the
+    visit order and the partitions are those of evaluating every node.
+
+    The loop reads Python lists: numpy scalar indexing and arithmetic would
+    cost most of its time, and Python floats round alike."""
     n = len(degree)
     offsets, neighbors, weights = offsets.tolist(), neighbors.tolist(), weights.tolist()
     degree = degree.tolist()
     comm = list(range(n))
     comm_total = list(degree)
+    evaluated_at = [-1] * n
+    changed_at = [-1] * n
+    clock = 0
     # gains are tracked in units of m * dQ; rescale the threshold to match
     eps = GAIN_EPS * (two_m / 2.0)
     moved = True
     while moved:
         moved = False
         for u in rng.permutation(n).tolist():
-            cu, du = comm[u], degree[u]
-            links: dict[int, float] = {}
+            cu, last = comm[u], evaluated_at[u]
             lo, hi = offsets[u], offsets[u + 1]
+            if changed_at[cu] < last:
+                for v in neighbors[lo:hi]:
+                    if changed_at[comm[v]] >= last:
+                        break
+                else:
+                    continue
+            evaluated_at[u] = clock
+            du = degree[u]
+            links: dict[int, float] = {}
             for v, w in zip(neighbors[lo:hi], weights[lo:hi]):
                 cv = comm[v]
                 links[cv] = links.get(cv, 0.0) + w
             comm_total[cu] -= du
             stay = links.get(cu, 0.0) - du * comm_total[cu] / two_m
+            # the best gain over stay + eps; equal gains go to the lowest id
             best_c, best_gain = cu, stay
-            for c in sorted(links):
+            for c, link in links.items():
                 if c == cu:
                     continue
-                gain = links[c] - du * comm_total[c] / two_m
-                if gain > best_gain and gain - stay > eps:
+                gain = link - du * comm_total[c] / two_m
+                if gain - stay > eps and (gain > best_gain
+                                          or (gain == best_gain and c < best_c)):
                     best_c, best_gain = c, gain
             comm_total[best_c] += du
             if best_c != cu:
                 comm[u] = best_c
+                changed_at[cu] = changed_at[best_c] = clock
                 moved = True
+            clock += 1
     return np.array(comm, dtype=np.int64)
 
 

@@ -19,8 +19,10 @@ class LabeledGraph:
     Each undirected edge {u, v} appears twice in ``neighbors`` (once per
     endpoint); ``m`` counts it once. ``n`` and ``m`` are read off the
     arrays. Neighbor lists are sorted ascending with no self-loops or
-    duplicates. The arrays are frozen after construction, so instances can
-    be shared freely across workers.
+    duplicates. The arrays are stored as read-only views, so instances can
+    be shared freely across workers. A view copies no data and leaves the
+    caller's own array writable, as in every class here that freezes an
+    array.
     """
 
     offsets: np.ndarray
@@ -29,8 +31,8 @@ class LabeledGraph:
     m: int = field(init=False)
 
     def __post_init__(self) -> None:
-        offsets = np.asarray(self.offsets, dtype=np.int64)
-        neighbors = np.asarray(self.neighbors, dtype=np.int64)
+        offsets = np.asarray(self.offsets, dtype=np.int64).view()
+        neighbors = np.asarray(self.neighbors, dtype=np.int64).view()
         if offsets.ndim != 1 or len(offsets) == 0:
             raise GraphError("offsets must be a non-empty 1-D array")
         n = len(offsets) - 1
@@ -103,7 +105,7 @@ class FeatureMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values, dtype=np.float64).view()
         if values.ndim != 2:
             raise GraphError("feature matrix must be 2-D")
         if not np.all(np.isfinite(values)):
@@ -128,7 +130,7 @@ class LabelVector:
     num_labels: int
 
     def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels, dtype=np.int64).view()
         object.__setattr__(self, "labels", labels)
         if labels.ndim != 1:
             raise GraphError("labels must be 1-D")

@@ -31,7 +31,7 @@ class JointCounts:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        table = np.asarray(self.table, dtype=np.float64)
+        table = np.asarray(self.table, dtype=np.float64).view()
         object.__setattr__(self, "table", table)
         if table.ndim != 2:
             raise ValueError("joint table must be 2-D")

@@ -2,14 +2,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphdiag import (GraphError, LabelVector, Partition, block_density_matrix,
-                       edge_density, joint_counts, louvain, modularity,
+                       edge_density, generate_sbm, joint_counts, louvain, modularity,
                        normalized_mutual_information, rewire_configuration_model,
-                       to_undirected, uncertainty_coefficient)
-from graphdiag.community import GAIN_EPS
+                       swap_perturbation, to_undirected, uncertainty_coefficient)
+from graphdiag.community import GAIN_EPS, _local_moves
 from graphdiag.synthetic import planted_partition_graph
 
 from conftest import random_simple_graph
@@ -112,6 +112,73 @@ def _reference_louvain(graph, seed):
     for u in range(graph.n):
         assignment[u] = order.setdefault(int(node_to_super[u]), len(order))
     return Partition(assignment)
+
+
+def _reference_csr_local_moves(offsets, neighbors, weights, degree, two_m, rng):
+    """The CSR move phase as it was before it skipped unchanged nodes: every
+    node is evaluated on every pass and candidates are scanned in id order."""
+    n = len(degree)
+    offsets, neighbors, weights = offsets.tolist(), neighbors.tolist(), weights.tolist()
+    degree = degree.tolist()
+    comm = list(range(n))
+    comm_total = list(degree)
+    # gains are tracked in units of m * dQ; rescale the threshold to match
+    eps = GAIN_EPS * (two_m / 2.0)
+    moved = True
+    while moved:
+        moved = False
+        for u in rng.permutation(n).tolist():
+            cu, du = comm[u], degree[u]
+            links: dict[int, float] = {}
+            lo, hi = offsets[u], offsets[u + 1]
+            for v, w in zip(neighbors[lo:hi], weights[lo:hi]):
+                cv = comm[v]
+                links[cv] = links.get(cv, 0.0) + w
+            comm_total[cu] -= du
+            stay = links.get(cu, 0.0) - du * comm_total[cu] / two_m
+            best_c, best_gain = cu, stay
+            for c in sorted(links):
+                if c == cu:
+                    continue
+                gain = links[c] - du * comm_total[c] / two_m
+                if gain > best_gain and gain - stay > eps:
+                    best_c, best_gain = c, gain
+            comm_total[best_c] += du
+            if best_c != cu:
+                comm[u] = best_c
+                moved = True
+    return np.array(comm, dtype=np.int64)
+
+
+@st.composite
+def csr_levels(draw):
+    """A Louvain level as the move phase sees it: integer weights 1-3 and
+    degrees above the row sum by twice an integer self-weight, as on a
+    super-node. Half are circulant graphs with one weight and one
+    self-weight, whose equal gains force ties; all may have isolated nodes.
+    Rows are shuffled, so candidate order is not id order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 60))
+    isolated = draw(st.integers(0, 3))
+    weight = np.zeros((n + isolated, n + isolated))
+    if n >= 3 and draw(st.booleans()):
+        for d in range(1, draw(st.integers(1, (n - 1) // 2)) + 1):
+            for i in range(n):
+                weight[i, (i + d) % n] = weight[(i + d) % n, i] = 1.0
+        weight *= draw(st.integers(1, 3))
+        self_weight = np.full(n + isolated, float(draw(st.integers(0, 3))))
+    else:
+        upper = np.triu(rng.random((n, n)) < draw(st.floats(0.05, 0.5)), 1)
+        weight[:n, :n] = upper * rng.integers(1, 4, (n, n))
+        weight += weight.T
+        self_weight = rng.integers(0, 4, n + isolated).astype(np.float64)
+    degree = weight.sum(axis=1) + 2.0 * self_weight
+    assume(degree.sum() > 0)
+    rows = [rng.permutation(np.flatnonzero(row)) for row in weight]
+    offsets = np.concatenate([[0], np.cumsum([len(r) for r in rows])]).astype(np.int64)
+    neighbors = np.concatenate(rows).astype(np.int64)
+    weights = np.concatenate([weight[u, r] for u, r in enumerate(rows)])
+    return offsets, neighbors, weights, degree
 
 
 def assert_matches_reference(graph, seed):
@@ -235,6 +302,24 @@ class TestLouvainMatchesReference:
         g, _ = planted_partition_graph(400, 7, 0.0115, 0.0004, seed=8)
         assert_matches_reference(g, 0)
         assert_matches_reference(rewire_configuration_model(g, seed=1), 0)
+        # the other graphs the study hands to Louvain: the SBM rebuilt from
+        # the detected blocks, and a position swap
+        part = louvain(g, 0)
+        assert_matches_reference(generate_sbm(block_density_matrix(g, part), part, 2), 0)
+        assert_matches_reference(swap_perturbation(g, part, 0.3, 3), 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(csr_levels(), st.integers(0, 2**32 - 1))
+    def test_move_phase_matches_the_unpruned_loop(self, level, seed):
+        offsets, neighbors, weights, degree = level
+        two_m = float(degree.sum())
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        comm = _local_moves(offsets, neighbors, weights, degree, two_m, rng)
+        expected = _reference_csr_local_moves(offsets, neighbors, weights, degree, two_m,
+                                              reference_rng)
+        assert np.array_equal(comm, expected)
+        # the same number of passes drew the same number of permutations
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_u_spread_across_louvain_seeds():

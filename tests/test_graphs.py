@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphdiag import (GraphError, connected_components, edge_density,
-                       remove_rare_labels, select_components, to_undirected)
+from graphdiag import (FeatureMatrix, GraphError, JointCounts, LabelVector, Partition,
+                       connected_components, edge_density, remove_rare_labels,
+                       select_components, to_undirected)
 from graphdiag.graphs import LabeledGraph, induced_subdataset
 
 from conftest import make_dataset
@@ -51,6 +52,30 @@ class TestInvariantValidation:
         g = to_undirected([(0, 1)], n=2)
         with pytest.raises(ValueError):
             g.neighbors[0] = 5
+
+
+# each class with the arrays it is built from (already in its storage dtype,
+# so no conversion copies them) and the attributes that hold them
+FROZEN_ARRAY_CASES = {
+    "Partition": (lambda a: Partition(*a), [np.array([0, 1, 1])], ["assignment"]),
+    "LabeledGraph": (lambda a: LabeledGraph(*a),
+                     [np.array([0, 1, 2]), np.array([1, 0])], ["offsets", "neighbors"]),
+    "FeatureMatrix": (lambda a: FeatureMatrix(*a), [np.ones((2, 3))], ["values"]),
+    "LabelVector": (lambda a: LabelVector(a[0], 2), [np.array([0, 1, 1])], ["labels"]),
+    "JointCounts": (lambda a: JointCounts(*a), [np.ones((2, 2))], ["table"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_ARRAY_CASES))
+def test_freezing_leaves_the_callers_array_writable(name):
+    build, arrays, attributes = FROZEN_ARRAY_CASES[name]
+    instance = build(arrays)
+    for array, attribute in zip(arrays, attributes):
+        stored = getattr(instance, attribute)
+        assert array.flags.writeable
+        assert not stored.flags.writeable
+        # no copy was made
+        assert np.shares_memory(stored, array)
 
 
 class TestComponents:
