@@ -18,16 +18,15 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from . import io as gio
-from .graphs import Dataset, FeatureMatrix
-from .harness import (AnalysisResult, Decision, PreparedStudy, StudyConfig, Thresholds,
-                      Verdict, analyze_prepared, emit_report, guideline_verdict,
-                      load_config, prepare_study, run_ablation_study,
-                      run_perturbation_sweep, write_json, write_sweep_csv)
+from .graphs import Dataset
+from .harness import (AnalysisResult, Decision, StudyConfig, Thresholds, Verdict,
+                      analyze_prepared, emit_report, guideline_verdict, load_config,
+                      prepare_study, run_ablation_study, run_perturbation_sweep,
+                      write_json, write_sweep_csv)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -82,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args, features: bool, **overrides) -> tuple[Dataset, StudyConfig]:
     """Load the config (with command-line overrides) and its dataset. The
-    feature file is read only when ``features`` is set: only training reads it."""
+    feature file is read only when ``features`` is set: only ablate and perturb train."""
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.keep_top_k_components is not None:
@@ -94,16 +93,6 @@ def _load(args, features: bool, **overrides) -> tuple[Dataset, StudyConfig]:
     dataset = gio.load_dataset(config.edges, config.features if features else None,
                                config.labels)
     return dataset, config
-
-
-def _with_features(prep: PreparedStudy, file_tokens: Sequence[str]) -> PreparedStudy:
-    """The prepared study with the feature rows of its kept nodes added; the
-    feature file is checked against ``file_tokens``, every node of the label
-    file, as a study that loads features up front checks it."""
-    node_index = {token: i for i, token in enumerate(file_tokens)}
-    values = FeatureMatrix(gio.load_features(prep.config.features, node_index)).values
-    rows = [node_index[token] for token in prep.dataset.node_tokens]
-    return replace(prep, dataset=replace(prep.dataset, features=FeatureMatrix(values[rows])))
 
 
 def _print_analysis(result: AnalysisResult) -> None:
@@ -185,16 +174,20 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_verdict(args) -> int:
-    # only the middle band trains, so the features are read only there
-    dataset, config = _load(args, features=False)
-    prep = prepare_study(dataset, config)
+    """Decide from U(L|C), in the middle band from how U falls along the swap
+    sweep. No features are loaded: the sweep measures U only and trains nothing."""
+    prep = prepare_study(*_load(args, features=False))
+    config = prep.config
     analysis = analyze_prepared(prep)
     _print_analysis(analysis)
     sweep_rows = None
     if config.thresholds.low <= analysis.u_mean <= config.thresholds.high:
+        if len(config.fractions) < 2:
+            raise ValueError(f"the middle-band sweep fits a slope, so it needs at least two "
+                             f"fractions; got {len(config.fractions)}: "
+                             f"{list(config.fractions)}")
         print("alignment score is in the middle band; running the swap sweep...")
-        sweep_rows = run_perturbation_sweep(_with_features(prep, dataset.node_tokens),
-                                            jobs=args.jobs).rows
+        sweep_rows = run_perturbation_sweep(prep, jobs=args.jobs).rows
     verdict = guideline_verdict(analysis.u_mean, sweep_rows, config.thresholds)
     print(f"verdict: {verdict.decision.value}")
     print(_justification(verdict, config.thresholds))

@@ -243,8 +243,8 @@ class SweepRow:
     fraction: float
     u_mean: float
     u_std: float
-    accuracy_mean: float
-    accuracy_std: float
+    accuracy_mean: float | None  # None when the sweep trained no model
+    accuracy_std: float | None
 
 
 @dataclass(frozen=True)
@@ -254,7 +254,7 @@ class SweepCell:
     fraction: float
     graph_seed: int
     u_values: tuple[float, ...]        # one per split
-    accuracies: tuple[float, ...]      # one per split x init
+    accuracies: tuple[float, ...]      # one per split x init; () without features
 
 
 @dataclass(frozen=True)
@@ -351,6 +351,8 @@ def _evaluate_models(prep: PreparedStudy, graph, variant: str, g: int,
     repeats for every init; only the GCN draws a fresh initialization per
     init.
     """
+    if not models:
+        return []
     config = prep.config
     labels = prep.dataset.labels
     adj = normalized_adjacency(graph)
@@ -425,8 +427,6 @@ def _study_cell(task: tuple[str, int, int | None, tuple[str, ...]]):
 
 
 def _map_tasks(tasks, prep: PreparedStudy, jobs: int) -> list:
-    if prep.dataset.features is None:
-        raise ValueError("the study's dataset was loaded without features; training needs them")
     if jobs <= 1:
         _set_task_state(prep)
         return [_study_cell(t) for t in tasks]
@@ -439,6 +439,8 @@ def run_ablation_study(prep: PreparedStudy, jobs: int = 1) -> StudyReport:
     """Evaluate every configured model on the original graph and on each
     rebuilt variant, measure per-graph label/community alignment, and test
     each cell against the feature-only baseline."""
+    if prep.dataset.features is None:
+        raise ValueError("the study's dataset was loaded without features; training needs them")
     config = prep.config
     # the feature-only baseline ignores the graph: it is fit on the original
     # graph only, and its records are copied to every rebuilt one
@@ -515,9 +517,11 @@ def run_perturbation_sweep(prep: PreparedStudy, jobs: int = 1) -> SweepResult:
     re-detect communities, and track alignment against GCN accuracy.
 
     Each cell is the ablation's block-model cell with a swap fraction, so
-    the fraction-0 column is the block-model variant of the ablation."""
+    the fraction-0 column is the block-model variant of the ablation. A
+    study without features trains nothing: the same U values, no accuracies."""
     config = prep.config
-    tasks = [("sbm", g, fi, ("gcn",))
+    trains = prep.dataset.features is not None
+    tasks = [("sbm", g, fi, ("gcn",) if trains else ())
              for fi in range(len(config.fractions))
              for g in range(config.n_graph_seeds)]
     results = _map_tasks(tasks, prep, jobs)
@@ -532,8 +536,8 @@ def run_perturbation_sweep(prep: PreparedStudy, jobs: int = 1) -> SweepResult:
         acc_all = np.concatenate([c.accuracies for c in group])
         rows.append(SweepRow(fraction=float(fraction),
                              u_mean=float(u_all.mean()), u_std=float(u_all.std()),
-                             accuracy_mean=float(acc_all.mean()),
-                             accuracy_std=float(acc_all.std())))
+                             accuracy_mean=float(acc_all.mean()) if trains else None,
+                             accuracy_std=float(acc_all.std()) if trains else None))
     return SweepResult(rows=tuple(rows), cells=tuple(cells))
 
 

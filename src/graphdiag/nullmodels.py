@@ -176,7 +176,8 @@ def swap_perturbation(graph: LabeledGraph, partition: Partition, fraction: float
     n = graph.n
     n_selected = int(math.floor(fraction * n))
     if n_selected < 2:
-        raise GraphError("fraction selects fewer than two nodes")
+        raise GraphError(f"fraction {fraction} selects {n_selected} of {n} nodes; "
+                         "a swap needs at least two")
     if partition.num_communities < 2:
         raise GraphError("swapping needs at least two communities")
     rng = np.random.default_rng(seed)

@@ -268,59 +268,103 @@ def test_analyze_opens_no_feature_file(workdir, tmp_path):
         assert (bare / name).read_bytes() == (real / name).read_bytes()
 
 
-def test_out_of_band_verdict_opens_no_feature_file(workdir, tmp_path):
-    # the fixture's score lands outside the default middle band, so the
-    # verdict trains nothing and needs no features
+@pytest.mark.parametrize("thresholds, swept", [
+    (None, False), ({"low": 0.0, "high": 1.0}, True),
+], ids=["out-of-band", "middle-band"])
+def test_verdict_opens_no_feature_file(workdir, tmp_path, thresholds, swept):
+    # the fixture's score lands outside the default middle band; bands of 0
+    # and 1 put it inside, so the sweep runs, and it measures U only
+    changes = {} if thresholds is None else {"thresholds": thresholds}
     real = tmp_path / "real"
-    assert main(["verdict", str(workdir / "config.json"), "--out", str(real)]) == 0
-    assert json.loads((real / "verdict.json").read_text())["sweep"] is None
+    assert main(["verdict", with_config(workdir, "verdict-features.json", **changes),
+                 "--out", str(real)]) == 0
+    assert (json.loads((real / "verdict.json").read_text())["sweep"] is not None) == swept
     absent = with_config(workdir, "verdict-no-features.json",
-                         features=str(tmp_path / "absent.csv"))
+                         features=str(tmp_path / "absent.csv"), **changes)
     bare = tmp_path / "bare"
     assert main(["verdict", absent, "--out", str(bare)]) == 0
     assert (bare / "verdict.json").read_bytes() == (real / "verdict.json").read_bytes()
 
 
 def test_middle_band_verdict_sweeps_like_perturb(workdir, tmp_path):
-    # the verdict adds the kept nodes' feature rows to the study it already
-    # prepared; its sweep must equal the one perturb runs with features
-    # loaded up front
+    # U(L|C) does not depend on training, so the verdict's untrained sweep
+    # measures the same U columns as perturb's, bit for bit
     band = with_config(workdir, "band-like-perturb.json",
                        thresholds={"low": 0.0, "high": 1.0})
     assert main(["verdict", band, "--out", str(tmp_path / "verdict")]) == 0
     assert main(["perturb", band, "--out", str(tmp_path / "perturb")]) == 0
     sweep = json.loads((tmp_path / "verdict" / "verdict.json").read_text())["sweep"]
     lines = (tmp_path / "perturb" / "sweep.csv").read_text().splitlines()[1:]
-    assert [",".join(repr(v) for v in row.values()) for row in sweep] == lines
+    assert [",".join(repr(row[k]) for k in ("fraction", "u_mean", "u_std"))
+            for row in sweep] == [",".join(line.split(",")[:3]) for line in lines]
+    assert all(row["accuracy_mean"] is None and row["accuracy_std"] is None
+               for row in sweep)
 
 
-def test_middle_band_verdict_reads_the_feature_file(workdir, tmp_path, capsys):
-    absent = with_config(workdir, "band-no-features.json",
-                         features=str(tmp_path / "absent.csv"),
-                         thresholds={"low": 0.0, "high": 1.0})
-    err = run_failing(["verdict", absent, "--out", str(tmp_path)], capsys)
-    assert "No such file" in err and "absent.csv" in err
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_middle_band_verdict_trains_nothing(workdir, tmp_path, monkeypatch, jobs):
+    # the pool forks, so the workers see the patched functions too
+    from graphdiag import harness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verdict must not train or propagate")
+
+    monkeypatch.setattr(harness, "train_gcn", refuse)
+    monkeypatch.setattr(harness, "normalized_adjacency", refuse)
+    band = with_config(workdir, "band-untrained.json", thresholds={"low": 0.0, "high": 1.0})
+    assert main(["verdict", band, "--out", str(tmp_path), "--jobs", jobs]) == 0
+    assert json.loads((tmp_path / "verdict.json").read_text())["sweep"] is not None
+
+
+def test_middle_band_verdict_with_one_fraction_fails_before_sweeping(workdir, tmp_path,
+                                                                      capsys, monkeypatch):
+    import graphdiag.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep must not run")
+
+    one = with_config(workdir, "one-fraction.json", fractions=[0.2])
+    # perturb and an out-of-band verdict accept one fraction
+    assert main(["perturb", one, "--out", str(tmp_path / "perturb")]) == 0
+    monkeypatch.setattr(cli, "run_perturbation_sweep", refuse)
+    assert main(["verdict", one, "--out", str(tmp_path / "verdict")]) == 0
+    band = with_config(workdir, "one-fraction-band.json", fractions=[0.2],
+                       thresholds={"low": 0.0, "high": 1.0})
+    err = run_failing(["verdict", band, "--out", str(tmp_path / "band")], capsys)
+    assert err == ("graphdiag: error: the middle-band sweep fits a slope, so it needs "
+                   "at least two fractions; got 1: [0.2]\n")
+    assert not (tmp_path / "band").exists()
 
 
 def test_each_command_loads_the_dataset_once(workdir, tmp_path, monkeypatch):
     # benchmark runs mark the end of set-up when load_dataset returns, so
     # every command calls it exactly once; only the ones that train read
-    # the feature file
-    load = gio.load_dataset
-    calls = []
+    # the feature file, and nothing reads it afterwards
+    load, load_features = gio.load_dataset, gio.load_features
+    calls, opened = [], []
 
     def counting_load(edge_path, feature_path, label_path):
         calls.append(feature_path)
         return load(edge_path, feature_path, label_path)
 
+    def counting_load_features(path, node_index):
+        opened.append(path)
+        return load_features(path, node_index)
+
     monkeypatch.setattr(gio, "load_dataset", counting_load)
+    monkeypatch.setattr(gio, "load_features", counting_load_features)
     features = json.loads((workdir / "config.json").read_text())["features"]
-    for command, expected in [("analyze", None), ("ablate", features),
-                              ("perturb", features), ("verdict", None)]:
+    band = with_config(workdir, "band-loads-once.json", thresholds={"low": 0.0, "high": 1.0})
+    for command, config, expected in [
+            ("analyze", "config.json", None), ("ablate", "config.json", features),
+            ("perturb", "config.json", features), ("verdict", "config.json", None),
+            ("verdict", band, None)]:
         calls.clear()
-        assert main([command, str(workdir / "config.json"),
+        opened.clear()
+        assert main([command, str(workdir / config),
                      "--out", str(tmp_path / command)]) == 0
-        assert calls == [expected], command
+        assert calls == [expected], (command, config)
+        assert opened == ([] if expected is None else [expected]), (command, config)
 
 
 def test_missing_edge_file_fails_in_one_line(workdir, tmp_path, capsys):
@@ -376,7 +420,9 @@ GOLDEN_SHA256 = {
     "perturb/sweep.csv":
         "8ecfa3f4c20d7a4977933740f72cfa85e1b80849b74bbe6d7b6feebe340c3002",
     "verdict/verdict.json":
-        "ce991a885a779768ce6cce70cd5c2d85464452031dffa153b62d89d61fc84bd1",
+        "d96890fe47c63d4140e510bf8952c7131b64f9db1073bf81f63ccb2378f2b34f",
+    "verdict-default/verdict.json":
+        "90b66eff43eb1aec5c2878d52bf31ecaeae7e6640aaf4b49f26643335c4539ce",
 }
 
 
@@ -403,6 +449,10 @@ def test_outputs_match_golden_digests(tmp_path, monkeypatch):
     for command in ("analyze", "ablate", "perturb"):
         assert main([command, "config.json", "--out", command]) == 0
     assert main(["verdict", "verdict-config.json", "--out", "verdict"]) == 0
+    # the default bands leave this score outside the middle band: no sweep
+    assert main(["verdict", "config.json", "--out", "verdict-default"]) == 0
+    decision = json.loads(Path("verdict-default/verdict.json").read_text())["verdict"]
+    assert not decision["decision"].endswith("after_sweep")
     digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
                for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256

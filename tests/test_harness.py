@@ -377,9 +377,17 @@ class TestStudyWithoutFeatures:
                                           tmp_path / "labels.tsv"), cfg)
         assert bare.dataset.features is None
         assert analyze_prepared(bare) == analyze_prepared(full)
-        for stage in (run_ablation_study, run_perturbation_sweep):
-            with pytest.raises(ValueError, match="loaded without features; training needs them"):
-                stage(bare)
+        with pytest.raises(ValueError, match="loaded without features; training needs them"):
+            run_ablation_study(bare)
+        # without features the sweep measures the same U and trains nothing
+        bare_sweep, full_sweep = run_perturbation_sweep(bare), run_perturbation_sweep(full)
+        for b, f in zip(bare_sweep.rows, full_sweep.rows, strict=True):
+            assert (b.fraction, b.u_mean, b.u_std) == (f.fraction, f.u_mean, f.u_std)
+            assert b.accuracy_mean is None and b.accuracy_std is None
+        for b, f in zip(bare_sweep.cells, full_sweep.cells, strict=True):
+            assert (b.fraction, b.graph_seed, b.u_values) == (f.fraction, f.graph_seed,
+                                                                f.u_values)
+            assert b.accuracies == () and len(f.accuracies) == 1
 
 
 class TestEmitReport:

@@ -192,6 +192,14 @@ class TestSwapPerturbation:
         with pytest.raises(GraphError):
             swap_perturbation(bridged_triangles, part, 0.2, seed=0)  # 1 node
 
+    def test_tiny_fraction_names_the_count(self):
+        n = 2791
+        ring = to_undirected(np.column_stack([np.arange(n), (np.arange(n) + 1) % n]), n)
+        part = Partition(np.arange(n) * 2 // n)
+        with pytest.raises(GraphError, match="^fraction 0.0005 selects 1 of 2791 nodes; "
+                                             "a swap needs at least two$"):
+            swap_perturbation(ring, part, 0.0005, seed=0)
+
     def test_single_community_rejected(self, bridged_triangles):
         part = Partition(np.zeros(6, dtype=int))
         with pytest.raises(GraphError):
