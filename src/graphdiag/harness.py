@@ -441,6 +441,10 @@ def run_ablation_study(prep: PreparedStudy, jobs: int = 1) -> StudyReport:
     each cell against the feature-only baseline."""
     if prep.dataset.features is None:
         raise ValueError("the study's dataset was loaded without features; training needs them")
+    m = prep.dataset.graph.m
+    if m < 2:
+        raise GraphError(f"the cm variant rewires the kept graph, which has {m} "
+                         f"edge{'' if m == 1 else 's'}; rewiring needs at least two")
     config = prep.config
     # the feature-only baseline ignores the graph: it is fit on the original
     # graph only, and its records are copied to every rebuilt one

@@ -9,12 +9,20 @@ while features and labels stay with the node, degrading community/label
 alignment without touching positional degrees.
 
 All generators are deterministic given (inputs, seed).
+
+Degree-preserving rewiring draws the generator's raw 64-bit words in
+blocks and decodes them in plain Python ints. The decoder repeats numpy's
+own arithmetic on the same words in the same order, so it yields exactly
+the values ``Generator.integers`` and ``Generator.random`` would. That
+arithmetic is numpy's 32-bit bounded-integer path, which numpy takes for
+bounds below 2**32, so rewiring accepts graphs with fewer than 2**32 edges.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -24,6 +32,9 @@ from .graphs import GraphError, LabeledGraph, to_undirected
 
 # accepted double-edge swaps per edge in degree-preserving rewiring
 SWAPS_PER_EDGE = 10.0
+# raw 64-bit words drawn per generator call while rewiring
+_WORD_BLOCK = 1 << 14
+_LOW32 = 2**32 - 1
 
 
 class RewireStallWarning(UserWarning):
@@ -96,6 +107,34 @@ def generate_sbm(densities: np.ndarray, partition: Partition,
     return to_undirected(edges, n=n)
 
 
+def _index_and_word_stream(rng: np.random.Generator, m: int):
+    """Read ``rng``'s stream as ``rng.integers(0, m)`` and ``rng.random()`` do.
+
+    Returns ``(index, word)``. ``index()`` gives the next element that
+    ``rng.integers(0, m, size=...)`` would, and ``word()`` the 64-bit word
+    behind the next ``rng.random()``, so ``word() < 2**63`` is exactly
+    ``rng.random() < 0.5``. Interleaved calls consume the stream as the
+    same interleaving of numpy calls would, so both give the same values.
+
+    numpy draws an integer below ``m < 2**32`` by Lemire's method on 32-bit
+    values: x * m is kept as x * m >> 32 unless its low 32 bits fall below
+    (2**32 - m) % m, when x is redrawn. ``default_rng``'s PCG64 serves a
+    32-bit value as the low half of a fresh 64-bit word, keeping the high
+    half for the next 32-bit request; ``random()`` takes a whole fresh word
+    (its top 53 bits over 2**53) and leaves a kept half in place. Raw words
+    are drawn ``_WORD_BLOCK`` at a time with ``random_raw`` and decoded as
+    Python ints, so up to one block more than needed is drawn from ``rng``.
+    """
+    words = chain.from_iterable(
+        iter(lambda: rng.bit_generator.random_raw(_WORD_BLOCK).tolist(), None))
+    # a kept high half waits inside the suspended generator, so word(),
+    # which reads the shared iterator directly, leaves it in place
+    halves = (half for w in words for half in (w & _LOW32, w >> 32))
+    threshold = (2**32 - m) % m
+    indices = (p >> 32 for p in (x * m for x in halves) if p & _LOW32 >= threshold)
+    return indices.__next__, words.__next__
+
+
 def rewire_configuration_model(graph: LabeledGraph, seed: int) -> LabeledGraph:
     """Randomize wiring by repeated double-edge swaps.
 
@@ -104,38 +143,51 @@ def rewire_configuration_model(graph: LabeledGraph, seed: int) -> LabeledGraph:
     degree and the graph stays simple. The walk runs until
     ceil(SWAPS_PER_EDGE * m) swaps are accepted; a graph that cannot swap
     at all (e.g. a star) is returned unchanged with a warning.
+
+    Each attempt picks two edge indices as ``rng.integers(0, m, size=2)``
+    and, when they differ, orients the second edge by ``rng.random() <
+    0.5``, with ``rng = np.random.default_rng(seed)``. Both are decoded
+    from the generator's raw words (``_index_and_word_stream``) with the
+    arithmetic numpy applies to them, so the stream, and with it every
+    swap, equals that of those numpy calls. numpy uses that arithmetic for
+    bounds below 2**32, so a graph with m >= 2**32 edges is refused.
     """
-    if graph.m < 2:
+    m = graph.m
+    if m < 2:
         raise GraphError("rewiring needs at least two edges")
-    rng = np.random.default_rng(seed)
+    if m >= 2**32:
+        raise GraphError(f"rewiring draws edge indices below 2**32; the graph has m={m} edges")
+    index, word = _index_and_word_stream(np.random.default_rng(seed), m)
     n = graph.n
-    edges = graph.edge_array().copy()
-    edge_set = {int(u) * n + int(v) for u, v in edges}
-    target = math.ceil(SWAPS_PER_EDGE * graph.m)
+    # edge i is (us[i], vs[i]) with us[i] < vs[i]; edge_set holds u * n + v
+    edges = graph.edge_array()
+    us, vs = edges[:, 0].tolist(), edges[:, 1].tolist()
+    edge_set = {u * n + v for u, v in zip(us, vs)}
+    target = math.ceil(SWAPS_PER_EDGE * m)
     attempt_cap = max(100 * target, 1000)
     successes = 0
     attempts = 0
     while successes < target and attempts < attempt_cap:
         attempts += 1
-        e1, e2 = rng.integers(0, graph.m, size=2)
+        e1 = index()
+        e2 = index()
         if e1 == e2:
             continue
-        a, b = edges[e1]
-        c, d = edges[e2]
-        if rng.random() < 0.5:
+        a, b, c, d = us[e1], vs[e1], us[e2], vs[e2]
+        if word() < 2**63:
             c, d = d, c
         if a == d or b == c:
             continue
-        new1 = int(min(a, d)) * n + int(max(a, d))
-        new2 = int(min(b, c)) * n + int(max(b, c))
+        new1 = a * n + d if a < d else d * n + a
+        new2 = b * n + c if b < c else c * n + b
         if new1 == new2 or new1 in edge_set or new2 in edge_set:
             continue
-        edge_set.remove(int(min(a, b)) * n + int(max(a, b)))
-        edge_set.remove(int(min(c, d)) * n + int(max(c, d)))
+        edge_set.remove(a * n + b)
+        edge_set.remove(c * n + d if c < d else d * n + c)
         edge_set.add(new1)
         edge_set.add(new2)
-        edges[e1] = (min(a, d), max(a, d))
-        edges[e2] = (min(b, c), max(b, c))
+        us[e1], vs[e1] = (a, d) if a < d else (d, a)
+        us[e2], vs[e2] = (b, c) if b < c else (c, b)
         successes += 1
     if successes == 0:
         warnings.warn("graph admits no degree-preserving swap; returning it unchanged",
@@ -145,7 +197,7 @@ def rewire_configuration_model(graph: LabeledGraph, seed: int) -> LabeledGraph:
         warnings.warn(
             f"rewiring stalled after {successes}/{target} swaps; mixing may be partial",
             RewireStallWarning)
-    return to_undirected(edges, n=n)
+    return to_undirected(np.column_stack((us, vs)), n=n)
 
 
 def generate_erdos_renyi(n: int, m_target: int, seed: int) -> LabeledGraph:

@@ -380,6 +380,32 @@ def test_quota_above_every_class_fails_in_one_line(workdir, tmp_path, capsys):
     assert "no class reaches min_label_count=109 (largest has 40 nodes)" in err
 
 
+def test_ablate_with_one_kept_edge_fails_before_any_cell(tmp_path, capsys, monkeypatch):
+    # 120 nodes in two classes and a single edge; every component is kept
+    from graphdiag import harness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no study cell may run")
+
+    n = 120
+    gio.write_edge_list(tmp_path / "edges.txt", graphdiag.to_undirected([(0, 1)], n))
+    gio.write_labels(tmp_path / "labels.tsv", graphdiag.LabelVector(np.arange(n) % 2, 2))
+    gio.write_features_csv(tmp_path / "features.csv", graphdiag.FeatureMatrix(
+        np.random.default_rng(0).standard_normal((n, 2))))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "edges": str(tmp_path / "edges.txt"),
+        "features": str(tmp_path / "features.csv"),
+        "labels": str(tmp_path / "labels.tsv"),
+        "train_per_class": 5, "val_per_class": 8, "n_splits": 1, "n_inits": 1,
+        "n_graph_seeds": 1, "keep_top_k_components": 200}))
+    monkeypatch.setattr(harness, "_study_cell", refuse)
+    err = run_failing(["ablate", str(config), "--out", str(tmp_path / "out")], capsys)
+    assert err == ("graphdiag: error: the cm variant rewires the kept graph, which has "
+                   "1 edge; rewiring needs at least two\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_failed_study_cell_keeps_its_traceback(workdir, tmp_path, monkeypatch):
     from graphdiag import harness
 

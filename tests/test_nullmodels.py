@@ -1,3 +1,8 @@
+import math
+import warnings
+from itertools import combinations
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +13,8 @@ from graphdiag import (GraphError, Partition, RewireStallWarning,
                        generate_erdos_renyi, generate_sbm, modularity,
                        rewire_configuration_model, swap_perturbation,
                        to_undirected)
-from graphdiag.synthetic import planted_blocks
+from graphdiag.nullmodels import SWAPS_PER_EDGE, _index_and_word_stream
+from graphdiag.synthetic import planted_blocks, planted_partition_graph
 
 from conftest import random_simple_graph
 
@@ -87,7 +93,6 @@ class TestRewireConfigurationModel:
             assert out.m == 4
 
     def test_destroys_community_structure(self):
-        from itertools import combinations
         clique = lambda nodes: list(combinations(nodes, 2))
         g = to_undirected(clique(range(8)) + clique(range(8, 16)) + [(7, 8)], n=16)
         part = Partition(np.repeat([0, 1], 8))
@@ -116,6 +121,133 @@ class TestRewireConfigurationModel:
         a = rewire_configuration_model(g, seed=9)
         b = rewire_configuration_model(g, seed=9)
         assert np.array_equal(a.neighbors, b.neighbors)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the rewiring loop that calls numpy once per draw, which
+# the stream-decoding one must match swap for swap
+# ---------------------------------------------------------------------------
+
+def _reference_rewire(graph, seed):
+    if graph.m < 2:
+        raise GraphError("rewiring needs at least two edges")
+    rng = np.random.default_rng(seed)
+    n = graph.n
+    edges = graph.edge_array().copy()
+    edge_set = {int(u) * n + int(v) for u, v in edges}
+    target = math.ceil(SWAPS_PER_EDGE * graph.m)
+    attempt_cap = max(100 * target, 1000)
+    successes = 0
+    attempts = 0
+    while successes < target and attempts < attempt_cap:
+        attempts += 1
+        e1, e2 = rng.integers(0, graph.m, size=2)
+        if e1 == e2:
+            continue
+        a, b = edges[e1]
+        c, d = edges[e2]
+        if rng.random() < 0.5:
+            c, d = d, c
+        if a == d or b == c:
+            continue
+        new1 = int(min(a, d)) * n + int(max(a, d))
+        new2 = int(min(b, c)) * n + int(max(b, c))
+        if new1 == new2 or new1 in edge_set or new2 in edge_set:
+            continue
+        edge_set.remove(int(min(a, b)) * n + int(max(a, b)))
+        edge_set.remove(int(min(c, d)) * n + int(max(c, d)))
+        edge_set.add(new1)
+        edge_set.add(new2)
+        edges[e1] = (min(a, d), max(a, d))
+        edges[e2] = (min(b, c), max(b, c))
+        successes += 1
+    if successes == 0:
+        warnings.warn("graph admits no degree-preserving swap; returning it unchanged",
+                      RewireStallWarning)
+        return graph
+    if successes < target:
+        warnings.warn(
+            f"rewiring stalled after {successes}/{target} swaps; mixing may be partial",
+            RewireStallWarning)
+    return to_undirected(edges, n=n)
+
+
+def _rewire_with_warnings(rewire, graph, seed):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = rewire(graph, seed)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_matches_reference(graph, seed):
+    out, warned = _rewire_with_warnings(rewire_configuration_model, graph, seed)
+    ref, ref_warned = _rewire_with_warnings(_reference_rewire, graph, seed)
+    assert np.array_equal(out.offsets, ref.offsets)
+    assert np.array_equal(out.neighbors, ref.neighbors)
+    assert warned == ref_warned
+
+
+@st.composite
+def small_simple_graphs(draw):
+    """Stars (no legal swap), paths, K4 (no legal swap), the 4-cycle
+    (swaps only lead to other 4-cycles), and complete graphs missing a few
+    edges, where so few swaps are legal that the walk can stall part-way."""
+    kind = draw(st.sampled_from(["star", "path", "k4", "cycle4", "dense"]))
+    if kind == "star":
+        k = draw(st.integers(2, 10))
+        return to_undirected([(0, i) for i in range(1, k + 1)], n=k + 1)
+    if kind == "path":
+        k = draw(st.integers(3, 12))
+        return to_undirected([(i, i + 1) for i in range(k - 1)], n=k)
+    if kind == "k4":
+        return to_undirected(list(combinations(range(4), 2)), n=4)
+    if kind == "cycle4":
+        return to_undirected([(0, 1), (1, 2), (2, 3), (0, 3)], n=4)
+    n = draw(st.integers(5, 8))
+    pairs = list(combinations(range(n), 2))
+    missing = draw(st.sets(st.sampled_from(pairs), max_size=4))
+    return to_undirected([e for e in pairs if e not in missing], n=n)
+
+
+class TestRewireMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(small_simple_graphs(), st.integers(0, 2**32 - 1))
+    def test_small_graphs(self, graph, seed):
+        assert_matches_reference(graph, seed)
+
+    def test_dense_graph_stalls_like_the_reference(self):
+        # K7 without two disjoint edges: few legal swaps, so the walk
+        # runs out of attempts before its budget
+        pairs = [e for e in combinations(range(7), 2) if e not in {(0, 1), (2, 3)}]
+        graph = to_undirected(pairs, n=7)
+        _, warned = _rewire_with_warnings(rewire_configuration_model, graph, 0)
+        assert warned[0][1].startswith("rewiring stalled after")
+        assert_matches_reference(graph, 0)
+
+    def test_bench_shaped_planted_graph(self):
+        g, _ = planted_partition_graph(400, 7, 0.0115, 0.0004, seed=0)
+        for seed in range(3):
+            assert_matches_reference(g, seed)
+
+
+class TestIndexAndWordStream:
+    # 7879 is the bench Cora graph's m; at 3 * 2**30 + 1 Lemire's method
+    # rejects about a quarter of its 32-bit draws
+    @pytest.mark.parametrize("m", [2, 3, 7879, 3 * 2**30 + 1, 2**32 - 1])
+    def test_matches_numpy_draws(self, m):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            index, word = _index_and_word_stream(np.random.default_rng(seed), m)
+            for _ in range(10_000):
+                e1, e2 = rng.integers(0, m, size=2)
+                assert (index(), index()) == (e1, e2)
+                if e1 != e2:
+                    assert (word() < 2**63) == (rng.random() < 0.5)
+
+    def test_rewiring_refuses_2_to_the_32_edges(self):
+        # only m is read before the refusal, so a stand-in graph suffices
+        with pytest.raises(GraphError, match="m=4294967296"):
+            rewire_configuration_model(SimpleNamespace(m=2**32, n=2**17), seed=0)
 
 
 class TestGenerateErdosRenyi:
