@@ -1,4 +1,4 @@
-"""Text-file loaders and writers for graphs, labels, features, and partitions.
+"""Text-file loaders for graphs, labels and features, and the partition writer.
 
 Formats:
   * edge list: one edge per line, two whitespace-separated node tokens;
@@ -12,11 +12,12 @@ Formats:
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
 from .community import Partition
-from .graphs import Dataset, FeatureMatrix, LabeledGraph, LabelVector, to_undirected
+from .graphs import Dataset, FeatureMatrix, LabelVector, to_undirected
 
 
 class DatasetFormatError(ValueError):
@@ -38,13 +39,12 @@ def _data_lines(path, allow_comments: bool):
             yield lineno, line
 
 
-def load_labels(path) -> tuple[list[str], LabelVector]:
+def load_labels(path) -> tuple[dict[str, int], LabelVector]:
     """Read the label file.
 
-    Returns (node_tokens, labels); node and label ids are assigned in
-    first-appearance order.
+    Returns (node_index, labels): node token -> node id, with node and
+    label ids assigned in first-appearance order.
     """
-    node_tokens: list[str] = []
     node_index: dict[str, int] = {}
     label_index: dict[str, int] = {}
     ids = []
@@ -55,13 +55,12 @@ def load_labels(path) -> tuple[list[str], LabelVector]:
         token, label = parts
         if token in node_index:
             raise DatasetFormatError(path, lineno, f"duplicate node token {token!r}")
-        node_index[token] = len(node_tokens)
-        node_tokens.append(token)
+        node_index[token] = len(node_index)
         ids.append(label_index.setdefault(label, len(label_index)))
-    if not node_tokens:
+    if not node_index:
         raise DatasetFormatError(path, None, "label file is empty")
     labels = LabelVector(np.array(ids, dtype=np.int64), len(label_index))
-    return node_tokens, labels
+    return node_index, labels
 
 
 def load_edges(path, node_index: dict[str, int]) -> np.ndarray:
@@ -80,16 +79,16 @@ def load_edges(path, node_index: dict[str, int]) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def _load_features_csv(path, node_index: dict[str, int]) -> np.ndarray:
-    rows: dict[int, list[float]] = {}
-    linenos: list[int] = []  # of each row, in file order
-    width = None
-    for lineno, line in _data_lines(path, allow_comments=False):
+def _load_features_csv(path, lines, node_index: dict[str, int]) -> np.ndarray:
+    out = width = None
+    line_of = np.zeros(len(node_index), dtype=np.int64)  # of each node's row; 0: none yet
+    for lineno, line in lines:
         parts = line.split(",")
         if width is None:
             width = len(parts)
             if width < 2:
                 raise DatasetFormatError(path, lineno, "need at least one feature column")
+            out = np.empty((len(node_index), width - 1), dtype=np.float64)
         elif len(parts) != width:
             raise DatasetFormatError(
                 path, lineno, f"expected {width} columns, found {len(parts)}")
@@ -98,33 +97,28 @@ def _load_features_csv(path, node_index: dict[str, int]) -> np.ndarray:
             raise DatasetFormatError(
                 path, lineno, f"node token {token!r} not present in the label file")
         node = node_index[token]
-        if node in rows:
+        if line_of[node]:
             raise DatasetFormatError(path, lineno, f"duplicate feature row for {token!r}")
         try:
-            rows[node] = [float(x) for x in parts[1:]]
+            out[node] = [float(x) for x in parts[1:]]
         except ValueError:
             raise DatasetFormatError(path, lineno, "non-numeric feature value") from None
-        linenos.append(lineno)
-    missing = len(node_index) - len(rows)
+        line_of[node] = lineno
+    missing = np.count_nonzero(line_of == 0)
     if missing:
         raise DatasetFormatError(path, None, f"{missing} nodes have no feature row")
-    out = np.empty((len(node_index), width - 1), dtype=np.float64)
-    for node, vals in rows.items():
-        out[node] = vals
     # a row is finite when its extremes are (min and max propagate nan);
     # np.isfinite(out) would add an n x d temporary to the loader's peak memory
     finite = np.isfinite(out.min(axis=1)) & np.isfinite(out.max(axis=1))
     if not finite.all():
-        lineno = next(line for node, line in zip(rows, linenos) if not finite[node])
-        raise DatasetFormatError(path, lineno, "feature values must be finite")
+        raise DatasetFormatError(path, int(line_of[~finite].min()),
+                                 "feature values must be finite")
     return out
 
 
-def _load_features_triplet(path, node_index: dict[str, int]) -> np.ndarray:
-    entries = []
-    max_col = -1
-    seen = set()
-    for lineno, line in _data_lines(path, allow_comments=False):
+def _load_features_triplet(path, lines, node_index: dict[str, int]) -> np.ndarray:
+    values: dict[tuple[int, int], float] = {}
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) != 3:
             raise DatasetFormatError(path, lineno, "expected 'node col value'")
@@ -142,61 +136,39 @@ def _load_features_triplet(path, node_index: dict[str, int]) -> np.ndarray:
         if not math.isfinite(val):
             raise DatasetFormatError(path, lineno, "feature values must be finite")
         key = (node_index[token], col)
-        if key in seen:
+        if key in values:
             raise DatasetFormatError(path, lineno, f"duplicate entry for {token!r} col {col}")
-        seen.add(key)
-        entries.append((key[0], col, val))
-        max_col = max(max_col, col)
-    if max_col < 0:
-        raise DatasetFormatError(path, None, "feature file is empty")
-    out = np.zeros((len(node_index), max_col + 1), dtype=np.float64)
-    for node, col, val in entries:
+        values[key] = val
+    out = np.zeros((len(node_index), max(col for _, col in values) + 1), dtype=np.float64)
+    for (node, col), val in values.items():
         out[node, col] = val
     return out
 
 
 def load_features(path, node_index: dict[str, int]) -> np.ndarray:
-    """Load features; commas mark the CSV format, otherwise triplets."""
-    for _, line in _data_lines(path, allow_comments=False):
-        return (_load_features_csv if "," in line else _load_features_triplet)(
-            path, node_index)
-    raise DatasetFormatError(path, None, "feature file is empty")
+    """Load features in one pass over the file. A comma after the first data
+    line's node token (its first whitespace-separated field) marks the CSV
+    format, and so does a token that ends in one; otherwise triplets."""
+    lines = _data_lines(path, allow_comments=False)
+    first = next(lines, None)
+    if first is None:
+        raise DatasetFormatError(path, None, "feature file is empty")
+    head = first[1].split(None, 1)
+    csv = "," in head[-1] or head[0].endswith(",")
+    return (_load_features_csv if csv else _load_features_triplet)(
+        path, chain([first], lines), node_index)
 
 
 def load_dataset(edge_path, feature_path, label_path) -> Dataset:
     """Load a dataset; node ids are compacted in label-file order. With
     ``feature_path=None`` no feature file is opened and ``features`` is None."""
-    node_tokens, labels = load_labels(label_path)
-    node_index = {t: i for i, t in enumerate(node_tokens)}
+    node_index, labels = load_labels(label_path)
     features = None if feature_path is None else FeatureMatrix(
         load_features(feature_path, node_index))
     edges = load_edges(edge_path, node_index)
-    graph = to_undirected(edges, n=len(node_tokens))
+    graph = to_undirected(edges, n=len(node_index))
     return Dataset(graph=graph, features=features, labels=labels,
-                   node_tokens=tuple(node_tokens))
-
-
-def write_edge_list(path, graph: LabeledGraph, node_tokens=None) -> None:
-    tokens = node_tokens or [str(i) for i in range(graph.n)]
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, v in graph.edge_array():
-            fh.write(f"{tokens[u]} {tokens[v]}\n")
-
-
-def write_labels(path, labels: LabelVector, node_tokens=None, label_tokens=None) -> None:
-    tokens = node_tokens or [str(i) for i in range(len(labels))]
-    names = label_tokens or [str(c) for c in range(labels.num_labels)]
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, y in enumerate(labels.labels):
-            fh.write(f"{tokens[i]}\t{names[y]}\n")
-
-
-def write_features_csv(path, features: FeatureMatrix, node_tokens=None) -> None:
-    tokens = node_tokens or [str(i) for i in range(features.n)]
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(features.n):
-            row = ",".join(repr(float(x)) for x in features.values[i])
-            fh.write(f"{tokens[i]},{row}\n")
+                   node_tokens=tuple(node_index))
 
 
 def write_partition(path, partition: Partition, node_tokens=None) -> None:

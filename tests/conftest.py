@@ -1,7 +1,23 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from graphdiag import Dataset, FeatureMatrix, LabelVector, to_undirected
+
+
+def write_dataset(root, ds):
+    """Write ``ds`` under ``root`` as edges.txt, labels.tsv and features.csv."""
+    tokens = ds.node_tokens
+    files = {
+        "edges.txt": (f"{tokens[u]} {tokens[v]}" for u, v in ds.graph.edge_array()),
+        "labels.tsv": (f"{t}\t{y}" for t, y in zip(tokens, ds.labels.labels)),
+        "features.csv": (",".join([t, *map(repr, row)])
+                         for t, row in zip(tokens, ds.features.values.tolist())),
+    }
+    for name, lines in files.items():
+        (Path(root) / name).write_text("".join(f"{line}\n" for line in lines),
+                                       encoding="utf-8")
 
 
 def make_dataset(edges, n, labels, features=None, num_labels=None, tokens=None):

@@ -17,6 +17,7 @@ import graphdiag as gd
 from graphdiag.synthetic import (aligned_benchmark, anti_aligned_benchmark,
                                  planted_partition_graph)
 
+from conftest import write_dataset
 from test_community import brute_force_best_partition
 from test_infotheory import oracle_entropy, oracle_mi, oracle_u
 from test_models import _max_grad_error_gcn, _max_grad_error_logreg
@@ -282,13 +283,9 @@ def test_criterion_9_real_data_anchor():
 def test_criterion_10_byte_identical_reports(tmp_path):
     with criterion(10, "repeated runs are byte-identical at any worker count"):
         import json as _json
-        from graphdiag import io as gio
         from graphdiag.cli import main
         ds = aligned_benchmark(seed=2)
-        gio.write_edge_list(tmp_path / "edges.txt", ds.graph, ds.node_tokens)
-        gio.write_labels(tmp_path / "labels.tsv", ds.labels, ds.node_tokens)
-        gio.write_features_csv(tmp_path / "features.csv", ds.features,
-                               ds.node_tokens)
+        write_dataset(tmp_path, ds)
         config = {
             "edges": str(tmp_path / "edges.txt"),
             "features": str(tmp_path / "features.csv"),

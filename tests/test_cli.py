@@ -13,6 +13,8 @@ from graphdiag import io as gio
 from graphdiag.cli import main
 from graphdiag.synthetic import planted_dataset
 
+from conftest import make_dataset, write_dataset
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -20,9 +22,7 @@ def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     ds = planted_dataset(n_per_block=40, p_in=0.25, p_out=0.03,
                          feature_dim=4, feature_shift=0.3, seed=1)
-    gio.write_edge_list(root / "edges.txt", ds.graph, ds.node_tokens)
-    gio.write_labels(root / "labels.tsv", ds.labels, ds.node_tokens)
-    gio.write_features_csv(root / "features.csv", ds.features, ds.node_tokens)
+    write_dataset(root, ds)
     config = {
         "edges": str(root / "edges.txt"),
         "features": str(root / "features.csv"),
@@ -388,10 +388,8 @@ def test_ablate_with_one_kept_edge_fails_before_any_cell(tmp_path, capsys, monke
         raise AssertionError("no study cell may run")
 
     n = 120
-    gio.write_edge_list(tmp_path / "edges.txt", graphdiag.to_undirected([(0, 1)], n))
-    gio.write_labels(tmp_path / "labels.tsv", graphdiag.LabelVector(np.arange(n) % 2, 2))
-    gio.write_features_csv(tmp_path / "features.csv", graphdiag.FeatureMatrix(
-        np.random.default_rng(0).standard_normal((n, 2))))
+    write_dataset(tmp_path, make_dataset([(0, 1)], n, np.arange(n) % 2,
+                                         np.random.default_rng(0).standard_normal((n, 2))))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "edges": str(tmp_path / "edges.txt"),
@@ -458,9 +456,7 @@ def test_outputs_match_golden_digests(tmp_path, monkeypatch):
     # report.json embeds the config's dataset paths, so they are relative
     monkeypatch.chdir(tmp_path)
     ds = aligned_benchmark(seed=2)
-    gio.write_edge_list("edges.txt", ds.graph, ds.node_tokens)
-    gio.write_labels("labels.tsv", ds.labels, ds.node_tokens)
-    gio.write_features_csv("features.csv", ds.features, ds.node_tokens)
+    write_dataset(".", ds)
     config = {
         "edges": "edges.txt", "features": "features.csv", "labels": "labels.tsv",
         "train_per_class": 10, "val_per_class": 15,

@@ -12,12 +12,11 @@ from graphdiag import (Decision, GraphError, LabelVector, StudyConfig, TrainConf
                        run_ablation_study, run_perturbation_sweep, sgc_propagate,
                        train_logreg)
 from graphdiag import harness
-from graphdiag import io as gio
 from graphdiag.harness import (StudyReport, SweepRow, Thresholds, Verdict, derive_seed,
                                write_json)
 from graphdiag.synthetic import planted_dataset
 
-from conftest import make_dataset
+from conftest import make_dataset, write_dataset
 
 FAST_TRAIN = TrainConfig(max_epochs=60, patience=15, hidden_dim=8)
 
@@ -366,9 +365,7 @@ class TestGuidelineVerdict:
 class TestStudyWithoutFeatures:
     def test_analysis_runs_and_training_is_refused(self, tmp_path, tiny_dataset):
         ds = tiny_dataset
-        gio.write_edge_list(tmp_path / "edges.txt", ds.graph, ds.node_tokens)
-        gio.write_labels(tmp_path / "labels.tsv", ds.labels, ds.node_tokens)
-        gio.write_features_csv(tmp_path / "features.csv", ds.features, ds.node_tokens)
+        write_dataset(tmp_path, ds)
         cfg = tiny_config(n_splits=1, n_inits=1, n_graph_seeds=1)
         bare = prepare_study(load_dataset(tmp_path / "edges.txt", None,
                                           tmp_path / "labels.tsv"), cfg)

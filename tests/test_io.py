@@ -1,10 +1,16 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdiag import load_dataset
-from graphdiag.io import (DatasetFormatError, load_edges, load_features,
-                          load_labels, write_edge_list, write_features_csv,
-                          write_labels, write_partition)
+from graphdiag.io import (DatasetFormatError, _data_lines, load_edges, load_features,
+                          load_labels, write_partition)
+
+from conftest import write_dataset
 
 
 def write(path, text):
@@ -120,13 +126,10 @@ def test_empty_label_file(tmp_path):
 
 def test_writers_round_trip(tmp_path, simple_files):
     ds = load_dataset(*simple_files)
-    e2 = tmp_path / "e2.txt"
-    l2 = tmp_path / "l2.tsv"
-    f2 = tmp_path / "f2.csv"
-    write_edge_list(e2, ds.graph, ds.node_tokens)
-    write_labels(l2, ds.labels, ds.node_tokens)
-    write_features_csv(f2, ds.features, ds.node_tokens)
-    ds2 = load_dataset(e2, f2, l2)
+    out = tmp_path / "out"
+    out.mkdir()
+    write_dataset(out, ds)
+    ds2 = load_dataset(out / "edges.txt", out / "features.csv", out / "labels.tsv")
     assert np.array_equal(ds2.graph.neighbors, ds.graph.neighbors)
     assert np.array_equal(ds2.labels.labels, ds.labels.labels)
     assert np.array_equal(ds2.features.values, ds.features.values)
@@ -139,3 +142,191 @@ def test_write_partition(tmp_path):
     path = tmp_path / "part.tsv"
     write_partition(path, part, ("a", "b", "c"))
     assert path.read_text() == "a\t0\nb\t0\nc\t1\n"
+
+
+@pytest.mark.parametrize("text, node_index", [
+    ("a,b 0 1.0\nc 0 2.0\n", {"a,b": 0, "c": 1}),  # triplets, comma in a token
+    ("a, 1.0\nc, 2.0\n", {"a": 0, "c": 1}),  # CSV, one column after ", "
+], ids=["triplet", "csv"])
+def test_format_is_decided_after_the_first_node_token(tmp_path, text, node_index):
+    out = load_features(write(tmp_path / "f.txt", text), node_index)
+    assert out.tolist() == [[1.0], [2.0]]
+
+
+def test_csv_load_peaks_below_twice_the_matrix(tmp_path):
+    # a per-value Python intermediate (a float object and a list slot, about
+    # 32 bytes against the matrix's 8) would put the peak near 5x
+    n, d = 1000, 300
+    values = np.random.default_rng(0).standard_normal((n, d))
+    path = tmp_path / "f.csv"
+    path.write_text("".join(f"n{i},{','.join(map(repr, row.tolist()))}\n"
+                            for i, row in enumerate(values)))
+    node_index = {f"n{i}": i for i in range(n)}
+    tracemalloc.start()
+    try:
+        out = load_features(path, node_index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, d)
+    assert peak < 2 * out.nbytes
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the two-pass loader that kept every CSV row as a Python
+# list before building the matrix, which the one-pass loader must match in
+# array bytes and in error text
+# ---------------------------------------------------------------------------
+
+def _reference_load_features_csv(path, node_index: dict[str, int]) -> np.ndarray:
+    rows: dict[int, list[float]] = {}
+    linenos: list[int] = []  # of each row, in file order
+    width = None
+    for lineno, line in _data_lines(path, allow_comments=False):
+        parts = line.split(",")
+        if width is None:
+            width = len(parts)
+            if width < 2:
+                raise DatasetFormatError(path, lineno, "need at least one feature column")
+        elif len(parts) != width:
+            raise DatasetFormatError(
+                path, lineno, f"expected {width} columns, found {len(parts)}")
+        token = parts[0].strip()
+        if token not in node_index:
+            raise DatasetFormatError(
+                path, lineno, f"node token {token!r} not present in the label file")
+        node = node_index[token]
+        if node in rows:
+            raise DatasetFormatError(path, lineno, f"duplicate feature row for {token!r}")
+        try:
+            rows[node] = [float(x) for x in parts[1:]]
+        except ValueError:
+            raise DatasetFormatError(path, lineno, "non-numeric feature value") from None
+        linenos.append(lineno)
+    missing = len(node_index) - len(rows)
+    if missing:
+        raise DatasetFormatError(path, None, f"{missing} nodes have no feature row")
+    out = np.empty((len(node_index), width - 1), dtype=np.float64)
+    for node, vals in rows.items():
+        out[node] = vals
+    # a row is finite when its extremes are (min and max propagate nan);
+    # np.isfinite(out) would add an n x d temporary to the loader's peak memory
+    finite = np.isfinite(out.min(axis=1)) & np.isfinite(out.max(axis=1))
+    if not finite.all():
+        lineno = next(line for node, line in zip(rows, linenos) if not finite[node])
+        raise DatasetFormatError(path, lineno, "feature values must be finite")
+    return out
+
+
+def _reference_load_features_triplet(path, node_index: dict[str, int]) -> np.ndarray:
+    entries = []
+    max_col = -1
+    seen = set()
+    for lineno, line in _data_lines(path, allow_comments=False):
+        parts = line.split()
+        if len(parts) != 3:
+            raise DatasetFormatError(path, lineno, "expected 'node col value'")
+        token, col_s, val_s = parts
+        if token not in node_index:
+            raise DatasetFormatError(
+                path, lineno, f"node token {token!r} not present in the label file")
+        try:
+            col = int(col_s)
+            val = float(val_s)
+        except ValueError:
+            raise DatasetFormatError(path, lineno, "malformed column index or value") from None
+        if col < 0:
+            raise DatasetFormatError(path, lineno, "negative column index")
+        if not math.isfinite(val):
+            raise DatasetFormatError(path, lineno, "feature values must be finite")
+        key = (node_index[token], col)
+        if key in seen:
+            raise DatasetFormatError(path, lineno, f"duplicate entry for {token!r} col {col}")
+        seen.add(key)
+        entries.append((key[0], col, val))
+        max_col = max(max_col, col)
+    if max_col < 0:
+        raise DatasetFormatError(path, None, "feature file is empty")
+    out = np.zeros((len(node_index), max_col + 1), dtype=np.float64)
+    for node, col, val in entries:
+        out[node, col] = val
+    return out
+
+
+def _reference_load_features(path, node_index: dict[str, int]) -> np.ndarray:
+    """Load features; commas mark the CSV format, otherwise triplets."""
+    for _, line in _data_lines(path, allow_comments=False):
+        return (_reference_load_features_csv if "," in line
+                else _reference_load_features_triplet)(path, node_index)
+    raise DatasetFormatError(path, None, "feature file is empty")
+
+
+FAULTS = ("columns", "unknown", "duplicate", "non-numeric", "negative", "missing")
+
+
+@st.composite
+def feature_files(draw):
+    """(text, node_index): a CSV or triplet feature file over tokens without
+    commas, in a shuffled row order with blank lines, with up to two faults
+    at drawn lines and nan or inf on up to two lines."""
+    tokens = draw(st.lists(st.text("abxyz_.", min_size=1, max_size=3),
+                           min_size=1, max_size=6, unique=True))
+    node_index = {t: i for i, t in enumerate(tokens)}
+    order = draw(st.permutations(tokens))
+    value = st.sampled_from(["0.0", "1.5", "-2", "3e-3", "7"])
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 4))
+        lines = [[t, *draw(st.lists(value, min_size=width, max_size=width))] for t in order]
+        sep = draw(st.sampled_from([",", ", "]))
+    else:
+        lines = [[t, str(c), draw(value)] for t in order
+                 for c in sorted(draw(st.sets(st.integers(0, 4), min_size=1, max_size=3)))]
+        sep = " "
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(FAULTS))
+        # the first line sets the format and the CSV width, so it gets half
+        i = draw(st.one_of(st.just(0), st.integers(0, len(lines) - 1)))
+        line = lines[i]
+        if fault == "columns":
+            if len(line) > 1 and draw(st.booleans()):
+                del line[-1]
+            else:
+                line.append("1")
+        elif fault == "unknown":
+            line[0] = "Q"
+        elif fault == "duplicate":
+            lines.append(list(line))
+        elif fault == "missing":
+            if len(lines) > 1:
+                del lines[i]
+        elif fault == "negative":
+            line[1:2] = ["-1"]
+        else:  # non-numeric
+            line[-1] = "x1"
+    # nan or inf on up to two lines, drawn apart from the faults above so
+    # that it often meets no earlier error
+    for i in draw(st.sets(st.integers(0, len(lines) - 1), max_size=2)):
+        lines[i][-1] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+    blanks = draw(st.lists(st.integers(0, len(lines)), max_size=3))
+    text = [sep.join(line) for line in lines]
+    for at in sorted(blanks, reverse=True):
+        text.insert(at, "  ")
+    return "\n".join(text) + "\n", node_index
+
+
+def _outcome(load, path, node_index):
+    try:
+        out = load(path, node_index)
+    except DatasetFormatError as exc:
+        return str(exc)
+    return out.shape, out.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(feature_files())
+def test_load_features_matches_reference(tmp_path_factory, file):
+    text, node_index = file
+    path = tmp_path_factory.mktemp("features") / "f.txt"
+    path.write_text(text, encoding="utf-8")
+    assert (_outcome(load_features, path, node_index)
+            == _outcome(_reference_load_features, path, node_index))
