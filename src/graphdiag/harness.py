@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -341,18 +341,18 @@ def _variant_graph(prep: PreparedStudy, variant: str, g: int):
 
 
 def _evaluate_models(prep: PreparedStudy, graph, variant: str, g: int,
-                     models: Sequence[str]) -> list[RunRecord]:
-    """Accuracy records per (model, split, init) on one graph.
+                     models: Sequence[str]) -> dict[tuple[str, int, int], float]:
+    """Test accuracy of every fit on one graph, keyed by (model, split, init).
 
     Each model reads one power of A_hat applied to the features: logreg
     (SGC with K=0) power 0, the GCN's first layer power 1 and SGC power K;
     each power is propagated at most once per graph. Both linear models
-    start from zero weights, so each is fit once per split and its record
-    repeats for every init; only the GCN draws a fresh initialization per
-    init.
+    start from zero weights, so each is fit once per split, under init 0;
+    only the GCN draws a fresh initialization for each of the config's
+    inits.
     """
     if not models:
-        return []
+        return {}
     config = prep.config
     labels = prep.dataset.labels
     adj = normalized_adjacency(graph)
@@ -361,31 +361,26 @@ def _evaluate_models(prep: PreparedStudy, graph, variant: str, g: int,
     for _ in range(max((steps[m] for m in models), default=0)):
         powers.append(sgc_propagate(adj, powers[-1], 1))
     vi = VARIANTS.index(variant)
-    records = []
+    accs = {}
     for model in models:
         mi = MODEL_NAMES.index(model)
         inputs = powers[steps[model]]
         for s, split in enumerate(prep.splits):
-            for i in range(config.n_inits):
-                if model == "gcn" or i == 0:
-                    try:
-                        if model == "gcn":
-                            seed = derive_seed(config.seed, _ROLE_INIT, vi, g, s, i, mi)
-                            fitted = train_gcn(adj, inputs, labels, split,
-                                               config.train, seed)
-                            probs = gcn_forward(fitted, adj, inputs)
-                        else:
-                            fitted = train_logreg(inputs, labels, split, config.train)
-                            probs = logreg_forward(fitted, inputs)
-                    except Exception as exc:
-                        raise RuntimeError(
-                            f"study cell failed: variant={variant} graph_seed={g} "
-                            f"split={s} init={i} model={model}") from exc
-                    acc = accuracy(probs, labels, split.test)
-                records.append(RunRecord(model=model, variant=variant,
-                                         graph_seed=g, split=s, init=i,
-                                         accuracy=acc))
-    return records
+            for i in range(config.n_inits if model == "gcn" else 1):
+                try:
+                    if model == "gcn":
+                        seed = derive_seed(config.seed, _ROLE_INIT, vi, g, s, i, mi)
+                        fitted = train_gcn(adj, inputs, labels, split, config.train, seed)
+                        probs = gcn_forward(fitted, adj, inputs)
+                    else:
+                        fitted = train_logreg(inputs, labels, split, config.train)
+                        probs = logreg_forward(fitted, inputs)
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"study cell failed: variant={variant} graph_seed={g} "
+                        f"split={s} init={i} model={model}") from exc
+                accs[model, s, i] = accuracy(probs, labels, split.test)
+    return accs
 
 
 def _uncertainty_values(prep: PreparedStudy, partition: Partition) -> list[float]:
@@ -427,10 +422,13 @@ def _study_cell(task: tuple[str, int, int | None, tuple[str, ...]]):
 
 
 def _map_tasks(tasks, prep: PreparedStudy, jobs: int) -> list:
-    if jobs <= 1:
+    # a forked pool starts all of its workers at the first submit, so it
+    # gets no more workers than there are tasks
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         _set_task_state(prep)
         return [_study_cell(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_set_task_state,
+    with ProcessPoolExecutor(max_workers=workers, initializer=_set_task_state,
                              initargs=(prep,)) as pool:
         return list(pool.map(_study_cell, tasks))
 
@@ -447,30 +445,29 @@ def run_ablation_study(prep: PreparedStudy, jobs: int = 1) -> StudyReport:
                          f"edge{'' if m == 1 else 's'}; rewiring needs at least two")
     config = prep.config
     # the feature-only baseline ignores the graph: it is fit on the original
-    # graph only, and its records are copied to every rebuilt one
+    # graph only, and its records repeat for every rebuilt one
     rebuilt_models = tuple(m for m in config.models if m != "logreg")
+    cells = [("original", 0)] + [(v, g) for v in VARIANTS[1:]
+                                 for g in range(config.n_graph_seeds)]
     tasks = [("original", 0, None, config.models)]
-    tasks += [(v, g, None, rebuilt_models) for v in VARIANTS[1:]
-              for g in range(config.n_graph_seeds)]
-    results = _map_tasks(tasks, prep, jobs)
-
-    records: list[RunRecord] = []
+    tasks += [(v, g, None, rebuilt_models) for v, g in cells[1:]]
     u_by_variant: dict[str, list[float]] = {}
-    for (variant, _, _, _), (u_values, recs) in zip(tasks, results):
-        records.extend(recs)
-        u_by_variant.setdefault(variant, []).extend(u_values)
-    baseline = [r for r in records if r.model == "logreg"]
-    records += [replace(r, variant=v, graph_seed=g)
-                for v, g, _, _ in tasks[1:] for r in baseline]
-    records.sort(key=lambda r: (config.models.index(r.model),
-                                VARIANTS.index(r.variant),
-                                r.graph_seed, r.split, r.init))
+    accs = {}
+    for cell, (u_values, fits) in zip(cells, _map_tasks(tasks, prep, jobs)):
+        u_by_variant.setdefault(cell[0], []).extend(u_values)
+        accs[cell] = fits
+    # the linear models are fit under init 0 only, so their records repeat
+    # for every init
+    records = [RunRecord(model=model, variant=v, graph_seed=g, split=s, init=i,
+                         accuracy=accs[("original", 0) if model == "logreg" else (v, g)]
+                                      [model, s, i if model == "gcn" else 0])
+               for model in config.models for v, g in cells
+               for s in range(config.n_splits) for i in range(config.n_inits)]
 
     uncertainty = {
         variant: {"mean": float(np.mean(vals)), "std": float(np.std(vals)),
                   "n_samples": len(vals)}
-        for variant, vals in sorted(u_by_variant.items(),
-                                    key=lambda kv: VARIANTS.index(kv[0]))
+        for variant, vals in u_by_variant.items()
     }
 
     significance = _baseline_tests(records, config)
@@ -531,8 +528,8 @@ def run_perturbation_sweep(prep: PreparedStudy, jobs: int = 1) -> SweepResult:
     results = _map_tasks(tasks, prep, jobs)
     cells = [SweepCell(fraction=config.fractions[fi], graph_seed=g,
                        u_values=tuple(u_values),
-                       accuracies=tuple(r.accuracy for r in recs))
-             for (_, g, fi, _), (u_values, recs) in zip(tasks, results)]
+                       accuracies=tuple(accs.values()))
+             for (_, g, fi, _), (u_values, accs) in zip(tasks, results)]
     rows = []
     for fraction in config.fractions:
         group = [c for c in cells if c.fraction == fraction]

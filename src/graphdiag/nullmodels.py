@@ -89,19 +89,15 @@ def generate_sbm(densities: np.ndarray, partition: Partition,
             p = float(densities[a, b])
             if p <= 0.0:
                 continue
-            if a == b:
-                s = len(members[a])
-                n_pairs = s * (s - 1) // 2
-                count = int(rng.binomial(n_pairs, p)) if p < 1.0 else n_pairs
-                if count:
-                    idx = _sample_distinct(n_pairs, count, rng)
+            s, t = len(members[a]), len(members[b])
+            n_pairs = s * (s - 1) // 2 if a == b else s * t
+            count = int(rng.binomial(n_pairs, p)) if p < 1.0 else n_pairs
+            if count:
+                idx = _sample_distinct(n_pairs, count, rng)
+                if a == b:
                     pieces.append(_decode_pairs(idx, members[a]))
-            else:
-                n_pairs = len(members[a]) * len(members[b])
-                count = int(rng.binomial(n_pairs, p)) if p < 1.0 else n_pairs
-                if count:
-                    idx = _sample_distinct(n_pairs, count, rng)
-                    i, j = np.divmod(idx, len(members[b]))
+                else:
+                    i, j = np.divmod(idx, t)
                     pieces.append(np.column_stack([members[a][i], members[b][j]]))
     edges = np.concatenate(pieces) if pieces else np.empty((0, 2), dtype=np.int64)
     return to_undirected(edges, n=n)

@@ -2,8 +2,8 @@
 
 The test statistic is U = sum over pairs [a > b] + 0.5 [a == b], reported
 as min(U_a, U_b). Small tie-free samples get an exact two-sided p from the
-permutation null distribution (computed by a subset-sum recurrence over
-ranks); everything else uses the normal approximation with continuity
+permutation null distribution (computed by the Gaussian-binomial
+recurrence); everything else uses the normal approximation with continuity
 correction and tie-corrected variance.
 """
 
@@ -25,20 +25,16 @@ class UTestResult:
 
 
 def _exact_tail_counts(n_a: int, n_b: int) -> list[int]:
-    """counts[u] = number of rank assignments with U_a = u, via the
-    subset-sum distribution of n_a positions drawn from 0..N-1."""
-    n_total = n_a + n_b
-    max_sum = sum(range(n_total - n_a, n_total))
-    ways = [[0] * (max_sum + 1) for _ in range(n_a + 1)]
-    ways[0][0] = 1
-    for pos in range(n_total):
-        for k in range(min(n_a, pos + 1), 0, -1):
-            row, prev = ways[k], ways[k - 1]
-            for s in range(max_sum, pos - 1, -1):
-                if prev[s - pos]:
-                    row[s] += prev[s - pos]
-    shift = n_a * (n_a - 1) // 2  # U = position-sum - shift
-    return ways[n_a][shift:shift + n_a * n_b + 1]
+    """counts[u] = number of rank assignments with U_a = u: the coefficients
+    of the Gaussian binomial prod_{i=1..n_a} (1 - q^(n_b+i)) / (1 - q^i)."""
+    size = n_a * n_b + 1
+    counts = [1] + [0] * (size - 1)
+    for i in range(1, n_a + 1):
+        for u in range(size - 1, n_b + i - 1, -1):  # times 1 - q^(n_b+i)
+            counts[u] -= counts[u - n_b - i]
+        for u in range(i, size):  # divided by 1 - q^i
+            counts[u] += counts[u - i]
+    return counts
 
 
 def _normal_sf(z: float) -> float:

@@ -272,11 +272,11 @@ def test_criterion_9_real_data_anchor():
         analysis = gd.analyze_prepared(prep)
         assert abs(analysis.u_mean - 0.691) <= 0.08
         from graphdiag.harness import _evaluate_models
-        records = _evaluate_models(prep, prep.dataset.graph, "original", 0,
-                                   ("logreg", "gcn"))
+        fits = _evaluate_models(prep, prep.dataset.graph, "original", 0,
+                                ("logreg", "gcn"))
         accs = {}
-        for r in records:
-            accs.setdefault(r.model, []).append(r.accuracy)
+        for (model, _, _), acc in fits.items():
+            accs.setdefault(model, []).append(acc)
         assert np.median(accs["gcn"]) > np.median(accs["logreg"])
 
 

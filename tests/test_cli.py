@@ -441,6 +441,10 @@ GOLDEN_SHA256 = {
         "5429ce052fda3a9ecd51e1e07adeb713cf15d7bb17c7638edd57998ce18f456e",
     "ablate/accuracies.csv":
         "d4a69c8cdafd870df8610dbc20324b4c06e8445c9cea77e99d8317582c25fd13",
+    "ablate-inits/report.json":
+        "34e7ee4efa492731559402df3ecf33bd55ac776b539db603da703beda4e36e71",
+    "ablate-inits/accuracies.csv":
+        "e640b8760066e1a1b6f44726c678eb5b28b2e33c216e5c31e90d4fb5cfbc964e",
     "perturb/sweep.csv":
         "8ecfa3f4c20d7a4977933740f72cfa85e1b80849b74bbe6d7b6feebe340c3002",
     "verdict/verdict.json":
@@ -470,6 +474,9 @@ def test_outputs_match_golden_digests(tmp_path, monkeypatch):
         json.dumps(dict(config, thresholds={"low": 0, "high": 1})))
     for command in ("analyze", "ablate", "perturb"):
         assert main([command, "config.json", "--out", command]) == 0
+    # n_inits 1 leaves the per-init records unpinned; three inits pin them
+    Path("inits-config.json").write_text(json.dumps(dict(config, n_inits=3)))
+    assert main(["ablate", "inits-config.json", "--out", "ablate-inits"]) == 0
     assert main(["verdict", "verdict-config.json", "--out", "verdict"]) == 0
     # the default bands leave this score outside the middle band: no sweep
     assert main(["verdict", "config.json", "--out", "verdict-default"]) == 0

@@ -228,13 +228,54 @@ class TestRunAblationStudy:
             fits["gcn"] += 1
             return fit_gcn(*args, **kwargs)
 
+        evaluate = harness._evaluate_models
+        evaluated = []
+
+        def checking_evaluate(prep, graph, variant, g, models):
+            accs = evaluate(prep, graph, variant, g, models)
+            # one accuracy per fit that ran: the linear models under init 0 only
+            assert set(accs) == {(m, s, i) for m in models for s in range(cfg.n_splits)
+                                 for i in range(cfg.n_inits if m == "gcn" else 1)}
+            evaluated.append((variant, g))
+            return accs
+
         monkeypatch.setattr(harness, "sgc_propagate", counting_propagate)
         monkeypatch.setattr(harness, "train_logreg", counting_logreg)
         monkeypatch.setattr(harness, "train_gcn", counting_gcn)
+        monkeypatch.setattr(harness, "_evaluate_models", checking_evaluate)
         run_ablation_study(prepare_study(tiny_dataset, cfg), jobs=1)
         graphs = 1 + 3 * cfg.n_graph_seeds
         assert fits == {"logreg": cfg.n_splits, "sgc": graphs * cfg.n_splits,
                         "gcn": graphs * cfg.n_splits * cfg.n_inits}
+        assert len(evaluated) == graphs
+
+    def test_pool_gets_at_most_one_worker_per_cell(self, tiny_dataset, monkeypatch):
+        # a forked pool starts every worker it is given, so --jobs 64 on a
+        # 2-fraction x 2-graph sweep must ask for 4; the fake runs in-process
+        asked = []
+
+        class FakePool:
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        prep = tiny_prep(tiny_dataset)
+        serial = run_perturbation_sweep(prep, jobs=1)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        assert run_perturbation_sweep(prep, jobs=64) == serial
+        assert run_perturbation_sweep(prep, jobs=3) == serial
+        one_cell = tiny_prep(tiny_dataset, n_graph_seeds=1, fractions=(0.0,))
+        run_perturbation_sweep(one_cell, jobs=64)
+        assert asked == [4, 3]
 
     def test_each_feature_power_is_propagated_once_per_graph(
             self, tiny_dataset, monkeypatch):
