@@ -24,9 +24,9 @@ import numpy as np
 from . import io as gio
 from .graphs import Dataset
 from .harness import (AnalysisResult, Decision, StudyConfig, Thresholds, Verdict,
-                      analyze_prepared, emit_report, guideline_verdict, load_config,
-                      prepare_study, run_ablation_study, run_perturbation_sweep,
-                      write_json, write_sweep_csv)
+                      analyze_prepared, cell_samples, emit_report, guideline_verdict,
+                      load_config, prepare_study, run_ablation_study,
+                      run_perturbation_sweep, write_json, write_sweep_csv)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -149,11 +149,8 @@ def cmd_ablate(args) -> int:
     report = run_ablation_study(prepare_study(*_load(args, features=True)),
                                 jobs=args.jobs)
     written = emit_report(report, args.out)
-    medians: dict[tuple[str, str], list[float]] = {}
-    for r in report.records:
-        medians.setdefault((r.model, r.variant), []).append(r.accuracy)
     print("median accuracy per (model, variant):")
-    for (model, variant), accs in sorted(medians.items()):
+    for (model, variant), accs in sorted(cell_samples(report.records).items()):
         print(f"  {model:<7} {variant:<9} {np.median(accs):.4f}  ({len(accs)} runs)")
     for path in written:
         print(f"wrote {path}")
@@ -181,14 +178,15 @@ def cmd_verdict(args) -> int:
     analysis = analyze_prepared(prep)
     _print_analysis(analysis)
     sweep_rows = None
-    if config.thresholds.low <= analysis.u_mean <= config.thresholds.high:
+    verdict = guideline_verdict(analysis.u_mean, None, config.thresholds)
+    if verdict.decision is Decision.INCONCLUSIVE:
         if len(config.fractions) < 2:
             raise ValueError(f"the middle-band sweep fits a slope, so it needs at least two "
                              f"fractions; got {len(config.fractions)}: "
                              f"{list(config.fractions)}")
         print("alignment score is in the middle band; running the swap sweep...")
         sweep_rows = run_perturbation_sweep(prep, jobs=args.jobs).rows
-    verdict = guideline_verdict(analysis.u_mean, sweep_rows, config.thresholds)
+        verdict = guideline_verdict(analysis.u_mean, sweep_rows, config.thresholds)
     print(f"verdict: {verdict.decision.value}")
     print(_justification(verdict, config.thresholds))
     payload = {"verdict": verdict, "analysis": analysis, "sweep": sweep_rows}

@@ -49,15 +49,13 @@ class LabeledGraph:
         src = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
         if np.any(src == neighbors):
             raise GraphError("self-loops are not allowed")
-        # sorted strictly ascending within each row (=> no duplicates)
-        interior = np.ones(len(neighbors), dtype=bool)
-        interior[offsets[:-1][np.diff(offsets) > 0]] = False
-        if np.any(np.diff(neighbors)[interior[1:]] <= 0):
+        # with every index in range, the directed-edge codes ascend strictly
+        # exactly when each row is sorted and duplicate-free
+        codes = src * n + neighbors
+        if np.any(np.diff(codes) <= 0):
             raise GraphError("neighbor lists must be sorted and duplicate-free")
-        # symmetry: the directed-edge code multiset is invariant under reversal
-        fwd = np.sort(src * n + neighbors)
-        rev = np.sort(neighbors * n + src)
-        if not np.array_equal(fwd, rev):
+        # symmetry: the sorted codes are invariant under reversal
+        if not np.array_equal(codes, np.sort(neighbors * n + src)):
             raise GraphError("adjacency must be symmetric")
         offsets.setflags(write=False)
         neighbors.setflags(write=False)
@@ -209,14 +207,6 @@ def connected_components(graph: LabeledGraph) -> list[np.ndarray]:
     return components
 
 
-def _compact_labels(labels: np.ndarray) -> tuple[np.ndarray, int]:
-    """Remap label ids onto 0..K-1 preserving the original id order."""
-    present = np.unique(labels)
-    remap = np.full(present.max() + 1 if len(present) else 1, -1, dtype=np.int64)
-    remap[present] = np.arange(len(present))
-    return remap[labels], len(present)
-
-
 def induced_subgraph(graph: LabeledGraph, nodes: np.ndarray) -> LabeledGraph:
     """Induced subgraph on ``nodes`` (ascending ids), renumbered 0..k-1."""
     nodes = np.asarray(nodes, dtype=np.int64)
@@ -232,12 +222,12 @@ def induced_subdataset(dataset: Dataset, nodes: np.ndarray) -> Dataset:
     nodes = np.asarray(nodes, dtype=np.int64)
     if len(nodes) == 0:
         raise GraphError("cannot induce an empty dataset")
-    labels, num = _compact_labels(dataset.labels.labels[nodes])
+    present, labels = np.unique(dataset.labels.labels[nodes], return_inverse=True)
     return Dataset(
         graph=induced_subgraph(dataset.graph, nodes),
         features=(None if dataset.features is None
                   else FeatureMatrix(dataset.features.values[nodes])),
-        labels=LabelVector(labels, num),
+        labels=LabelVector(labels, len(present)),
         node_tokens=tuple(dataset.node_tokens[i] for i in nodes),
     )
 

@@ -410,10 +410,16 @@ def _study_cell(task: tuple[str, int, int | None, tuple[str, ...]]):
     config = prep.config
     variant, g, fraction_index, models = task
     graph = _variant_graph(prep, variant, g)
+    where = ""
     if fraction_index is not None:
-        graph = swap_perturbation(graph, prep.base_partition,
-                                  config.fractions[fraction_index],
+        fraction = config.fractions[fraction_index]
+        graph = swap_perturbation(graph, prep.base_partition, fraction,
                                   derive_seed(config.seed, _ROLE_SWAP, g, fraction_index))
+        where = f" at swap fraction {fraction}"
+    # a sparse graph's block-model rebuild can draw no edge at all
+    if graph.m == 0:
+        raise GraphError(f"the {variant} graph for graph seed {g}{where} came out with no "
+                         "edges, so it has no communities to detect")
     # the original graph's communities were detected once, in prepare_study
     partition = prep.base_partition if graph is prep.dataset.graph else louvain(
         graph, derive_seed(config.seed, _ROLE_LOUVAIN, VARIANTS.index(variant), g))
@@ -449,8 +455,8 @@ def run_ablation_study(prep: PreparedStudy, jobs: int = 1) -> StudyReport:
     rebuilt_models = tuple(m for m in config.models if m != "logreg")
     cells = [("original", 0)] + [(v, g) for v in VARIANTS[1:]
                                  for g in range(config.n_graph_seeds)]
-    tasks = [("original", 0, None, config.models)]
-    tasks += [(v, g, None, rebuilt_models) for v, g in cells[1:]]
+    tasks = [(v, g, None, config.models if v == "original" else rebuilt_models)
+             for v, g in cells]
     u_by_variant: dict[str, list[float]] = {}
     accs = {}
     for cell, (u_values, fits) in zip(cells, _map_tasks(tasks, prep, jobs)):
@@ -470,7 +476,7 @@ def run_ablation_study(prep: PreparedStudy, jobs: int = 1) -> StudyReport:
         for variant, vals in u_by_variant.items()
     }
 
-    significance = _baseline_tests(records, config)
+    significance = _baseline_tests(records)
     verdict = guideline_verdict(uncertainty["original"]["mean"], None,
                                 config.thresholds)
     return StudyReport(
@@ -484,25 +490,25 @@ def run_ablation_study(prep: PreparedStudy, jobs: int = 1) -> StudyReport:
     )
 
 
-def _baseline_tests(records: list[RunRecord],
-                    config: StudyConfig) -> list[SignificanceRecord]:
-    """Rank-test every (model, variant) accuracy sample against the
-    feature-only baseline on the original graph."""
-    if "logreg" not in config.models:
-        return []
-    baseline = [r.accuracy for r in records
-                if r.model == "logreg" and r.variant == "original"]
+def cell_samples(records: Sequence[RunRecord]) -> dict[tuple[str, str], list[float]]:
+    """Accuracies grouped by (model, variant), in report order."""
     cells: dict[tuple[str, str], list[float]] = {}
     for r in records:
-        if (r.model, r.variant) == ("logreg", "original"):
-            continue
         cells.setdefault((r.model, r.variant), []).append(r.accuracy)
-    keys = sorted(cells, key=lambda k: (config.models.index(k[0]),
-                                        VARIANTS.index(k[1])))
-    tests = [mann_whitney_u(cells[k], baseline) for k in keys]
+    return cells
+
+
+def _baseline_tests(records: list[RunRecord]) -> list[SignificanceRecord]:
+    """Rank-test every (model, variant) accuracy sample against the
+    feature-only baseline on the original graph."""
+    cells = cell_samples(records)
+    baseline = cells.pop(("logreg", "original"), None)
+    if baseline is None:
+        return []
+    tests = [mann_whitney_u(accs, baseline) for accs in cells.values()]
     adjusted = bonferroni([t.p_value for t in tests])
     out = []
-    for key, test, p_adj in zip(keys, tests, adjusted):
+    for key, test, p_adj in zip(cells, tests, adjusted):
         out.append(SignificanceRecord(
             model=key[0], variant=key[1],
             u_statistic=test.u_statistic, p_value=test.p_value,

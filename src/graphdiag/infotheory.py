@@ -90,12 +90,13 @@ def mutual_information(joint: JointCounts) -> float:
 
 
 def uncertainty_coefficient(joint: JointCounts) -> float:
-    """U(L|C) = I(L;C) / H(L); raises when H(L) = 0."""
+    """U(L|C) = I(L;C) / H(L), in [0, 1] by construction: the ratio is
+    clamped, as rounding can carry it just past either end. Raises when H(L) = 0."""
     h_labels = entropy(joint.label_marginals())
     if h_labels == 0.0:
         raise DegenerateDistributionError(
             "all observations share one label; the coefficient is undefined")
-    return mutual_information(joint) / h_labels
+    return min(1.0, max(0.0, mutual_information(joint) / h_labels))
 
 
 def normalized_mutual_information(a: np.ndarray, b: np.ndarray) -> float:

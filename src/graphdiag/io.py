@@ -29,7 +29,8 @@ class DatasetFormatError(ValueError):
 
 
 def _data_lines(path, allow_comments: bool):
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

@@ -203,7 +203,7 @@ def train_logreg(features: FeatureMatrix, labels: LabelVector, split,
     train, val = np.asarray(split.train), np.asarray(split.val)
     if len(train) == 0 or len(val) == 0:
         raise ValueError("train and validation sets must be non-empty")
-    rows = np.concatenate([train, val])
+    rows = split.labeled()
     X = features.values[rows]
     fit_labels = LabelVector(labels.labels[rows], labels.num_labels)
     fit_train = np.arange(len(train))

@@ -235,7 +235,7 @@ def swap_perturbation(graph: LabeledGraph, partition: Partition, fraction: float
     # pool nodes per community, and how many communities still have one
     left = np.bincount(comm[selected], minlength=partition.num_communities)
     non_empty = int(np.count_nonzero(left))
-    pairs: list[tuple[int, int]] = []
+    sigma = np.arange(n, dtype=np.int64)
     retries = 0
     retry_cap = 100 * (n_selected // 2)
     while len(pool) >= 2:
@@ -256,8 +256,5 @@ def swap_perturbation(graph: LabeledGraph, partition: Partition, fraction: float
         for w in (u, v):
             left[comm[w]] -= 1
             non_empty -= int(left[comm[w]] == 0)
-        pairs.append((int(u), int(v)))
-    sigma = np.arange(n, dtype=np.int64)
-    for u, v in pairs:
         sigma[u], sigma[v] = sigma[v], sigma[u]
     return to_undirected(sigma[graph.edge_array()], n=n)

@@ -404,6 +404,53 @@ def test_ablate_with_one_kept_edge_fails_before_any_cell(tmp_path, capsys, monke
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, output", [("verdict", "verdict.json"),
+                                             ("ablate", "report.json")])
+def test_labels_that_follow_cliques_are_fully_aligned(tmp_path, command, output):
+    # 10 disjoint 11-cliques, alternately labelled 0 and 1. On this seed's one
+    # split the unclamped U(L|C) rounds to 1.0000000000000002
+    size, cliques = 11, 10
+    n = size * cliques
+    edges = [(c * size + i, c * size + j) for c in range(cliques)
+             for i in range(size) for j in range(i + 1, size)]
+    write_dataset(tmp_path, make_dataset(edges, n, np.repeat(np.arange(cliques) % 2, size),
+                                         np.random.default_rng(0).standard_normal((n, 2))))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "edges": str(tmp_path / "edges.txt"),
+        "features": str(tmp_path / "features.csv"),
+        "labels": str(tmp_path / "labels.tsv"),
+        "n_splits": 1, "n_inits": 1, "n_graph_seeds": 1, "seed": 1,
+        "models": ["logreg"], "keep_top_k_components": cliques,
+        "train": {"max_epochs": 20, "patience": 5, "hidden_dim": 4}}))
+    assert main([command, str(config), "--out", str(tmp_path / "out")]) == 0
+    verdict = json.loads((tmp_path / "out" / output).read_text())["verdict"]
+    assert verdict["decision"] == "gnn_applicable"
+    assert verdict["u_original"] == 1.0
+
+
+@pytest.mark.parametrize("command, where", [("ablate", ""),
+                                            ("perturb", " at swap fraction 0.0")])
+def test_edgeless_rebuild_names_its_graph(tmp_path, capsys, command, where):
+    # a sparse kept graph whose block-model rebuild for graph seed 13 draws no edge
+    n = 40
+    (tmp_path / "labels.tsv").write_text("".join(f"n{i}\t{'ab'[i % 2]}\n" for i in range(n)))
+    (tmp_path / "edges.txt").write_text("n0 n1\nn1 n2\n")
+    (tmp_path / "features.csv").write_text(
+        "".join(f"n{i},{i % 3}.0,{i % 5}.0\n" for i in range(n)))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "edges": str(tmp_path / "edges.txt"),
+        "features": str(tmp_path / "features.csv"),
+        "labels": str(tmp_path / "labels.tsv"),
+        "train_per_class": 2, "val_per_class": 2, "n_splits": 1, "n_graph_seeds": 30,
+        "models": ["logreg"], "keep_top_k_components": 100,
+        "train": {"max_epochs": 20, "patience": 5, "hidden_dim": 4}}))
+    err = run_failing([command, str(config), "--out", str(tmp_path / "out")], capsys)
+    assert err == (f"graphdiag: error: the sbm graph for graph seed 13{where} came out "
+                   "with no edges, so it has no communities to detect\n")
+
+
 def test_failed_study_cell_keeps_its_traceback(workdir, tmp_path, monkeypatch):
     from graphdiag import harness
 

@@ -53,6 +53,101 @@ class TestInvariantValidation:
         with pytest.raises(ValueError):
             g.neighbors[0] = 5
 
+    @pytest.mark.parametrize("offsets, neighbors, message", [
+        ([0, 1], [0], "self-loops are not allowed"),
+        # unsorted row: 0 -> [2, 1]
+        ([0, 2, 3, 4], [2, 1, 0, 0], "neighbor lists must be sorted and duplicate-free"),
+        # duplicate neighbour: 0 -> [1, 1]
+        ([0, 2, 4], [1, 1, 0, 0], "neighbor lists must be sorted and duplicate-free"),
+        # empty first row, then an unsorted row: 1 -> [3, 2]
+        ([0, 0, 2, 3, 4], [3, 2, 1, 1], "neighbor lists must be sorted and duplicate-free"),
+        # duplicate neighbour, then an empty last row
+        ([0, 2, 4, 4], [1, 1, 0, 0], "neighbor lists must be sorted and duplicate-free"),
+        # empty first and last rows around a one-way edge 1 -> 2
+        ([0, 0, 1, 1, 1], [2], "adjacency must be symmetric"),
+    ], ids=["self-loop", "unsorted-row", "duplicate", "empty-first-row",
+            "empty-last-row", "empty-end-rows-asymmetric"])
+    def test_rejection_names_the_broken_invariant(self, offsets, neighbors, message):
+        with pytest.raises(GraphError) as err:
+            LabeledGraph(offsets=np.array(offsets), neighbors=np.array(neighbors))
+        assert str(err.value) == message
+
+    def test_empty_first_and_last_rows_accepted(self):
+        # a row starting below the previous row's last entry is not unsorted
+        g = LabeledGraph(offsets=np.array([0, 0, 1, 3, 4, 4]),
+                         neighbors=np.array([2, 1, 3, 2]))
+        assert (g.n, g.m) == (5, 2)
+
+
+def reference_graph_check(offsets, neighbors) -> None:
+    """The CSR validation as ``LabeledGraph.__post_init__`` did it before the
+    row-order and symmetry checks shared one array of directed-edge codes: an
+    interior mask for row order, then two sorts for symmetry. Raises what the
+    class raises."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    neighbors = np.asarray(neighbors, dtype=np.int64)
+    if offsets.ndim != 1 or len(offsets) == 0:
+        raise GraphError("offsets must be a non-empty 1-D array")
+    n = len(offsets) - 1
+    if len(neighbors) and (neighbors.min() < 0 or neighbors.max() >= n):
+        raise GraphError("neighbor index out of range")
+    if offsets[0] != 0 or offsets[-1] != len(neighbors):
+        raise GraphError("offsets do not span the neighbor array")
+    if np.any(np.diff(offsets) < 0):
+        raise GraphError("offsets must be non-decreasing")
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    if np.any(src == neighbors):
+        raise GraphError("self-loops are not allowed")
+    interior = np.ones(len(neighbors), dtype=bool)
+    interior[offsets[:-1][np.diff(offsets) > 0]] = False
+    if np.any(np.diff(neighbors)[interior[1:]] <= 0):
+        raise GraphError("neighbor lists must be sorted and duplicate-free")
+    fwd = np.sort(src * n + neighbors)
+    rev = np.sort(neighbors * n + src)
+    if not np.array_equal(fwd, rev):
+        raise GraphError("adjacency must be symmetric")
+
+
+@st.composite
+def csr_arrays(draw):
+    """A valid graph's CSR arrays with up to three random edits: an entry
+    overwritten, deleted or inserted, or an offset moved."""
+    n = draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=10))
+    g = to_undirected(pairs, n)
+    offsets, neighbors = g.offsets.tolist(), g.neighbors.tolist()
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["set", "delete", "insert", "offset"]))
+        if kind == "set" and neighbors:
+            neighbors[draw(st.integers(0, len(neighbors) - 1))] = draw(st.integers(-1, n))
+        elif kind == "delete" and neighbors:
+            i = draw(st.integers(0, len(neighbors) - 1))
+            del neighbors[i]
+            offsets = [o - (o > i) for o in offsets]
+        elif kind == "insert":
+            i = draw(st.integers(0, len(neighbors)))
+            neighbors.insert(i, draw(st.integers(-1, n)))
+            offsets = [o + (o > i) for o in offsets]
+        elif kind == "offset":
+            offsets[draw(st.integers(0, n))] += draw(st.integers(-2, 2))
+    return np.array(offsets, dtype=np.int64), np.array(neighbors, dtype=np.int64)
+
+
+def _check_outcome(check, offsets, neighbors):
+    try:
+        check(offsets.copy(), neighbors.copy())
+    except GraphError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(csr_arrays())
+def test_validation_matches_reference(arrays):
+    assert (_check_outcome(LabeledGraph, *arrays)
+            == _check_outcome(reference_graph_check, *arrays))
+
 
 # each class with the arrays it is built from (already in its storage dtype,
 # so no conversion copies them) and the attributes that hold them

@@ -173,6 +173,13 @@ class TestRunAblationStudy:
         assert len(report.records) == 4 * cfg.n_splits * cfg.n_inits
         assert set(report.uncertainty) == {"original", "sbm", "cm", "random"}
 
+    def test_study_without_the_baseline_has_no_significance_rows(self, tiny_dataset):
+        prep = tiny_prep(tiny_dataset, models=("sgc", "gcn"), n_splits=1, n_inits=1,
+                         n_graph_seeds=1)
+        report = run_ablation_study(prep)
+        assert report.significance == []
+        assert len(report.records) == 2 * 4
+
     def test_record_count_general(self, report):
         cfg = tiny_config()
         expected = len(cfg.models) * (1 + 3 * cfg.n_graph_seeds) \

@@ -94,6 +94,15 @@ class TestUncertaintyCoefficient:
         assert uncertainty_coefficient(JointCounts([[3, 1], [1, 3]])) == pytest.approx(
             oracle_u([[3, 1], [1, 3]]), abs=1e-12)
 
+    @pytest.mark.parametrize("table, expected", [
+        # every community carries one label: the ratio rounds to 1 + 2 ulp
+        ([[1, 4, 0], [0, 0, 1]], 1.0),
+        # an exactly independent table: the ratio rounds to -3.2e-16
+        ([[1, 5], [2, 10]], 0.0),
+    ])
+    def test_rounding_stays_inside_the_unit_interval(self, table, expected):
+        assert uncertainty_coefficient(JointCounts(table)) == expected
+
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateDistributionError):
             uncertainty_coefficient(JointCounts([[2, 2], [0, 0]]))

@@ -37,6 +37,20 @@ def test_load_dataset_happy_path(simple_files):
     assert ds.features.values[0, 1] == 2.0
 
 
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["edges", "features", "labels"])
+def test_byte_order_mark_is_ignored(simple_files, index):
+    expected = load_dataset(*simple_files)
+    path = simple_files[index]
+    path.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    ds = load_dataset(*simple_files)
+    assert ds.node_tokens == expected.node_tokens
+    assert np.array_equal(ds.labels.labels, expected.labels.labels)
+    assert np.array_equal(ds.graph.offsets, expected.graph.offsets)
+    assert np.array_equal(ds.graph.neighbors, expected.graph.neighbors)
+    assert np.array_equal(ds.features.values, expected.features.values)
+
+
 def test_edge_unknown_token_reports_line(tmp_path, simple_files):
     _, features, labels = simple_files
     bad = write(tmp_path / "bad.txt", "a b\nq b\n")
