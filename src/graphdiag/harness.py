@@ -344,27 +344,24 @@ def _evaluate_models(prep: PreparedStudy, graph, variant: str, g: int,
                      models: Sequence[str]) -> dict[tuple[str, int, int], float]:
     """Test accuracy of every fit on one graph, keyed by (model, split, init).
 
-    Each model reads one power of A_hat applied to the features: logreg
-    (SGC with K=0) power 0, the GCN's first layer power 1 and SGC power K;
-    each power is propagated at most once per graph. Both linear models
-    start from zero weights, so each is fit once per split, under init 0;
-    only the GCN draws a fresh initialization for each of the config's
-    inits.
+    Logreg (SGC with K=0) reads the raw features X, SGC reads A_hat^K X,
+    propagated once per graph, and the GCN reads X and propagates only the
+    rows each of its runs needs. Both linear models start from zero
+    weights, so each is fit once per split, under init 0; only the GCN
+    draws a fresh initialization for each of the config's inits.
     """
     if not models:
         return {}
     config = prep.config
     labels = prep.dataset.labels
+    features = prep.dataset.features
     adj = normalized_adjacency(graph)
-    steps = {"logreg": 0, "sgc": config.train.sgc_k, "gcn": 1}
-    powers = [prep.dataset.features]  # powers[k] = A_hat^k X
-    for _ in range(max((steps[m] for m in models), default=0)):
-        powers.append(sgc_propagate(adj, powers[-1], 1))
+    propagated = sgc_propagate(adj, features, config.train.sgc_k) if "sgc" in models else None
     vi = VARIANTS.index(variant)
     accs = {}
     for model in models:
         mi = MODEL_NAMES.index(model)
-        inputs = powers[steps[model]]
+        inputs = propagated if model == "sgc" else features
         for s, split in enumerate(prep.splits):
             for i in range(config.n_inits if model == "gcn" else 1):
                 try:

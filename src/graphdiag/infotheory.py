@@ -3,7 +3,7 @@
 All quantities use natural logarithms. The headline metric is the
 uncertainty coefficient of labels given communities,
 
-    U(L|C) = I(L;C) / H(L)  in [0, 1],
+    U(L|C) = I(L;C) / H(L) = 1 - H(L|C) / H(L)  in [0, 1],
 
 the fraction of label entropy removed by knowing the community. U = 1 means
 each community carries a single label; U = 0 means the label distribution
@@ -90,13 +90,20 @@ def mutual_information(joint: JointCounts) -> float:
 
 
 def uncertainty_coefficient(joint: JointCounts) -> float:
-    """U(L|C) = I(L;C) / H(L), in [0, 1] by construction: the ratio is
-    clamped, as rounding can carry it just past either end. Raises when H(L) = 0."""
+    """U(L|C) = 1 - H(L|C) / H(L), equal to I(L;C) / H(L) and in [0, 1] by
+    construction: the value is clamped, as rounding can carry it just past
+    either end. H(L|C) is summed cell by cell from each community's own
+    label distribution, so a table whose every community carries one label
+    gives exactly 0 there and U exactly 1. Raises when H(L) = 0."""
     h_labels = entropy(joint.label_marginals())
     if h_labels == 0.0:
         raise DegenerateDistributionError(
             "all observations share one label; the coefficient is undefined")
-    return min(1.0, max(0.0, mutual_information(joint) / h_labels))
+    t = joint.table
+    nz = t > 0
+    community = np.broadcast_to(joint.community_marginals(), t.shape)[nz]
+    h_cond = float(-np.sum(t[nz] * np.log(t[nz] / community))) / joint.total
+    return min(1.0, max(0.0, 1.0 - h_cond / h_labels))
 
 
 def normalized_mutual_information(a: np.ndarray, b: np.ndarray) -> float:

@@ -6,6 +6,14 @@ A_hat = D^(-1/2) (A + I) D^(-1/2). The GCN is
 softmax(A_hat . relu(A_hat X W0) . W1); its backward pass is written out
 by hand so training stays dependency-free and exactly reproducible.
 
+A GCN epoch reads predictions on the train and validation rows only, so
+training runs on a row block: the rows of A_hat X within one hop of a
+labeled node, built once per run, and the train nodes' one-hop set for
+the backward pass. The labeled rows' probabilities and the loss equal the
+full-graph ones bit for bit; the gradients, summed over fewer rows, may
+differ in the last bit. Prediction over every node builds A_hat X a chunk
+of rows at a time, so no n x d copy of it is held.
+
 Optimization is full-batch gradient descent with a halve-on-increase
 learning-rate backoff: a step that would raise the training loss is
 retried at half the rate, so the recorded loss sequence never increases.
@@ -25,6 +33,8 @@ import scipy.sparse as sp
 from .graphs import FeatureMatrix, LabeledGraph, LabelVector
 
 MIN_LEARNING_RATE = 1e-12
+# rows of A_hat X that gcn_forward builds at a time
+FORWARD_CHUNK_ROWS = 256
 
 
 class TrainingDivergedError(RuntimeError):
@@ -231,65 +241,106 @@ def glorot_uniform(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarr
 
 
 def gcn_forward(model: GcnModel, adj: sp.csr_matrix,
-                propagated: FeatureMatrix) -> np.ndarray:
-    """Per-node class probabilities from the propagated input A_hat X;
-    every row sums to one."""
-    hidden = np.maximum(propagated.values @ model.W0, 0.0)
+                features: FeatureMatrix) -> np.ndarray:
+    """Per-node class probabilities softmax(A_hat relu(A_hat X W0) W1)
+    from the raw features X; every row sums to one.
+
+    A_hat X is built ``FORWARD_CHUNK_ROWS`` rows at a time and multiplied
+    by W0 straight away, so no n x d copy of it is ever held. A CSR row
+    slice keeps each row's summation order, so every chunk equals the
+    same rows of A_hat X bit for bit.
+    """
+    hidden = np.empty((adj.shape[0], model.W0.shape[1]))
+    for start in range(0, adj.shape[0], FORWARD_CHUNK_ROWS):
+        stop = start + FORWARD_CHUNK_ROWS
+        hidden[start:stop] = np.maximum(adj[start:stop] @ features.values @ model.W0, 0.0)
     return _softmax(adj @ hidden @ model.W1)
 
 
-def gcn_loss_grad(params: list[np.ndarray], adj: sp.csr_matrix,
-                  AX: np.ndarray, y: np.ndarray, train_idx: np.ndarray,
-                  weight_decay: float):
-    """Loss, hand-derived gradients, and probabilities for the two-layer GCN.
+def gcn_loss_grad(params: list[np.ndarray], AX: np.ndarray, up: sp.csr_matrix,
+                  down: sp.csr_matrix, y: np.ndarray, weight_decay: float):
+    """Loss, hand-derived gradients, and the labeled rows' probabilities
+    for the two-layer GCN, computed on the row block the loss reads.
 
-    ``AX`` is the propagated input A_hat X (constant across epochs). The
-    backward pass runs cross-entropy -> softmax -> sparse propagation ->
-    relu -> sparse propagation, exploiting A_hat's symmetry.
+    ``AX`` holds the block's rows of A_hat X (constant across epochs): every
+    node within one hop of a labeled node, led by the train nodes' one-hop
+    set. ``up`` is A_hat from the labeled nodes (train first, then
+    validation) to the block, so ``up @ relu(AX W0)`` gives their rows of
+    A_hat relu(A_hat X W0). ``down`` is A_hat from the block's leading rows
+    to the train nodes, whose labels ``y`` holds; only those rows carry a
+    gradient. The backward pass runs cross-entropy -> softmax -> sparse
+    propagation -> relu -> sparse propagation, exploiting A_hat's symmetry.
     """
     W0, W1 = params
+    n_back, n_train = down.shape
     pre = AX @ W0
     hidden = np.maximum(pre, 0.0)
-    probs = _softmax(adj @ hidden @ W1)
-    onehot = np.eye(W1.shape[1])[y[train_idx]]
-    loss = (_cross_entropy(probs[train_idx], y[train_idx])
+    probs = _softmax(up @ hidden @ W1)
+    onehot = np.eye(W1.shape[1])[y]
+    loss = (_cross_entropy(probs[:n_train], y)
             + 0.5 * weight_decay * float(np.sum(W0 * W0) + np.sum(W1 * W1)))
-    dlogits = np.zeros_like(probs)
-    dlogits[train_idx] = (probs[train_idx] - onehot) / len(train_idx)
-    d_ah = adj @ dlogits  # A_hat is symmetric
-    dW1 = hidden.T @ d_ah + weight_decay * W1
+    dlogits = (probs[:n_train] - onehot) / n_train
+    d_ah = down @ dlogits  # A_hat is symmetric
+    dW1 = hidden[:n_back].T @ d_ah + weight_decay * W1
     dhidden = d_ah @ W1.T
-    dpre = np.where(pre > 0, dhidden, 0.0)
-    dW0 = AX.T @ dpre + weight_decay * W0
+    dpre = np.where(pre[:n_back] > 0, dhidden, 0.0)
+    dW0 = AX[:n_back].T @ dpre + weight_decay * W0
     return loss, [dW0, dW1], probs
 
 
-def train_gcn(adj: sp.csr_matrix, propagated: FeatureMatrix, labels: LabelVector,
+def gcn_row_block(adj: sp.csr_matrix, features: FeatureMatrix, train: np.ndarray,
+                  val: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix, sp.csr_matrix]:
+    """The inputs of ``gcn_loss_grad`` for one split: the rows of A_hat X
+    for every node within one hop of a train or validation node (A_hat's
+    self-loops count), led by the train nodes' one-hop set, plus A_hat from
+    the labeled nodes to those rows and from the leading rows to the train
+    nodes.
+
+    Row slices of A_hat X equal the same rows of the full product bit for
+    bit, and both blocks keep each row's nonzeros in node order, so each
+    row sums in the order the full-graph product does.
+    """
+    back = np.unique(adj[train].indices)
+    rows = np.concatenate([back, np.setdiff1d(adj[val].indices, back)])
+    AX = adj[rows] @ features.values
+    return AX, adj[np.concatenate([train, val])][:, rows], adj[back][:, train]
+
+
+def train_gcn(adj: sp.csr_matrix, features: FeatureMatrix, labels: LabelVector,
               split, config: TrainConfig, init_seed: int = 0) -> GcnModel:
     """Two-layer GCN trained with hand-derived gradients.
 
-    ``adj`` is the graph's A_hat (``normalized_adjacency``) and
-    ``propagated`` its first power applied to the features, A_hat X; the
-    caller builds both once and shares them with every run on that graph.
-    Forward: P = softmax(A_hat relu(A_hat X W0) W1), loss = mean
-    cross-entropy on the train rows plus (weight_decay / 2) ||W||^2 over
-    both weight matrices. Weights are Glorot-uniform from ``init_seed``;
-    early stopping watches validation accuracy.
+    ``adj`` is the graph's A_hat (``normalized_adjacency``), which the
+    caller builds once and shares with every run on that graph, and
+    ``features`` the raw X. Forward: P = softmax(A_hat relu(A_hat X W0) W1),
+    loss = mean cross-entropy on the train rows plus (weight_decay / 2)
+    ||W||^2 over both weight matrices. Weights are Glorot-uniform from
+    ``init_seed``; early stopping watches validation accuracy.
+
+    An epoch reads predictions on the labeled nodes only, so it runs on
+    the rows of A_hat X within one hop of them (A_hat's self-loops count),
+    built once per run; the backward pass reads the train nodes' one-hop
+    set alone. The labeled rows' probabilities and the loss equal those
+    of the full-graph product bit for bit. The gradients sum over fewer
+    rows, so they may differ from the full-graph sums in the last bit.
     """
-    y = labels.labels
     train, val = np.asarray(split.train), np.asarray(split.val)
     if len(train) == 0 or len(val) == 0:
         raise ValueError("train and validation sets must be non-empty")
+    labeled = split.labeled()
+    AX, up, down = gcn_row_block(adj, features, train, val)
+    fit_labels = LabelVector(labels.labels[labeled], labels.num_labels)
+    y_train = fit_labels.labels[:len(train)]
+    fit_val = np.arange(len(train), len(labeled))
 
     def loss_grad(params):
-        return gcn_loss_grad(params, adj, propagated.values, y, train,
-                             config.weight_decay)
+        return gcn_loss_grad(params, AX, up, down, y_train, config.weight_decay)
 
     def val_acc(probs):
-        return accuracy(probs, labels, val)
+        return accuracy(probs, fit_labels, fit_val)
 
     rng = np.random.default_rng(init_seed)
-    params0 = [glorot_uniform((propagated.d, config.hidden_dim), rng),
+    params0 = [glorot_uniform((features.d, config.hidden_dim), rng),
                glorot_uniform((config.hidden_dim, labels.num_labels), rng)]
     (W0, W1), _ = _descend(params0, loss_grad, val_acc, config)
     return GcnModel(W0=W0, W1=W1)

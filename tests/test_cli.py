@@ -485,17 +485,17 @@ GOLDEN_SHA256 = {
     "analyze/partition.tsv":
         "87cf758b9459f4c84a8acd2ad9c4e4e98965952240b6fb9abb3182fd6dfb18f8",
     "ablate/report.json":
-        "5429ce052fda3a9ecd51e1e07adeb713cf15d7bb17c7638edd57998ce18f456e",
+        "f640537809331d4d252ffe634190986c36569e0e572d89dfad8789506b1093a2",
     "ablate/accuracies.csv":
         "d4a69c8cdafd870df8610dbc20324b4c06e8445c9cea77e99d8317582c25fd13",
     "ablate-inits/report.json":
-        "34e7ee4efa492731559402df3ecf33bd55ac776b539db603da703beda4e36e71",
+        "499eaaac48edb5738c86d4fd82fe86ad95920bcc1da40a572fb7be90c4e4ed8f",
     "ablate-inits/accuracies.csv":
         "e640b8760066e1a1b6f44726c678eb5b28b2e33c216e5c31e90d4fb5cfbc964e",
     "perturb/sweep.csv":
-        "8ecfa3f4c20d7a4977933740f72cfa85e1b80849b74bbe6d7b6feebe340c3002",
+        "f0caa37bd0e92dd701e8b89ac39afbbeed2da4b37cb27b2aafe59526357669aa",
     "verdict/verdict.json":
-        "d96890fe47c63d4140e510bf8952c7131b64f9db1073bf81f63ccb2378f2b34f",
+        "f7fbf71ecf8b8ed182736481d5cafb9f3846ad9a7c16c2a3bf479fdf04b6bb04",
     "verdict-default/verdict.json":
         "90b66eff43eb1aec5c2878d52bf31ecaeae7e6640aaf4b49f26643335c4539ce",
 }

@@ -11,7 +11,7 @@ from graphdiag import (Decision, GraphError, LabelVector, StudyConfig, TrainConf
                        logreg_forward, make_splits, normalized_adjacency, prepare_study,
                        run_ablation_study, run_perturbation_sweep, sgc_propagate,
                        train_logreg)
-from graphdiag import harness
+from graphdiag import harness, models
 from graphdiag.harness import (StudyReport, SweepRow, Thresholds, Verdict, derive_seed,
                                write_json)
 from graphdiag.synthetic import planted_dataset
@@ -286,8 +286,8 @@ class TestRunAblationStudy:
 
     def test_each_feature_power_is_propagated_once_per_graph(
             self, tiny_dataset, monkeypatch):
-        # logreg reads X, the GCN A_hat X and SGC A_hat^K X: one product
-        # per power above zero, shared by the models of a graph
+        # logreg reads X and the GCN propagates only its runs' row blocks,
+        # so the one full-graph product is SGC's A_hat^K X, once per graph
         propagate = harness.sgc_propagate
         steps = []
 
@@ -299,7 +299,17 @@ class TestRunAblationStudy:
         prep = tiny_prep(tiny_dataset)
         run_ablation_study(prep)
         graphs = 1 + 3 * prep.config.n_graph_seeds
-        assert steps == [1] * (graphs * prep.config.train.sgc_k)
+        assert steps == [prep.config.train.sgc_k] * graphs
+
+    def test_a_gcn_only_sweep_propagates_no_full_feature_matrix(
+            self, tiny_dataset, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sgc_propagate called")
+
+        monkeypatch.setattr(harness, "sgc_propagate", refuse)
+        monkeypatch.setattr(models, "sgc_propagate", refuse)
+        sweep = run_perturbation_sweep(tiny_prep(tiny_dataset), jobs=1)
+        assert sweep.cells and all(c.accuracies for c in sweep.cells)
 
     def test_original_communities_come_from_the_prepared_study(
             self, tiny_dataset, monkeypatch):
@@ -342,6 +352,18 @@ class TestRunAblationStudy:
             fitted = train_logreg(inputs, labels, split, cfg.train)
             expected = accuracy(logreg_forward(fitted, inputs), labels, split.test)
             assert values == [expected] * cfg.n_inits, (model, variant, g, s)
+
+
+def test_labels_that_follow_cliques_read_exactly_one():
+    # 10 disjoint 12-cliques, alternately labelled 0 and 1: this seed's one
+    # split gave U(L|C) = 0.9999999999999999 when U was I(L;C) / H(L)
+    size, cliques = 12, 10
+    edges = [(c * size + i, c * size + j) for c in range(cliques)
+             for i in range(size) for j in range(i + 1, size)]
+    dataset = make_dataset(edges, size * cliques, np.repeat(np.arange(cliques) % 2, size))
+    prep = prepare_study(dataset, StudyConfig(n_splits=1, seed=3,
+                                              keep_top_k_components=cliques))
+    assert harness.analyze_prepared(prep).u_values == (1.0,)
 
 
 class TestPerturbationSweep:

@@ -95,7 +95,7 @@ class TestUncertaintyCoefficient:
             oracle_u([[3, 1], [1, 3]]), abs=1e-12)
 
     @pytest.mark.parametrize("table, expected", [
-        # every community carries one label: the ratio rounds to 1 + 2 ulp
+        # every community carries one label: I(L;C) / H(L) rounds to 1 + 2 ulp
         ([[1, 4, 0], [0, 0, 1]], 1.0),
         # an exactly independent table: the ratio rounds to -3.2e-16
         ([[1, 5], [2, 10]], 0.0),
@@ -106,6 +106,23 @@ class TestUncertaintyCoefficient:
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateDistributionError):
             uncertainty_coefficient(JointCounts([[2, 2], [0, 0]]))
+
+    def test_label_pure_tables_read_exactly_one(self):
+        # every community carries one label, so H(L|C) is a sum of exact
+        # zeros; as I(L;C) / H(L), 100 of the diagonal tables and 227 of
+        # the others read 1 - 1 ulp
+        rng = np.random.default_rng(0)
+        for _ in range(1000):
+            k = int(rng.integers(2, 11))
+            assert uncertainty_coefficient(
+                JointCounts(np.diag(rng.integers(1, 60, size=k)))) == 1.0
+        for _ in range(1000):
+            k = int(rng.integers(2, 8))
+            m = int(rng.integers(k, 15))
+            owner = np.concatenate([np.arange(k), rng.integers(0, k, m - k)])
+            table = np.zeros((k, m))
+            table[owner, np.arange(m)] = rng.integers(1, 60, size=m)
+            assert uncertainty_coefficient(JointCounts(table)) == 1.0
 
 
 class TestJointCounts:

@@ -6,9 +6,12 @@ import pytest
 from graphdiag import (FeatureMatrix, LabelVector, TrainConfig, accuracy,
                        gcn_forward, logreg_forward, normalized_adjacency,
                        sgc_propagate, to_undirected, train_gcn, train_logreg)
+from graphdiag.graphs import connected_components
 from graphdiag.harness import SplitSet
-from graphdiag.models import (GcnModel, TrainingDivergedError,
-                              _descend, gcn_loss_grad, glorot_uniform,
+from graphdiag.nullmodels import generate_erdos_renyi
+from graphdiag import models
+from graphdiag.models import (FORWARD_CHUNK_ROWS, GcnModel, TrainingDivergedError,
+                              _descend, gcn_loss_grad, gcn_row_block, glorot_uniform,
                               logreg_loss_grad)
 from graphdiag.synthetic import planted_partition_graph
 
@@ -116,9 +119,8 @@ class TestTrainLogreg:
 
 
 def gcn_forward_on(model, graph, X):
-    """GCN probabilities on a graph, propagating the features first."""
-    adj = normalized_adjacency(graph)
-    return gcn_forward(model, adj, sgc_propagate(adj, FeatureMatrix(X), 1))
+    """GCN probabilities on a graph from raw features."""
+    return gcn_forward(model, normalized_adjacency(graph), FeatureMatrix(X))
 
 
 class TestGcnForward:
@@ -159,19 +161,30 @@ class TestGcnForward:
         assert np.all(probs >= 0)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_input_is_read_as_already_propagated(self):
-        # the first layer reads A_hat X from the caller and applies no A_hat
-        # of its own; only the second layer propagates
+    def test_first_layer_propagates_the_raw_input(self):
+        # both layers apply A_hat: the first to the caller's raw X
         rng = np.random.default_rng(11)
         g = random_simple_graph(rng, n=9, p=0.4)
         adj = normalized_adjacency(g).toarray()
-        P = rng.standard_normal((9, 3))
+        X = rng.standard_normal((9, 3))
         model = GcnModel(rng.standard_normal((3, 4)), rng.standard_normal((4, 2)))
-        probs = gcn_forward(model, normalized_adjacency(g), FeatureMatrix(P))
-        logits = adj @ np.maximum(P @ model.W0, 0.0) @ model.W1
+        probs = gcn_forward(model, normalized_adjacency(g), FeatureMatrix(X))
+        logits = adj @ np.maximum(adj @ X @ model.W0, 0.0) @ model.W1
         expect = np.exp(logits - logits.max(1, keepdims=True))
         expect /= expect.sum(1, keepdims=True)
         assert np.allclose(probs, expect, atol=1e-12)
+
+    def test_chunked_rows_match_the_full_product_bitwise(self):
+        # A_hat X is built a chunk of rows at a time; a CSR row slice keeps
+        # each row's summation order, so the result equals the one-shot product
+        rng = np.random.default_rng(12)
+        n = 2 * FORWARD_CHUNK_ROWS + 37
+        g = random_simple_graph(rng, n=n, p=8 / n)
+        adj = normalized_adjacency(g)
+        X = rng.standard_normal((n, 5))
+        model = GcnModel(rng.standard_normal((5, 4)), rng.standard_normal((4, 3)))
+        full = models._softmax(adj @ np.maximum(adj @ X @ model.W0, 0.0) @ model.W1)
+        assert np.array_equal(gcn_forward(model, adj, FeatureMatrix(X)), full)
 
     def test_permutation_equivariance_exact_on_dyadic_instance(self):
         # cube graph: 3-regular (degree+1 = 4, a power of two); one-hot
@@ -248,19 +261,19 @@ def _max_grad_error_gcn(n_instances, eps=1e-4, seed0=900):
         rng = np.random.default_rng(seed0 + i)
         g = random_simple_graph(rng, n=8, p=0.4)
         adj = normalized_adjacency(g)
-        X = rng.standard_normal((8, 5))
-        AX = adj @ X
+        X = FeatureMatrix(rng.standard_normal((8, 5)))
         y = rng.integers(0, 3, 8)
-        train = np.arange(5)
+        train, val = np.arange(5), np.arange(5, 7)
+        block = gcn_row_block(adj, X, train, val)
         params = [glorot_uniform((5, 4), rng), glorot_uniform((4, 3), rng)]
-        _, grads, _ = gcn_loss_grad(params, adj, AX, y, train, 5e-4)
+        _, grads, _ = gcn_loss_grad(params, *block, y[train], 5e-4)
         for pi, p in enumerate(params):
             fd = np.zeros_like(p)
             for idx in np.ndindex(p.shape):
                 for sign in (1, -1):
                     shifted = [q.copy() for q in params]
                     shifted[pi][idx] += sign * eps
-                    loss, _, _ = gcn_loss_grad(shifted, adj, AX, y, train, 5e-4)
+                    loss, _, _ = gcn_loss_grad(shifted, *block, y[train], 5e-4)
                     fd[idx] += sign * loss / (2 * eps)
             worst = max(worst, _rel_err(grads[pi], fd).max())
     return worst
@@ -278,9 +291,8 @@ class TestTrainGcn:
         split = SplitSet(train=np.sort(perm[:20]), val=np.sort(perm[20:50]),
                          test=np.sort(perm[50:]))
         adj = normalized_adjacency(g)
-        AX = sgc_propagate(adj, X, 1)
-        model = train_gcn(adj, AX, labels, split, TrainConfig(), init_seed=3)
-        probs = gcn_forward(model, adj, AX)
+        model = train_gcn(adj, X, labels, split, TrainConfig(), init_seed=3)
+        probs = gcn_forward(model, adj, X)
         assert accuracy(probs, labels, split.test) >= 0.9
 
     def test_edgeless_graph_close_to_logreg(self):
@@ -294,15 +306,14 @@ class TestTrainGcn:
         X = FeatureMatrix(signs + rng.standard_normal((n, 3)))
         g = to_undirected([], n=n)
         adj = normalized_adjacency(g)
-        AX = sgc_propagate(adj, X, 1)
         splits = make_splits(y, (20, 20), n_splits=6, seed=0)
         acc_lr, acc_gcn = [], []
         for i, split in enumerate(splits):
             base = train_logreg(X, y, split, TrainConfig())
             acc_lr.append(accuracy(logreg_forward(base, X), y, split.test))
-            model = train_gcn(adj, AX, y, split, TrainConfig(hidden_dim=8),
+            model = train_gcn(adj, X, y, split, TrainConfig(hidden_dim=8),
                               init_seed=i)
-            acc_gcn.append(accuracy(gcn_forward(model, adj, AX), y, split.test))
+            acc_gcn.append(accuracy(gcn_forward(model, adj, X), y, split.test))
         assert abs(np.median(acc_gcn) - np.median(acc_lr)) <= 0.05
         assert mann_whitney_u(acc_gcn, acc_lr).p_value > 0.01
 
@@ -310,18 +321,18 @@ class TestTrainGcn:
         rng = np.random.default_rng(9)
         g = random_simple_graph(rng, n=20, p=0.2)
         adj = normalized_adjacency(g)
-        X = rng.standard_normal((20, 4))
-        AX = adj @ X
+        X = FeatureMatrix(rng.standard_normal((20, 4)))
         y = rng.integers(0, 2, 20)
         train, val = np.arange(10), np.arange(10, 15)
-        labels = LabelVector(y, 2)
+        block = gcn_row_block(adj, X, train, val)
+        labels = LabelVector(y[np.concatenate([train, val])], 2)
         cfg = TrainConfig(max_epochs=80, patience=80)
         params0 = [glorot_uniform((4, 6), np.random.default_rng(1)),
                    glorot_uniform((6, 2), np.random.default_rng(2))]
         _, losses = _descend(
             params0,
-            lambda p: gcn_loss_grad(p, adj, AX, y, train, cfg.weight_decay),
-            lambda probs: accuracy(probs, labels, val),
+            lambda p: gcn_loss_grad(p, *block, y[train], cfg.weight_decay),
+            lambda probs: accuracy(probs, labels, np.arange(10, 15)),
             cfg)
         assert all(b <= a for a, b in zip(losses, losses[1:]))
 
@@ -332,6 +343,129 @@ class TestTrainGcn:
         with pytest.raises(TrainingDivergedError) as err:
             _descend([np.zeros(1)], bad_loss, lambda p: 0.0, TrainConfig())
         assert err.value.epoch == 0
+
+
+# reference oracle: the full-graph loss the row-block loss must match. It
+# propagates every node and zero-pads the gradient outside the train rows.
+def _full_graph_gcn_loss_grad(params, adj, AX, y, train_idx, weight_decay):
+    W0, W1 = params
+    pre = AX @ W0
+    hidden = np.maximum(pre, 0.0)
+    probs = models._softmax(adj @ hidden @ W1)
+    onehot = np.eye(W1.shape[1])[y[train_idx]]
+    loss = (models._cross_entropy(probs[train_idx], y[train_idx])
+            + 0.5 * weight_decay * float(np.sum(W0 * W0) + np.sum(W1 * W1)))
+    dlogits = np.zeros_like(probs)
+    dlogits[train_idx] = (probs[train_idx] - onehot) / len(train_idx)
+    d_ah = adj @ dlogits  # A_hat is symmetric
+    dW1 = hidden.T @ d_ah + weight_decay * W1
+    dhidden = d_ah @ W1.T
+    dpre = np.where(pre > 0, dhidden, 0.0)
+    dW0 = AX.T @ dpre + weight_decay * W0
+    return loss, [dW0, dW1], probs
+
+
+def _two_blocks():
+    g, _ = planted_partition_graph(40, 2, 0.2, 0.0, seed=5)
+    return g
+
+
+def _isolated_train_node(graph, split):
+    return bool(np.any(graph.degrees()[split.train] == 0))
+
+
+def _val_node_without_train_neighbour(graph, split):
+    adj = normalized_adjacency(graph)
+    touches_train = np.asarray(adj[split.val][:, split.train].sum(axis=1)).ravel() > 0
+    return not touches_train.all()
+
+
+# (graph, the property the case must show); the random variant's sparse
+# graphs leave nodes isolated, and a node may sit in a labeled set
+ROW_BLOCK_CASES = {
+    "isolated_train_node": (lambda: generate_erdos_renyi(120, 90, seed=4),
+                            _isolated_train_node),
+    "val_without_train_neighbour": (lambda: random_simple_graph(
+        np.random.default_rng(6), n=90, p=0.04), _val_node_without_train_neighbour),
+    "edgeless": (lambda: to_undirected([], n=50), lambda g, s: g.m == 0),
+    "disconnected": (_two_blocks, lambda g, s: len(connected_components(g)) == 2),
+    # rows of about 15 terms, where a change of summation order shows
+    "dense": (lambda: random_simple_graph(np.random.default_rng(7), n=150, p=0.1),
+              lambda g, s: True),
+}
+
+
+def _row_block_case(name, n_train=20, n_val=25, d=6, classes=3):
+    make_graph, shows = ROW_BLOCK_CASES[name]
+    graph = make_graph()
+    rng = np.random.default_rng(len(name))
+    perm = rng.permutation(graph.n)
+    split = SplitSet(train=np.sort(perm[:n_train]),
+                     val=np.sort(perm[n_train:n_train + n_val]),
+                     test=np.sort(perm[n_train + n_val:]))
+    assert shows(graph, split), name
+    X = FeatureMatrix(rng.standard_normal((graph.n, d)))
+    labels = LabelVector(rng.integers(0, classes, graph.n), classes)
+    return normalized_adjacency(graph), X, labels, split, rng
+
+
+@pytest.mark.parametrize("name", sorted(ROW_BLOCK_CASES))
+class TestRowBlockMatchesFullGraph:
+    def test_loss_and_labeled_probabilities_are_bitwise_equal(self, name):
+        adj, X, labels, split, rng = _row_block_case(name)
+        y, train = labels.labels, split.train
+        block = gcn_row_block(adj, X, train, split.val)
+        AX = adj @ X.values
+        for _ in range(5):
+            params = [3 * glorot_uniform((X.d, 8), rng),
+                      3 * glorot_uniform((8, labels.num_labels), rng)]
+            ref_loss, ref_grads, ref_probs = _full_graph_gcn_loss_grad(
+                params, adj, AX, y, train, 5e-4)
+            loss, grads, probs = gcn_loss_grad(params, *block, y[train], 5e-4)
+            assert loss == ref_loss
+            assert np.array_equal(probs, ref_probs[split.labeled()])
+            # the gradients sum over fewer rows, so only the last bits may move
+            for grad, ref in zip(grads, ref_grads):
+                assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_training_run_matches_the_full_graph_run(self, name, monkeypatch):
+        # same loss evaluations, same validation accuracy at each, so the
+        # same best epoch; then the same test accuracy
+        adj, X, labels, split, _ = _row_block_case(name)
+        config = TrainConfig(max_epochs=120, patience=25, hidden_dim=8)
+        y, train, n_train = labels.labels, split.train, len(split.train)
+        loss_grad, seen = models.gcn_loss_grad, []
+
+        def recording(params, *args):
+            loss, grads, probs = loss_grad(params, *args)
+            seen.append((loss, np.argmax(probs[n_train:], axis=1).tolist()))
+            return loss, grads, probs
+
+        monkeypatch.setattr(models, "gcn_loss_grad", recording)
+        model = train_gcn(adj, X, labels, split, config, init_seed=2)
+
+        AX, expected = adj @ X.values, []
+
+        def reference(params):
+            loss, grads, probs = _full_graph_gcn_loss_grad(
+                params, adj, AX, y, train, config.weight_decay)
+            expected.append((loss, np.argmax(probs[split.val], axis=1).tolist()))
+            return loss, grads, probs
+
+        rng = np.random.default_rng(2)
+        params0 = [glorot_uniform((X.d, config.hidden_dim), rng),
+                   glorot_uniform((config.hidden_dim, labels.num_labels), rng)]
+        (W0, W1), _ = _descend(params0, reference,
+                               lambda probs: accuracy(probs, labels, split.val), config)
+        assert len(seen) == len(expected) > 1
+        assert [v for _, v in seen] == [v for _, v in expected]
+        assert np.allclose([l for l, _ in seen], [l for l, _ in expected],
+                           rtol=1e-12, atol=0)
+        assert np.allclose(model.W0, W0, rtol=1e-9, atol=1e-12)
+        assert np.allclose(model.W1, W1, rtol=1e-9, atol=1e-12)
+        ref_probs = models._softmax(adj @ np.maximum(AX @ W0, 0.0) @ W1)
+        assert (accuracy(gcn_forward(model, adj, X), labels, split.test)
+                == accuracy(ref_probs, labels, split.test))
 
 
 class TestSgcStructure:
