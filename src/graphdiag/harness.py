@@ -345,10 +345,11 @@ def _evaluate_models(prep: PreparedStudy, graph, variant: str, g: int,
     """Test accuracy of every fit on one graph, keyed by (model, split, init).
 
     Logreg (SGC with K=0) reads the raw features X, SGC reads A_hat^K X,
-    propagated once per graph, and the GCN reads X and propagates only the
-    rows each of its runs needs. Both linear models start from zero
-    weights, so each is fit once per split, under init 0; only the GCN
-    draws a fresh initialization for each of the config's inits.
+    propagated once per graph, and the GCN reads X: each run trains on the
+    rows of A_hat X its loss reads and predicts through A_hat (X W0). Both
+    linear models start from zero weights, so each is fit once per split,
+    under init 0; only the GCN draws a fresh initialization for each of
+    the config's inits.
     """
     if not models:
         return {}
@@ -407,16 +408,9 @@ def _study_cell(task: tuple[str, int, int | None, tuple[str, ...]]):
     config = prep.config
     variant, g, fraction_index, models = task
     graph = _variant_graph(prep, variant, g)
-    where = ""
     if fraction_index is not None:
-        fraction = config.fractions[fraction_index]
-        graph = swap_perturbation(graph, prep.base_partition, fraction,
+        graph = swap_perturbation(graph, prep.base_partition, config.fractions[fraction_index],
                                   derive_seed(config.seed, _ROLE_SWAP, g, fraction_index))
-        where = f" at swap fraction {fraction}"
-    # a sparse graph's block-model rebuild can draw no edge at all
-    if graph.m == 0:
-        raise GraphError(f"the {variant} graph for graph seed {g}{where} came out with no "
-                         "edges, so it has no communities to detect")
     # the original graph's communities were detected once, in prepare_study
     partition = prep.base_partition if graph is prep.dataset.graph else louvain(
         graph, derive_seed(config.seed, _ROLE_LOUVAIN, VARIANTS.index(variant), g))
@@ -425,6 +419,13 @@ def _study_cell(task: tuple[str, int, int | None, tuple[str, ...]]):
 
 
 def _map_tasks(tasks, prep: PreparedStudy, jobs: int) -> list:
+    # swaps and the cm and random rebuilds keep the edge count, so only a
+    # sparse graph's block-model rebuild can draw no edge at all; it is
+    # found before any cell runs
+    for g in sorted({g for variant, g, _, _ in tasks if variant == "sbm"}):
+        if _variant_graph(prep, "sbm", g).m == 0:
+            raise GraphError(f"the sbm graph for graph seed {g} came out with no edges, "
+                             "so it has no communities to detect")
     # a forked pool starts all of its workers at the first submit, so it
     # gets no more workers than there are tasks
     workers = min(jobs, len(tasks))

@@ -172,8 +172,8 @@ def load_dataset(edge_path, feature_path, label_path) -> Dataset:
                    node_tokens=tuple(node_index))
 
 
-def write_partition(path, partition: Partition, node_tokens=None) -> None:
-    tokens = node_tokens or [str(i) for i in range(len(partition.assignment))]
+def write_partition(path, partition: Partition, node_tokens) -> None:
+    """Write one ``token<TAB>community`` line per node, in node order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for i, c in enumerate(partition.assignment):
-            fh.write(f"{tokens[i]}\t{c}\n")
+        for token, c in zip(node_tokens, partition.assignment):
+            fh.write(f"{token}\t{c}\n")

@@ -11,13 +11,15 @@ training runs on a row block: the rows of A_hat X within one hop of a
 labeled node, built once per run, and the train nodes' one-hop set for
 the backward pass. The labeled rows' probabilities and the loss equal the
 full-graph ones bit for bit; the gradients, summed over fewer rows, may
-differ in the last bit. Prediction over every node builds A_hat X a chunk
-of rows at a time, so no n x d copy of it is held.
+differ in the last bit. Prediction over every node takes A_hat (X W0), so
+no n x d product is built and X is read only through ``@``.
 
 Optimization is full-batch gradient descent with a halve-on-increase
 learning-rate backoff: a step that would raise the training loss is
 retried at half the rate, so the recorded loss sequence never increases.
-Model selection keeps the epoch with the best validation accuracy.
+Every loss returns its probabilities with the train rows first and the
+validation rows last; model selection keeps the epoch whose validation
+rows score the best accuracy.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ import scipy.sparse as sp
 from .graphs import FeatureMatrix, LabeledGraph, LabelVector
 
 MIN_LEARNING_RATE = 1e-12
-# rows of A_hat X that gcn_forward builds at a time
-FORWARD_CHUNK_ROWS = 256
 
 
 class TrainingDivergedError(RuntimeError):
@@ -148,14 +148,23 @@ def accuracy(predictions: np.ndarray, labels: LabelVector, mask: np.ndarray) -> 
 
 def _descend(params: list[np.ndarray],
              loss_grad: Callable[[list[np.ndarray]], tuple[float, list[np.ndarray], np.ndarray]],
-             val_acc: Callable[[np.ndarray], float],
+             y_val: np.ndarray,
              config: TrainConfig) -> tuple[list[np.ndarray], list[float]]:
-    """Shared training loop; returns (best-validation params, loss history)."""
+    """Shared training loop; returns (best-validation params, loss history).
+
+    Early stopping scores the last ``len(y_val)`` rows of the probabilities
+    that ``loss_grad`` returns against the validation labels ``y_val``.
+    No step modifies an array in place, so the best params are kept by
+    reference.
+    """
+    def val_acc(probs):
+        return float(np.mean(np.argmax(probs[-len(y_val):], axis=1) == y_val))
+
     lr = config.learning_rate
     loss, grads, probs = loss_grad(params)
     if not np.isfinite(loss):
         raise TrainingDivergedError(0)
-    best_params = [p.copy() for p in params]
+    best_params = params
     best_acc = val_acc(probs)
     losses = [loss]
     stale = 0
@@ -175,7 +184,7 @@ def _descend(params: list[np.ndarray],
         acc = val_acc(cand_probs)
         if acc > best_acc:
             best_acc = acc
-            best_params = [p.copy() for p in params]
+            best_params = params
             stale = 0
         else:
             stale += 1
@@ -184,19 +193,20 @@ def _descend(params: list[np.ndarray],
     return best_params, losses
 
 
-def logreg_loss_grad(params: list[np.ndarray], X: np.ndarray, y: np.ndarray,
-                     train_idx: np.ndarray, weight_decay: float):
+def logreg_loss_grad(params: list[np.ndarray], X: np.ndarray, y_train: np.ndarray,
+                     weight_decay: float):
     """Loss, parameter gradients, and the probabilities of every row of X
     for softmax regression: mean train cross-entropy + (weight_decay / 2)
-    ||W||^2."""
+    ||W||^2. The train rows are the leading ``len(y_train)`` rows of X."""
     W, b = params
+    n_train = len(y_train)
     probs = _softmax(X @ W.T + b)
-    pt = probs[train_idx]
-    onehot = np.eye(W.shape[0])[y[train_idx]]
-    loss = (_cross_entropy(pt, y[train_idx])
+    pt = probs[:n_train]
+    onehot = np.eye(W.shape[0])[y_train]
+    loss = (_cross_entropy(pt, y_train)
             + 0.5 * weight_decay * float(np.sum(W * W)))
-    dlogits = (pt - onehot) / len(train_idx)
-    dW = dlogits.T @ X[train_idx] + weight_decay * W
+    dlogits = (pt - onehot) / n_train
+    dW = dlogits.T @ X[:n_train] + weight_decay * W
     db = dlogits.sum(axis=0)
     return loss, [dW, db], probs
 
@@ -215,19 +225,13 @@ def train_logreg(features: FeatureMatrix, labels: LabelVector, split,
         raise ValueError("train and validation sets must be non-empty")
     rows = split.labeled()
     X = features.values[rows]
-    fit_labels = LabelVector(labels.labels[rows], labels.num_labels)
-    fit_train = np.arange(len(train))
-    fit_val = np.arange(len(train), len(rows))
+    y = labels.labels[rows]
 
     def loss_grad(params):
-        return logreg_loss_grad(params, X, fit_labels.labels, fit_train,
-                                config.weight_decay)
-
-    def val_acc(probs):
-        return accuracy(probs, fit_labels, fit_val)
+        return logreg_loss_grad(params, X, y[:len(train)], config.weight_decay)
 
     params0 = [np.zeros((labels.num_labels, features.d)), np.zeros(labels.num_labels)]
-    (W, b), _ = _descend(params0, loss_grad, val_acc, config)
+    (W, b), _ = _descend(params0, loss_grad, y[len(train):], config)
     return LogRegModel(W=W, b=b)
 
 
@@ -245,15 +249,10 @@ def gcn_forward(model: GcnModel, adj: sp.csr_matrix,
     """Per-node class probabilities softmax(A_hat relu(A_hat X W0) W1)
     from the raw features X; every row sums to one.
 
-    A_hat X is built ``FORWARD_CHUNK_ROWS`` rows at a time and multiplied
-    by W0 straight away, so no n x d copy of it is ever held. A CSR row
-    slice keeps each row's summation order, so every chunk equals the
-    same rows of A_hat X bit for bit.
+    The first layer is taken as A_hat (X W0): one GEMM, then a sparse
+    product over n x hidden, so no n x d intermediate is built.
     """
-    hidden = np.empty((adj.shape[0], model.W0.shape[1]))
-    for start in range(0, adj.shape[0], FORWARD_CHUNK_ROWS):
-        stop = start + FORWARD_CHUNK_ROWS
-        hidden[start:stop] = np.maximum(adj[start:stop] @ features.values @ model.W0, 0.0)
+    hidden = np.maximum(adj @ (features.values @ model.W0), 0.0)
     return _softmax(adj @ hidden @ model.W1)
 
 
@@ -327,20 +326,14 @@ def train_gcn(adj: sp.csr_matrix, features: FeatureMatrix, labels: LabelVector,
     train, val = np.asarray(split.train), np.asarray(split.val)
     if len(train) == 0 or len(val) == 0:
         raise ValueError("train and validation sets must be non-empty")
-    labeled = split.labeled()
     AX, up, down = gcn_row_block(adj, features, train, val)
-    fit_labels = LabelVector(labels.labels[labeled], labels.num_labels)
-    y_train = fit_labels.labels[:len(train)]
-    fit_val = np.arange(len(train), len(labeled))
+    y = labels.labels[split.labeled()]
 
     def loss_grad(params):
-        return gcn_loss_grad(params, AX, up, down, y_train, config.weight_decay)
-
-    def val_acc(probs):
-        return accuracy(probs, fit_labels, fit_val)
+        return gcn_loss_grad(params, AX, up, down, y[:len(train)], config.weight_decay)
 
     rng = np.random.default_rng(init_seed)
     params0 = [glorot_uniform((features.d, config.hidden_dim), rng),
                glorot_uniform((config.hidden_dim, labels.num_labels), rng)]
-    (W0, W1), _ = _descend(params0, loss_grad, val_acc, config)
+    (W0, W1), _ = _descend(params0, loss_grad, y[len(train):], config)
     return GcnModel(W0=W0, W1=W1)

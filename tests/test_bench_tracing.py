@@ -47,11 +47,11 @@ def test_train_gcn_calls_the_module_loss_once_per_evaluation(monkeypatch):
         counts["calls"] += 1
         return loss_grad(*args)
 
-    def counting_descend(params, evaluate, val_acc, config):
+    def counting_descend(params, evaluate, y_val, config):
         def counted(p):
             counts["evaluations"] += 1
             return evaluate(p)
-        return descend(params, counted, val_acc, config)
+        return descend(params, counted, y_val, config)
 
     monkeypatch.setattr(models, "gcn_loss_grad", counting_loss_grad)
     monkeypatch.setattr(models, "_descend", counting_descend)

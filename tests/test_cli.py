@@ -429,10 +429,31 @@ def test_labels_that_follow_cliques_are_fully_aligned(tmp_path, command, output)
     assert verdict["u_original"] == 1.0
 
 
-@pytest.mark.parametrize("command, where", [("ablate", ""),
-                                            ("perturb", " at swap fraction 0.0")])
-def test_edgeless_rebuild_names_its_graph(tmp_path, capsys, command, where):
-    # a sparse kept graph whose block-model rebuild for graph seed 13 draws no edge
+@pytest.mark.parametrize("command", ["ablate", "perturb"])
+def test_edgeless_rebuild_names_its_graph(tmp_path, capsys, monkeypatch, command):
+    # a sparse kept graph whose block-model rebuild for graph seed 13 draws
+    # no edge; it is found before any study cell detects communities or trains
+    from graphdiag import cli, harness
+
+    calls = []
+    prepare_study = cli.prepare_study
+
+    def prepared(*args):
+        prep = prepare_study(*args)
+        calls.append("prepare_study")
+        return prep
+
+    def recorded(name):
+        real = getattr(harness, name)
+
+        def record(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return record
+
+    monkeypatch.setattr(cli, "prepare_study", prepared)
+    for name in ("train_gcn", "train_logreg", "louvain"):
+        monkeypatch.setattr(harness, name, recorded(name))
     n = 40
     (tmp_path / "labels.tsv").write_text("".join(f"n{i}\t{'ab'[i % 2]}\n" for i in range(n)))
     (tmp_path / "edges.txt").write_text("n0 n1\nn1 n2\n")
@@ -447,8 +468,9 @@ def test_edgeless_rebuild_names_its_graph(tmp_path, capsys, command, where):
         "models": ["logreg"], "keep_top_k_components": 100,
         "train": {"max_epochs": 20, "patience": 5, "hidden_dim": 4}}))
     err = run_failing([command, str(config), "--out", str(tmp_path / "out")], capsys)
-    assert err == (f"graphdiag: error: the sbm graph for graph seed 13{where} came out "
+    assert err == ("graphdiag: error: the sbm graph for graph seed 13 came out "
                    "with no edges, so it has no communities to detect\n")
+    assert calls[-1] == "prepare_study"
 
 
 def test_failed_study_cell_keeps_its_traceback(workdir, tmp_path, monkeypatch):

@@ -10,9 +10,8 @@ from graphdiag.graphs import connected_components
 from graphdiag.harness import SplitSet
 from graphdiag.nullmodels import generate_erdos_renyi
 from graphdiag import models
-from graphdiag.models import (FORWARD_CHUNK_ROWS, GcnModel, TrainingDivergedError,
-                              _descend, gcn_loss_grad, gcn_row_block, glorot_uniform,
-                              logreg_loss_grad)
+from graphdiag.models import (GcnModel, TrainingDivergedError, _descend, gcn_loss_grad,
+                              gcn_row_block, glorot_uniform, logreg_loss_grad)
 from graphdiag.synthetic import planted_partition_graph
 
 from conftest import random_simple_graph
@@ -174,18 +173,6 @@ class TestGcnForward:
         expect /= expect.sum(1, keepdims=True)
         assert np.allclose(probs, expect, atol=1e-12)
 
-    def test_chunked_rows_match_the_full_product_bitwise(self):
-        # A_hat X is built a chunk of rows at a time; a CSR row slice keeps
-        # each row's summation order, so the result equals the one-shot product
-        rng = np.random.default_rng(12)
-        n = 2 * FORWARD_CHUNK_ROWS + 37
-        g = random_simple_graph(rng, n=n, p=8 / n)
-        adj = normalized_adjacency(g)
-        X = rng.standard_normal((n, 5))
-        model = GcnModel(rng.standard_normal((5, 4)), rng.standard_normal((4, 3)))
-        full = models._softmax(adj @ np.maximum(adj @ X @ model.W0, 0.0) @ model.W1)
-        assert np.array_equal(gcn_forward(model, adj, FeatureMatrix(X)), full)
-
     def test_permutation_equivariance_exact_on_dyadic_instance(self):
         # cube graph: 3-regular (degree+1 = 4, a power of two); one-hot
         # features and dyadic weights keep every sum exact, so the
@@ -239,17 +226,16 @@ def _max_grad_error_logreg(n_instances, eps=1e-4, seed0=500):
     for i in range(n_instances):
         rng = np.random.default_rng(seed0 + i)
         X = rng.standard_normal((9, 4))
-        y = rng.integers(0, 3, 9)
-        train = np.arange(6)
+        y_train = rng.integers(0, 3, 9)[:6]  # the leading six rows train
         params = [rng.standard_normal((3, 4)) * 0.5, rng.standard_normal(3) * 0.5]
-        _, grads, _ = logreg_loss_grad(params, X, y, train, 5e-4)
+        _, grads, _ = logreg_loss_grad(params, X, y_train, 5e-4)
         for pi, p in enumerate(params):
             fd = np.zeros_like(p)
             for idx in np.ndindex(p.shape):
                 for sign, store in ((1, 0), (-1, 1)):
                     shifted = [q.copy() for q in params]
                     shifted[pi][idx] += sign * eps
-                    loss, _, _ = logreg_loss_grad(shifted, X, y, train, 5e-4)
+                    loss, _, _ = logreg_loss_grad(shifted, X, y_train, 5e-4)
                     fd[idx] += sign * loss / (2 * eps)
             worst = max(worst, _rel_err(grads[pi], fd).max())
     return worst
@@ -325,15 +311,13 @@ class TestTrainGcn:
         y = rng.integers(0, 2, 20)
         train, val = np.arange(10), np.arange(10, 15)
         block = gcn_row_block(adj, X, train, val)
-        labels = LabelVector(y[np.concatenate([train, val])], 2)
         cfg = TrainConfig(max_epochs=80, patience=80)
         params0 = [glorot_uniform((4, 6), np.random.default_rng(1)),
                    glorot_uniform((6, 2), np.random.default_rng(2))]
         _, losses = _descend(
             params0,
             lambda p: gcn_loss_grad(p, *block, y[train], cfg.weight_decay),
-            lambda probs: accuracy(probs, labels, np.arange(10, 15)),
-            cfg)
+            y[val], cfg)
         assert all(b <= a for a, b in zip(losses, losses[1:]))
 
     def test_divergence_is_reported(self):
@@ -341,7 +325,7 @@ class TestTrainGcn:
             return float("nan"), [np.zeros(1)], np.zeros((1, 1))
 
         with pytest.raises(TrainingDivergedError) as err:
-            _descend([np.zeros(1)], bad_loss, lambda p: 0.0, TrainConfig())
+            _descend([np.zeros(1)], bad_loss, np.zeros(1, dtype=int), TrainConfig())
         assert err.value.epoch == 0
 
 
@@ -450,13 +434,12 @@ class TestRowBlockMatchesFullGraph:
             loss, grads, probs = _full_graph_gcn_loss_grad(
                 params, adj, AX, y, train, config.weight_decay)
             expected.append((loss, np.argmax(probs[split.val], axis=1).tolist()))
-            return loss, grads, probs
+            return loss, grads, probs[split.labeled()]
 
         rng = np.random.default_rng(2)
         params0 = [glorot_uniform((X.d, config.hidden_dim), rng),
                    glorot_uniform((config.hidden_dim, labels.num_labels), rng)]
-        (W0, W1), _ = _descend(params0, reference,
-                               lambda probs: accuracy(probs, labels, split.val), config)
+        (W0, W1), _ = _descend(params0, reference, y[split.val], config)
         assert len(seen) == len(expected) > 1
         assert [v for _, v in seen] == [v for _, v in expected]
         assert np.allclose([l for l, _ in seen], [l for l, _ in expected],
@@ -466,6 +449,134 @@ class TestRowBlockMatchesFullGraph:
         ref_probs = models._softmax(adj @ np.maximum(AX @ W0, 0.0) @ W1)
         assert (accuracy(gcn_forward(model, adj, X), labels, split.test)
                 == accuracy(ref_probs, labels, split.test))
+
+
+# reference set-up for the shared training loop: the logreg loss reads its
+# train rows through an index array, and early stopping is accuracy() over
+# the labels relabelled to the labeled rows (train first, then validation),
+# passed to a copy of the loop that takes such a scorer
+def _reference_logreg_loss_grad(params, X, y, train_idx, weight_decay):
+    W, b = params
+    probs = models._softmax(X @ W.T + b)
+    pt = probs[train_idx]
+    onehot = np.eye(W.shape[0])[y[train_idx]]
+    loss = (models._cross_entropy(pt, y[train_idx])
+            + 0.5 * weight_decay * float(np.sum(W * W)))
+    dlogits = (pt - onehot) / len(train_idx)
+    dW = dlogits.T @ X[train_idx] + weight_decay * W
+    db = dlogits.sum(axis=0)
+    return loss, [dW, db], probs
+
+
+def _reference_descend(params, loss_grad, val_acc, config):
+    lr = config.learning_rate
+    loss, grads, probs = loss_grad(params)
+    best_params = [p.copy() for p in params]
+    best_acc = val_acc(probs)
+    stale = 0
+    for _ in range(config.max_epochs):
+        cand = [p - lr * g for p, g in zip(params, grads)]
+        cand_loss, cand_grads, cand_probs = loss_grad(cand)
+        while ((not np.isfinite(cand_loss) or cand_loss > loss)
+               and lr > models.MIN_LEARNING_RATE):
+            lr *= 0.5
+            cand = [p - lr * g for p, g in zip(params, grads)]
+            cand_loss, cand_grads, cand_probs = loss_grad(cand)
+        if cand_loss > loss:
+            break
+        params, loss, grads = cand, cand_loss, cand_grads
+        acc = val_acc(cand_probs)
+        if acc > best_acc:
+            best_acc = acc
+            best_params = [p.copy() for p in params]
+            stale = 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    return best_params
+
+
+def _reference_fit(model, adj, features, labels, split, config, init_seed):
+    """Best weights and loss-evaluation count of the reference set-up."""
+    train, labeled = split.train, split.labeled()
+    fit_labels = LabelVector(labels.labels[labeled], labels.num_labels)
+    fit_train = np.arange(len(train))
+    fit_val = np.arange(len(train), len(labeled))
+    if model == "logreg":
+        loss = _reference_logreg_loss_grad
+        args = (features.values[labeled], fit_labels.labels, fit_train)
+        params0 = [np.zeros((labels.num_labels, features.d)), np.zeros(labels.num_labels)]
+    else:
+        loss = gcn_loss_grad
+        args = (*gcn_row_block(adj, features, train, split.val),
+                fit_labels.labels[fit_train])
+        rng = np.random.default_rng(init_seed)
+        params0 = [glorot_uniform((features.d, config.hidden_dim), rng),
+                   glorot_uniform((config.hidden_dim, labels.num_labels), rng)]
+    evaluations = []
+
+    def counted(params):
+        evaluations.append(1)
+        return loss(params, *args, config.weight_decay)
+
+    best = _reference_descend(params0, counted,
+                              lambda probs: accuracy(probs, fit_labels, fit_val), config)
+    return best, len(evaluations)
+
+
+def _scaffold_split(name, y):
+    """(train, val) for each case; node 0 has no edge and classes interleave
+    in node order."""
+    others = np.random.default_rng(13).permutation(np.arange(1, len(y)))
+    if name == "interleaved_classes":
+        return np.sort(others[:15]), np.sort(others[15:35])
+    if name == "single_class_val":
+        val = np.sort(others[y[others] == 2][:10])
+        return np.sort(np.setdiff1d(others, val)[:15]), val
+    return np.sort(np.append(others[:14], 0)), np.sort(others[14:34])
+
+
+@pytest.mark.parametrize("case", ["interleaved_classes", "single_class_val",
+                                  "isolated_train_node"])
+@pytest.mark.parametrize("model", ["logreg", "gcn"])
+def test_fit_matches_the_reference_set_up(model, case, monkeypatch):
+    # the loop scores the last len(y_val) rows of each loss's probabilities;
+    # the reference scores the validation rows by index
+    n = 60
+    rng = np.random.default_rng(21)
+    edges = [e for e in random_simple_graph(rng, n=n, p=0.08).edge_array() if 0 not in e]
+    graph = to_undirected(edges, n=n)
+    assert graph.degrees()[0] == 0
+    y = np.arange(n) % 3
+    labels = LabelVector(y, 3)
+    features = FeatureMatrix(0.4 * np.eye(4)[y] + rng.standard_normal((n, 4)))
+    train, val = _scaffold_split(case, y)
+    split = SplitSet(train=train, val=val,
+                     test=np.setdiff1d(np.arange(n), np.append(train, val)))
+    assert (len(set(y[val])) == 1) == (case == "single_class_val")
+    assert (0 in train) == (case == "isolated_train_node")
+    adj = normalized_adjacency(graph)
+    config = TrainConfig(max_epochs=60, patience=8, hidden_dim=6)
+    name = f"{model}_loss_grad"
+    loss_grad, evaluations = getattr(models, name), []
+
+    def counting(*args):
+        evaluations.append(1)
+        return loss_grad(*args)
+
+    monkeypatch.setattr(models, name, counting)
+    if model == "logreg":
+        fitted = train_logreg(features, labels, split, config)
+        weights = [fitted.W, fitted.b]
+    else:
+        fitted = train_gcn(adj, features, labels, split, config, init_seed=4)
+        weights = [fitted.W0, fitted.W1]
+    expected, expected_evaluations = _reference_fit(model, adj, features, labels, split,
+                                                    config, init_seed=4)
+    assert len(evaluations) == expected_evaluations > 1
+    for got, want in zip(weights, expected):
+        assert np.array_equal(got, want)
 
 
 class TestSgcStructure:
