@@ -5,18 +5,22 @@ that greedily improve modularity, followed by aggregation of communities
 into super-nodes, until an aggregation pass produces no merge. Each level
 is a CSR graph (offsets, neighbors, weights) plus each node's degree, which
 also counts the edges inside a super-node; level 0 is the input graph's own
-arrays with unit weights. Weights and degrees are integer-valued floats far
-below 2**53, so every sum is exact in any order. Node visit order is
-reshuffled every pass from a seeded generator and gain ties go to the
-lowest community id. These two rules fix the search path, and with it the
-partitions that the benchmark reference pins.
+arrays with unit weights. No row holds a duplicate or a self-loop. Weights
+and degrees are integer-valued and far below 2**53, so every sum is exact
+in any order. Node visit order is reshuffled every pass from a seeded
+generator and gain ties go to the lowest community id. These two rules fix
+the search path, and with it the partitions that the benchmark reference
+pins.
 
 A move decision reads only the node's community and degree, its summed
 weight to each neighbouring community, and the total degree of each of
-those communities. A visited node none of whose inputs changed since its
-last evaluation is skipped, since it would stay again. The skip is exact:
-the visit order, the RNG stream and the partitions are the same as when
-every node is evaluated on every pass.
+those communities. Each node keeps those summed weights in a dict that is
+updated in place when a neighbour moves. A node that stays sleeps until a
+move into or out of its own or a neighbouring community wakes it, and a
+visit to a sleeping node costs one flag read. A sleeping node's inputs
+are unchanged, so it would stay again: the visit order, the RNG stream
+and the partitions are the same as when every node is evaluated on every
+pass.
 """
 
 from __future__ import annotations
@@ -100,53 +104,69 @@ def _local_moves(offsets: np.ndarray, neighbors: np.ndarray, weights: np.ndarray
     """One move phase on a CSR level; returns the (uncompacted) community of
     each node.
 
-    A node's move decision reads its community, its degree, its summed
-    weight to each neighbouring community and the total degree of its own
-    and of each neighbouring community. Each evaluation takes the next tick
-    of a clock; a move stamps its old and its new community with that tick.
-    A visited node is skipped when its own community and every neighbour's
-    community were last stamped before its last evaluation: no input of its
-    decision has changed since, and the sums are exact, so it would stay
-    again. A node that moved is evaluated on its next visit, because its new
-    community carries its own tick. Every pass still draws its permutation,
-    and a pass with no move still ends the phase, so the RNG stream, the
-    visit order and the partitions are those of evaluating every node.
+    What each node keeps: ``links[u]`` maps each community holding a
+    neighbour of u (its own included) to u's summed edge weight into it.
+    It starts as the row itself, since every node starts alone and rows
+    hold no duplicate. When u moves, each neighbour's dict moves u's
+    weight from the old community to the new one, so an evaluation reads
+    the dict instead of rebuilding it from the row.
 
-    The loop reads Python lists: numpy scalar indexing and arithmetic would
-    cost most of its time, and Python floats round alike."""
+    When a node is woken: a node that stays goes to sleep and registers
+    as a watcher of its own community and of every community in its
+    dict. A move stamps its old and its new community with the count of
+    moves before it, wakes every watcher of the two and empties their
+    lists. A node that moved stays awake, and a visit to a sleeping node
+    is skipped. A node re-registers only on the communities stamped since
+    its last registration. Any other community in its dict was already
+    there and watched then, because a community enters a dict only by a
+    move into it, and no stamp has emptied its list since. So each live
+    entry is unique, and there are at most nnz + n of them.
+
+    Why the evaluated set is the unpruned loop's: a sleeping node is
+    woken by the first stamp on its own community or on a neighbour's.
+    Until some neighbour moves, those are exactly the communities it
+    watches; the first neighbour move stamps the community it leaves,
+    which the node watches. This is the rule of evaluating a node only if
+    one of those communities was stamped since its last evaluation. A
+    skipped node's inputs are unchanged and its sums exact, so it would
+    stay again. Every pass still draws its permutation, and a pass with no
+    move still ends the phase, so the RNG stream, the visit order and the
+    partitions are those of evaluating every node.
+
+    The loop reads Python lists and dicts: numpy scalar indexing and
+    arithmetic would cost most of its time. Links are Python ints, which
+    the in-place updates keep exact. A link is integer-valued and below
+    2**53, so it converts to the equal float exactly, and each gain rounds
+    as it would from the float sum of the row."""
     n = len(degree)
-    offsets, neighbors, weights = offsets.tolist(), neighbors.tolist(), weights.tolist()
+    weights = weights.astype(np.int64)
+    offsets = offsets.tolist()
     degree = degree.tolist()
     comm = list(range(n))
     comm_total = list(degree)
-    evaluated_at = [-1] * n
-    changed_at = [-1] * n
-    clock = 0
+    # dict keys share comm's int objects rather than holding nnz fresh ones
+    links = [dict(zip(map(comm.__getitem__, neighbors[lo:hi].tolist()),
+                      weights[lo:hi].tolist()))
+             for lo, hi in zip(offsets, offsets[1:])]
+    awake = bytearray(b"\x01") * n
+    watchers: list[list[int]] = [[] for _ in range(n)]
+    stamped_at = [-1] * n
+    registered_at = [-1] * n
+    moves = 0
     # gains are tracked in units of m * dQ; rescale the threshold to match
     eps = GAIN_EPS * (two_m / 2.0)
     moved = True
     while moved:
         moved = False
         for u in rng.permutation(n).tolist():
-            cu, last = comm[u], evaluated_at[u]
-            lo, hi = offsets[u], offsets[u + 1]
-            if changed_at[cu] < last:
-                for v in neighbors[lo:hi]:
-                    if changed_at[comm[v]] >= last:
-                        break
-                else:
-                    continue
-            evaluated_at[u] = clock
-            du = degree[u]
-            links: dict[int, float] = {}
-            for v, w in zip(neighbors[lo:hi], weights[lo:hi]):
-                cv = comm[v]
-                links[cv] = links.get(cv, 0.0) + w
+            if not awake[u]:
+                continue
+            cu, du, lu = comm[u], degree[u], links[u]
             comm_total[cu] -= du
-            stay = links.get(cu, 0.0) - du * comm_total[cu] / two_m
+            stay = lu.get(cu, 0) - du * comm_total[cu] / two_m
             # the best gain over stay + eps; equal gains go to the lowest id
             best_c, best_gain = cu, stay
-            for c, link in links.items():
+            for c, link in lu.items():
                 if c == cu:
                     continue
                 gain = link - du * comm_total[c] / two_m
@@ -154,11 +174,32 @@ def _local_moves(offsets: np.ndarray, neighbors: np.ndarray, weights: np.ndarray
                                           or (gain == best_gain and c < best_c)):
                     best_c, best_gain = c, gain
             comm_total[best_c] += du
-            if best_c != cu:
-                comm[u] = best_c
-                changed_at[cu] = changed_at[best_c] = clock
-                moved = True
-            clock += 1
+            if best_c == cu:
+                awake[u] = 0
+                since, registered_at[u] = registered_at[u], moves
+                if stamped_at[cu] >= since and cu not in lu:
+                    watchers[cu].append(u)
+                for c in lu:
+                    if stamped_at[c] >= since:
+                        watchers[c].append(u)
+                continue
+            comm[u] = best_c
+            moved = True
+            stamped_at[cu] = stamped_at[best_c] = moves
+            moves += 1
+            for watching in (watchers[cu], watchers[best_c]):
+                for v in watching:
+                    awake[v] = 1
+                watching.clear()
+            lo, hi = offsets[u], offsets[u + 1]
+            for v, w in zip(neighbors[lo:hi].tolist(), weights[lo:hi].tolist()):
+                lv = links[v]
+                left = lv[cu] - w
+                if left:
+                    lv[cu] = left
+                else:
+                    del lv[cu]
+                lv[best_c] = lv.get(best_c, 0) + w
     return np.array(comm, dtype=np.int64)
 
 

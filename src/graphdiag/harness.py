@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .community import Partition, block_density_matrix, louvain, modularity
-from .graphs import (Dataset, GraphError, edge_density, induced_subdataset, induced_subgraph,
-                     remove_rare_labels, select_components)
+from .graphs import (Dataset, GraphError, LabeledGraph, edge_density, induced_subdataset,
+                     induced_subgraph, remove_rare_labels, select_components)
 from .infotheory import joint_counts, uncertainty_coefficient
 from .models import (TrainConfig, accuracy, check_number, gcn_forward, logreg_forward,
                      normalized_adjacency, sgc_propagate, train_gcn, train_logreg)
@@ -387,13 +387,14 @@ def _uncertainty_values(prep: PreparedStudy, partition: Partition) -> list[float
             for split in prep.splits]
 
 
-# worker-process state for the task pool (populated by fork or initializer)
-_TASK_STATE: PreparedStudy | None = None
+# worker-process state for the task pool (populated by fork or initializer):
+# the study and its block-model graphs by graph seed
+_TASK_STATE: tuple[PreparedStudy, dict[int, LabeledGraph]] | None = None
 
 
-def _set_task_state(prep: PreparedStudy) -> None:
+def _set_task_state(prep: PreparedStudy, sbm_graphs: dict[int, LabeledGraph]) -> None:
     global _TASK_STATE
-    _TASK_STATE = prep
+    _TASK_STATE = prep, sbm_graphs
 
 
 def _study_cell(task: tuple[str, int, int | None, tuple[str, ...]]):
@@ -404,10 +405,10 @@ def _study_cell(task: tuple[str, int, int | None, tuple[str, ...]]):
     when the task carries a fraction index, so a sweep cell at fraction 0
     is the ablation's cell for the same variant and graph seed.
     """
-    prep = _TASK_STATE
+    prep, sbm_graphs = _TASK_STATE
     config = prep.config
     variant, g, fraction_index, models = task
-    graph = _variant_graph(prep, variant, g)
+    graph = sbm_graphs[g] if variant == "sbm" else _variant_graph(prep, variant, g)
     if fraction_index is not None:
         graph = swap_perturbation(graph, prep.base_partition, config.fractions[fraction_index],
                                   derive_seed(config.seed, _ROLE_SWAP, g, fraction_index))
@@ -419,21 +420,24 @@ def _study_cell(task: tuple[str, int, int | None, tuple[str, ...]]):
 
 
 def _map_tasks(tasks, prep: PreparedStudy, jobs: int) -> list:
-    # swaps and the cm and random rebuilds keep the edge count, so only a
-    # sparse graph's block-model rebuild can draw no edge at all; it is
-    # found before any cell runs
+    # each block-model graph is drawn once, here, and shared by every cell
+    # of its graph seed. Swaps and the cm and random rebuilds keep the edge
+    # count, so only a sparse graph's block-model rebuild can draw no edge
+    # at all; it is found before any cell runs
+    sbm_graphs = {}
     for g in sorted({g for variant, g, _, _ in tasks if variant == "sbm"}):
-        if _variant_graph(prep, "sbm", g).m == 0:
+        sbm_graphs[g] = _variant_graph(prep, "sbm", g)
+        if sbm_graphs[g].m == 0:
             raise GraphError(f"the sbm graph for graph seed {g} came out with no edges, "
                              "so it has no communities to detect")
     # a forked pool starts all of its workers at the first submit, so it
     # gets no more workers than there are tasks
     workers = min(jobs, len(tasks))
     if workers <= 1:
-        _set_task_state(prep)
+        _set_task_state(prep, sbm_graphs)
         return [_study_cell(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers, initializer=_set_task_state,
-                             initargs=(prep,)) as pool:
+                             initargs=(prep, sbm_graphs)) as pool:
         return list(pool.map(_study_cell, tasks))
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -152,12 +153,15 @@ def _reference_csr_local_moves(offsets, neighbors, weights, degree, two_m, rng):
 
 @st.composite
 def csr_levels(draw):
-    """A Louvain level as the move phase sees it: integer weights 1-3 and
+    """A Louvain level as the move phase sees it: integer weights and
     degrees above the row sum by twice an integer self-weight, as on a
-    super-node. Half are circulant graphs with one weight and one
+    super-node. Weights and self-weights run up to 3 or, on some levels, up
+    to 2**31, where a link summed as a Python int must still give the
+    float sum's gains. Half are circulant graphs with one weight and one
     self-weight, whose equal gains force ties; all may have isolated nodes.
     Rows are shuffled, so candidate order is not id order."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.sampled_from([3, 2**31]))
     n = draw(st.integers(2, 60))
     isolated = draw(st.integers(0, 3))
     weight = np.zeros((n + isolated, n + isolated))
@@ -165,13 +169,13 @@ def csr_levels(draw):
         for d in range(1, draw(st.integers(1, (n - 1) // 2)) + 1):
             for i in range(n):
                 weight[i, (i + d) % n] = weight[(i + d) % n, i] = 1.0
-        weight *= draw(st.integers(1, 3))
-        self_weight = np.full(n + isolated, float(draw(st.integers(0, 3))))
+        weight *= draw(st.integers(1, top))
+        self_weight = np.full(n + isolated, float(draw(st.integers(0, top))))
     else:
         upper = np.triu(rng.random((n, n)) < draw(st.floats(0.05, 0.5)), 1)
-        weight[:n, :n] = upper * rng.integers(1, 4, (n, n))
+        weight[:n, :n] = upper * rng.integers(1, top + 1, (n, n))
         weight += weight.T
-        self_weight = rng.integers(0, 4, n + isolated).astype(np.float64)
+        self_weight = rng.integers(0, top + 1, n + isolated).astype(np.float64)
     degree = weight.sum(axis=1) + 2.0 * self_weight
     assume(degree.sum() > 0)
     rows = [rng.permutation(np.flatnonzero(row)) for row in weight]
@@ -298,6 +302,13 @@ class TestLouvainMatchesReference:
         for seed in range(3):
             assert_matches_reference(g, seed)
 
+    def test_sparse_multi_level_planted_graph(self):
+        # 2000 nodes of average degree 5.9: level 0 ends with 700-800 small
+        # communities, and most of its visits find a sleeping node
+        g, _ = planted_partition_graph(200, 10, 0.025, 0.0005, seed=5)
+        for seed in range(4):
+            assert_matches_reference(g, seed)
+
     def test_cora_scale_planted_graph_and_its_rewiring(self):
         g, _ = planted_partition_graph(400, 7, 0.0115, 0.0004, seed=8)
         assert_matches_reference(g, 0)
@@ -320,6 +331,41 @@ class TestLouvainMatchesReference:
         assert np.array_equal(comm, expected)
         # the same number of passes drew the same number of permutations
         assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_a_node_wakes_when_a_stranger_joins_its_community(self):
+        # node 1's neighbours are nodes 4 and 8; at seed 1 it stays in
+        # community 8 beside node 7, where it has no neighbour, until node
+        # 0, not a neighbour either, joins that community. Only its watch
+        # on its own community wakes it, and it then moves
+        offsets = np.array([0, 5, 7, 13, 17, 22, 26, 31, 35, 42])
+        neighbors = np.array([2, 3, 4, 5, 7, 4, 8, 0, 3, 5, 6, 7, 8, 0, 2, 6, 8, 0, 1, 6, 7,
+                              8, 0, 2, 6, 8, 2, 3, 4, 5, 8, 0, 2, 4, 8, 1, 2, 3, 4, 5, 6, 7])
+        weights = np.array([1, 1, 1, 2, 2, 2, 1, 1, 3, 2, 2, 1, 1, 1, 3, 2, 1, 1, 2, 3, 2,
+                            3, 2, 2, 1, 2, 2, 2, 3, 1, 3, 2, 1, 2, 3, 1, 1, 1, 3, 2, 3, 3.0])
+        degree = np.array([13, 5, 10, 7, 117, 9, 11, 12, 18.0])
+        rng, reference_rng = np.random.default_rng(1), np.random.default_rng(1)
+        comm = _local_moves(offsets, neighbors, weights, degree, degree.sum(), rng)
+        expected = _reference_csr_local_moves(offsets, neighbors, weights, degree,
+                                              degree.sum(), reference_rng)
+        assert comm.tolist() == expected.tolist() == [8, 3, 3, 3, 4, 3, 3, 8, 3]
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_move_phase_memory_stays_near_the_unpruned_loop(self):
+        # the per-node dicts and watcher lists replace the flat Python copy
+        # of the row arrays; on a sparse planted level they must cost at
+        # most twice the unpruned loop's peak (about 1.6x at this size)
+        g, _ = planted_partition_graph(200, 10, 0.025, 0.0005, seed=5)
+        level = (g.offsets, g.neighbors, np.ones(len(g.neighbors)),
+                 g.degrees().astype(np.float64), 2.0 * g.m)
+        peaks = []
+        for move_phase in (_local_moves, _reference_csr_local_moves):
+            tracemalloc.start()
+            try:
+                move_phase(*level, np.random.default_rng(0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 2 * peaks[1]
 
 
 def test_u_spread_across_louvain_seeds():

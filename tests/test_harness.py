@@ -380,6 +380,22 @@ class TestPerturbationSweep:
         u_sweep = np.mean([u for c in zero_cells for u in c.u_values])
         assert u_sweep == pytest.approx(u_study, abs=0)
 
+    def test_each_block_model_graph_is_drawn_once(self, tiny_dataset, monkeypatch):
+        # the up-front edgeless check draws each graph seed's block-model
+        # graph, and every fraction's cell swaps that same graph
+        draw = harness.generate_sbm
+        seeds = []
+
+        def counting_sbm(densities, partition, seed):
+            seeds.append(seed)
+            return draw(densities, partition, seed)
+
+        prep = tiny_prep(tiny_dataset, fractions=(0.0, 0.2, 0.4))
+        expected = run_perturbation_sweep(prep)
+        monkeypatch.setattr(harness, "generate_sbm", counting_sbm)
+        assert run_perturbation_sweep(prep) == expected
+        assert len(seeds) == len(set(seeds)) == prep.config.n_graph_seeds
+
     def test_rows_cover_fractions(self, tiny_dataset):
         prep = tiny_prep(tiny_dataset, fractions=(0.0, 0.25))
         sweep = run_perturbation_sweep(prep)
