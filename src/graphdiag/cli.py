@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,13 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args, features: bool, **overrides) -> tuple[Dataset, StudyConfig]:
-    """Load the config (with command-line overrides) and its dataset. The
-    feature file is read only when ``features`` is set: only ablate and perturb train."""
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.keep_top_k_components is not None:
-        overrides["keep_top_k_components"] = args.keep_top_k_components
+def _load(args, features: bool) -> tuple[Dataset, StudyConfig]:
+    """Load the config and its dataset; a flag named after a config key
+    overrides it when given. The feature file is read only when
+    ``features`` is set: only ablate and perturb train."""
+    overrides = {f.name: getattr(args, f.name) for f in fields(StudyConfig)
+                 if getattr(args, f.name, None) is not None}
     config = replace(load_config(args.config), **overrides)
     missing = [key for key in ("edges", "features", "labels") if not getattr(config, key)]
     if missing:
@@ -158,8 +157,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    overrides = {} if args.fractions is None else {"fractions": args.fractions}
-    sweep = run_perturbation_sweep(prepare_study(*_load(args, features=True, **overrides)),
+    sweep = run_perturbation_sweep(prepare_study(*_load(args, features=True)),
                                    jobs=args.jobs)
     print("fraction  U(L|C) mean+/-std   accuracy mean+/-std")
     for row in sweep.rows:

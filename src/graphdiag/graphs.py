@@ -122,10 +122,12 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class LabelVector:
-    """Per-node class ids in [0, num_labels)."""
+    """Per-node class ids in [0, num_labels), and each class's label token
+    from the label file (its id when none is given)."""
 
     labels: np.ndarray
     num_labels: int
+    tokens: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         labels = np.asarray(self.labels, dtype=np.int64).view()
@@ -136,6 +138,10 @@ class LabelVector:
             raise GraphError("need at least one label class")
         if len(labels) and (labels.min() < 0 or labels.max() >= self.num_labels):
             raise GraphError("label id out of range")
+        if not self.tokens:
+            object.__setattr__(self, "tokens", tuple(str(c) for c in range(self.num_labels)))
+        if len(self.tokens) != self.num_labels:
+            raise GraphError("labels and label tokens disagree on the class count")
         labels.setflags(write=False)
 
     def __len__(self) -> int:
@@ -227,7 +233,8 @@ def induced_subdataset(dataset: Dataset, nodes: np.ndarray) -> Dataset:
         graph=induced_subgraph(dataset.graph, nodes),
         features=(None if dataset.features is None
                   else FeatureMatrix(dataset.features.values[nodes])),
-        labels=LabelVector(labels, len(present)),
+        labels=LabelVector(labels, len(present),
+                           tuple(dataset.labels.tokens[c] for c in present)),
         node_tokens=tuple(dataset.node_tokens[i] for i in nodes),
     )
 

@@ -4,6 +4,11 @@ the position-swap sweep, and the applicability verdict.
 Every random choice is derived from one master seed through per-role
 seed-sequence keys over (variant, graph index, split, init), so results
 are identical regardless of execution order or worker count.
+
+Each study setting states its type and bound once, at its dataclass field
+(``models.setting``); the dataclass checks them, and ``_from_json`` loads
+nested settings objects by one rule. Each CSV's columns are its record
+dataclass's fields.
 """
 
 from __future__ import annotations
@@ -21,10 +26,11 @@ from .community import Partition, block_density_matrix, louvain, modularity
 from .graphs import (Dataset, GraphError, LabeledGraph, edge_density, induced_subdataset,
                      induced_subgraph, remove_rare_labels, select_components)
 from .infotheory import joint_counts, uncertainty_coefficient
-from .models import (TrainConfig, accuracy, check_number, gcn_forward, logreg_forward,
-                     normalized_adjacency, sgc_propagate, train_gcn, train_logreg)
+from .models import (TrainConfig, accuracy, check_number, check_settings, gcn_forward,
+                     logreg_forward, normalized_adjacency, setting, sgc_propagate, train_gcn,
+                     train_logreg)
 from .nullmodels import (generate_erdos_renyi, generate_sbm, rewire_configuration_model,
-                         swap_perturbation)
+                         swap_count, swap_perturbation)
 from .stats import bonferroni, mann_whitney_u
 
 SCHEMA_VERSION = "1"
@@ -66,11 +72,10 @@ def make_splits(labels, quotas: tuple[int, int], n_splits: int,
     train_q, val_q = quotas
     if train_q < 1 or val_q < 1 or n_splits < 1:
         raise ValueError("quotas and n_splits must be positive")
-    counts = labels.class_counts()
-    for c, count in enumerate(counts):
+    for token, count in zip(labels.tokens, labels.class_counts()):
         if count <= train_q + val_q:
             raise ValueError(
-                f"class {c} has {count} nodes; needs more than {train_q + val_q}")
+                f"class {token} has {count} nodes; needs more than {train_q + val_q}")
     rng = np.random.default_rng(seed)
     n = len(labels)
     members = [np.flatnonzero(labels.labels == c) for c in range(labels.num_labels)]
@@ -94,16 +99,14 @@ class Thresholds:
     """Verdict bands: U(L|C) below ``low`` favours a feature-only model,
     above ``high`` graph propagation; in between the sweep decides."""
 
-    low: float
-    high: float
+    # no defaults: a config that sets the bands sets both
+    low: float = setting(MISSING, ">= 0")
+    high: float = setting(MISSING, "<= 1")
 
     def __post_init__(self) -> None:
-        check_number("thresholds.low", self.low)
-        check_number("thresholds.high", self.high)
-        if not (0.0 <= self.low < self.high <= 1.0):
+        check_settings(self, "thresholds.")
+        if not self.low < self.high:
             raise ValueError("thresholds must satisfy 0 <= low < high <= 1")
-        object.__setattr__(self, "low", float(self.low))
-        object.__setattr__(self, "high", float(self.high))
 
 
 @dataclass(frozen=True)
@@ -111,15 +114,15 @@ class StudyConfig:
     edges: str | None = None
     features: str | None = None
     labels: str | None = None
-    train_per_class: int = 20
-    val_per_class: int = 30
-    n_splits: int = 10
-    n_inits: int = 3
-    n_graph_seeds: int = 5
+    train_per_class: int = setting(20, ">= 1")
+    val_per_class: int = setting(30, ">= 1")
+    n_splits: int = setting(10, ">= 1")
+    n_inits: int = setting(3, ">= 1")
+    n_graph_seeds: int = setting(5, ">= 1")
     models: tuple[str, ...] = MODEL_NAMES
-    seed: int = 0
-    keep_top_k_components: int = 1
-    min_label_count: int | None = None  # None: train + val quota + 1
+    seed: int = setting(0, ">= 0")
+    keep_top_k_components: int = setting(1, ">= 1")
+    min_label_count: int | None = setting(None, ">= 1")  # None: train + val quota + 1
     # past ~0.5 a two-community graph inverts rather than scrambles (the
     # coefficient is symmetric to label flips), so the default sweep stops there
     fractions: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -127,20 +130,7 @@ class StudyConfig:
     train: TrainConfig = TrainConfig()
 
     def __post_init__(self) -> None:
-        for key in ("edges", "features", "labels"):
-            value = getattr(self, key)
-            if value is not None and not isinstance(value, str):
-                raise ValueError(f"{key} must be a path string, got {value!r}")
-        for key in ("train_per_class", "val_per_class", "n_splits", "n_inits",
-                    "n_graph_seeds", "keep_top_k_components", "min_label_count"):
-            value = getattr(self, key)
-            if value is not None:
-                check_number(key, value, integer=True)
-                if value < 1:
-                    raise ValueError(f"{key} must be >= 1, got {value!r}")
-        check_number("seed", self.seed, integer=True)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        check_settings(self)
         if (not isinstance(self.models, (list, tuple)) or not self.models
                 or any(m not in MODEL_NAMES for m in self.models)
                 or len(set(self.models)) < len(self.models)):
@@ -167,31 +157,28 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StudyConfig":
-        if not isinstance(raw, dict):
-            raise ValueError(f"a config must be a JSON object, got {type(raw).__name__}")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        data = dict(raw)
-        for key, nested in (("train", TrainConfig), ("thresholds", Thresholds)):
-            if key in data:
-                data[key] = _load_object(key, nested, data[key])
-        return cls(**data)
+        return _from_json(cls, raw)
 
 
-def _load_object(key: str, cls, raw):
-    """Build the nested config object ``cls`` from the JSON object ``raw``,
-    naming ``key`` if a field is unknown or a field without a default is unset."""
+def _from_json(cls, raw, key: str | None = None):
+    """Build the settings dataclass ``cls`` from the JSON object ``raw``.
+    A field whose default is a settings object is built from its own JSON
+    object, named by ``key`` if it is unknown or leaves a field without a
+    default unset; its other fields keep their defaults."""
     if not isinstance(raw, dict):
-        raise ValueError(f"{key} must be a JSON object, got {raw!r}")
+        raise ValueError(f"{key} must be a JSON object, got {raw!r}" if key else
+                         f"a config must be a JSON object, got {type(raw).__name__}")
     unknown = set(raw) - set(cls.__dataclass_fields__)
     if unknown:
-        raise ValueError(f"unknown {key} config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {key + ' ' if key else ''}config keys: {sorted(unknown)}")
     unset = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
     if unset:
         raise ValueError(f"{key} must set {' and '.join(unset)}, got {sorted(raw)}")
-    return cls(**raw)
+    data = dict(raw)
+    for f in fields(cls):
+        if f.name in data and is_dataclass(f.default):
+            data[f.name] = _from_json(type(f.default), data[f.name], f.name)
+    return cls(**data)
 
 
 def load_config(path) -> StudyConfig:
@@ -420,6 +407,11 @@ def _study_cell(task: tuple[str, int, int | None, tuple[str, ...]]):
 
 
 def _map_tasks(tasks, prep: PreparedStudy, jobs: int) -> list:
+    # a swap's rules read only the study's node count and base communities,
+    # so an infeasible fraction is found before any cell runs
+    for fi in sorted({fi for _, _, fi, _ in tasks if fi is not None}):
+        swap_count(prep.config.fractions[fi], prep.dataset.n,
+                   prep.base_partition.num_communities)
     # each block-model graph is drawn once, here, and shared by every cell
     # of its graph seed. Swaps and the cm and random rebuilds keep the edge
     # count, so only a sparse graph's block-model rebuild can draw no edge
@@ -590,9 +582,23 @@ def write_json(payload, path) -> Path:
     precision, so identical payloads give byte-identical files."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, default=_json_default)
         fh.write("\n")
+    return path
+
+
+def _write_csv(cls, rows: Sequence, path) -> Path:
+    """Write the dataclass ``rows`` of type ``cls`` as CSV: a header of its
+    field names, then ``str()`` of each field. str of a float is its
+    round-trip repr, so identical rows give byte-identical files."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    names = [f.name for f in fields(cls)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        for row in rows:
+            fh.write(",".join(str(getattr(row, name)) for name in names) + "\n")
     return path
 
 
@@ -601,28 +607,15 @@ def emit_report(report: StudyReport, out_dir) -> list[Path]:
     carries sweep rows). Floats are written with full round-trip precision,
     so identical studies produce byte-identical files."""
     out = Path(out_dir)
-    json_path = write_json(report, out / "report.json")
-    csv_path = out / "accuracies.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("model,variant,graph_seed,split,init,accuracy\n")
-        for r in report.records:
-            fh.write(f"{r.model},{r.variant},{r.graph_seed},{r.split},"
-                     f"{r.init},{r.accuracy!r}\n")
-    written = [json_path, csv_path]
+    written = [write_json(report, out / "report.json"),
+               _write_csv(RunRecord, report.records, out / "accuracies.csv")]
     if report.sweep:
         written.append(write_sweep_csv(report.sweep, out / "sweep.csv"))
     return written
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("fraction,u_mean,u_std,accuracy_mean,accuracy_std\n")
-        for r in rows:
-            fh.write(f"{r.fraction!r},{r.u_mean!r},{r.u_std!r},"
-                     f"{r.accuracy_mean!r},{r.accuracy_std!r}\n")
-    return path
+    return _write_csv(SweepRow, rows, path)
 
 
 @dataclass(frozen=True)

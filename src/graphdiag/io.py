@@ -44,7 +44,8 @@ def load_labels(path) -> tuple[dict[str, int], LabelVector]:
     """Read the label file.
 
     Returns (node_index, labels): node token -> node id, with node and
-    label ids assigned in first-appearance order.
+    label ids assigned in first-appearance order; ``labels`` keeps the
+    label tokens.
     """
     node_index: dict[str, int] = {}
     label_index: dict[str, int] = {}
@@ -60,7 +61,7 @@ def load_labels(path) -> tuple[dict[str, int], LabelVector]:
         ids.append(label_index.setdefault(label, len(label_index)))
     if not node_index:
         raise DatasetFormatError(path, None, "label file is empty")
-    labels = LabelVector(np.array(ids, dtype=np.int64), len(label_index))
+    labels = LabelVector(np.array(ids, dtype=np.int64), len(label_index), tuple(label_index))
     return node_index, labels
 
 
@@ -174,6 +175,6 @@ def load_dataset(edge_path, feature_path, label_path) -> Dataset:
 
 def write_partition(path, partition: Partition, node_tokens) -> None:
     """Write one ``token<TAB>community`` line per node, in node order."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for token, c in zip(node_tokens, partition.assignment):
             fh.write(f"{token}\t{c}\n")

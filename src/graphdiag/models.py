@@ -20,13 +20,17 @@ retried at half the rate, so the recorded loss sequence never increases.
 Every loss returns its probabilities with the train rows first and the
 validation rows last; model selection keeps the epoch whose validation
 rows score the best accuracy.
+
+A study setting states its type and bound once, at its dataclass field
+(``setting``); ``check_settings`` holds every settings dataclass to them.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+import operator
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -56,37 +60,52 @@ def check_number(key: str, value, integer: bool = False) -> None:
             f"{key} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
 
 
+_BOUNDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+
+
+def setting(default, rule: str):
+    """A number field of a settings dataclass, with its default (``MISSING``
+    for none) and the bound ``check_settings`` holds it to, e.g. ``">= 1"``."""
+    return field(default=default, metadata={"rule": rule})
+
+
+def check_settings(config, prefix: str = "") -> None:
+    """Check each field of the settings dataclass ``config`` in order by its
+    annotated type, naming it ``prefix`` + its name: a ``str`` is a path
+    string, an ``int`` or ``float`` is a ``setting`` within its bound (a
+    bool is no number), and a ``| None`` field may be None. Floats are
+    stored as floats, so equal configs (2 or 2.0) write equal bytes."""
+    for f in fields(config):
+        key, value = prefix + f.name, getattr(config, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        if value is None and optional == "None":
+            continue
+        if kind == "str" and not isinstance(value, str):
+            raise ValueError(f"{key} must be a path string, got {value!r}")
+        if kind in ("int", "float"):
+            check_number(key, value, integer=kind == "int")
+            op, bound = f.metadata["rule"].split()
+            if not _BOUNDS[op](value, float(bound)):
+                raise ValueError(f"{key} must be {f.metadata['rule']}, got {value!r}")
+        if kind == "float":
+            object.__setattr__(config, f.name, float(value))
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters shared by every training run of a study."""
 
     # full-batch plain GD wants a large base step; the backoff halves it
     # whenever a step would overshoot
-    learning_rate: float = 2.0
-    max_epochs: int = 300
-    weight_decay: float = 5e-4
-    patience: int = 30
-    hidden_dim: int = 16
-    sgc_k: int = 2
+    learning_rate: float = setting(2.0, "> 0")
+    max_epochs: int = setting(300, ">= 1")
+    weight_decay: float = setting(5e-4, ">= 0")
+    patience: int = setting(30, ">= 1")
+    hidden_dim: int = setting(16, ">= 1")
+    sgc_k: int = setting(2, ">= 0")
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            check_number(f"train.{field.name}", getattr(self, field.name),
-                         integer=field.type == "int")
-        rules = (("learning_rate", "> 0", self.learning_rate > 0),
-                 ("max_epochs", ">= 1", self.max_epochs >= 1),
-                 ("weight_decay", ">= 0", self.weight_decay >= 0),
-                 ("patience", ">= 1", self.patience >= 1),
-                 ("hidden_dim", ">= 1", self.hidden_dim >= 1),
-                 ("sgc_k", ">= 0", self.sgc_k >= 0))
-        for key, rule, ok in rules:
-            if not ok:
-                raise ValueError(
-                    f"train.{key} must be {rule}, got {getattr(self, key)!r}")
-        # stored as floats, so equal configs (a rate of 2 or 2.0) write equal bytes
-        for field in fields(self):
-            if field.type == "float":
-                object.__setattr__(self, field.name, float(getattr(self, field.name)))
+        check_settings(self, "train.")
 
 
 @dataclass

@@ -207,6 +207,21 @@ def generate_erdos_renyi(n: int, m_target: int, seed: int) -> LabeledGraph:
     return to_undirected(edges, n=n)
 
 
+def swap_count(fraction: float, n: int, num_communities: int) -> int:
+    """Nodes a swap at ``fraction`` selects among ``n`` nodes split into
+    ``num_communities`` communities: none at fraction 0, else
+    floor(fraction * n). Raises a GraphError unless that swap can run."""
+    if fraction == 0.0:
+        return 0
+    n_selected = int(math.floor(fraction * n))
+    if n_selected < 2:
+        raise GraphError(f"fraction {fraction} selects {n_selected} of {n} nodes; "
+                         "a swap needs at least two")
+    if num_communities < 2:
+        raise GraphError("swapping needs at least two communities")
+    return n_selected
+
+
 def swap_perturbation(graph: LabeledGraph, partition: Partition, fraction: float,
                       seed: int) -> LabeledGraph:
     """Exchange the graph positions of randomly paired cross-community nodes.
@@ -219,15 +234,10 @@ def swap_perturbation(graph: LabeledGraph, partition: Partition, fraction: float
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
-    if fraction == 0.0:
-        return graph
     n = graph.n
-    n_selected = int(math.floor(fraction * n))
-    if n_selected < 2:
-        raise GraphError(f"fraction {fraction} selects {n_selected} of {n} nodes; "
-                         "a swap needs at least two")
-    if partition.num_communities < 2:
-        raise GraphError("swapping needs at least two communities")
+    n_selected = swap_count(fraction, n, partition.num_communities)
+    if n_selected == 0:
+        return graph
     rng = np.random.default_rng(seed)
     selected = rng.permutation(n)[:n_selected]
     pool = list(selected)

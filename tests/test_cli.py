@@ -429,31 +429,38 @@ def test_labels_that_follow_cliques_are_fully_aligned(tmp_path, command, output)
     assert verdict["u_original"] == 1.0
 
 
-@pytest.mark.parametrize("command", ["ablate", "perturb"])
-def test_edgeless_rebuild_names_its_graph(tmp_path, capsys, monkeypatch, command):
-    # a sparse kept graph whose block-model rebuild for graph seed 13 draws
-    # no edge; it is found before any study cell detects communities or trains
+@pytest.fixture
+def calls(monkeypatch):
+    """Names of the calls a command makes, in order: ``prepare_study`` when
+    it returns, and each fit and Louvain run of the harness as it starts."""
     from graphdiag import cli, harness
 
-    calls = []
+    log = []
     prepare_study = cli.prepare_study
 
     def prepared(*args):
         prep = prepare_study(*args)
-        calls.append("prepare_study")
+        log.append("prepare_study")
         return prep
 
     def recorded(name):
         real = getattr(harness, name)
 
         def record(*args, **kwargs):
-            calls.append(name)
+            log.append(name)
             return real(*args, **kwargs)
         return record
 
     monkeypatch.setattr(cli, "prepare_study", prepared)
     for name in ("train_gcn", "train_logreg", "louvain"):
         monkeypatch.setattr(harness, name, recorded(name))
+    return log
+
+
+@pytest.mark.parametrize("command", ["ablate", "perturb"])
+def test_edgeless_rebuild_names_its_graph(tmp_path, capsys, calls, command):
+    # a sparse kept graph whose block-model rebuild for graph seed 13 draws
+    # no edge; it is found before any study cell detects communities or trains
     n = 40
     (tmp_path / "labels.tsv").write_text("".join(f"n{i}\t{'ab'[i % 2]}\n" for i in range(n)))
     (tmp_path / "edges.txt").write_text("n0 n1\nn1 n2\n")
@@ -471,6 +478,79 @@ def test_edgeless_rebuild_names_its_graph(tmp_path, capsys, monkeypatch, command
     assert err == ("graphdiag: error: the sbm graph for graph seed 13 came out "
                    "with no edges, so it has no communities to detect\n")
     assert calls[-1] == "prepare_study"
+
+
+@pytest.mark.parametrize("command", ["perturb", "verdict"])
+def test_infeasible_swap_fraction_fails_before_any_cell(workdir, tmp_path, capsys, calls,
+                                                        command):
+    # 0.01 of the 80 kept nodes selects none; it is found before the
+    # fraction-0 cells fit a model or detect communities
+    bad = with_config(workdir, "tiny-fraction.json", fractions=[0, 0.01, 0.3],
+                      thresholds={"low": 0, "high": 1})
+    err = run_failing([command, bad, "--out", str(tmp_path / "out")], capsys)
+    assert err == ("graphdiag: error: fraction 0.01 selects 0 of 80 nodes; "
+                   "a swap needs at least two\n")
+    assert calls[-1] == "prepare_study"
+
+
+def test_small_class_error_names_its_label(tmp_path, capsys):
+    # a ring of 123 nodes: 3 Rare ones, then 60 Apple, 45 Banana and 15
+    # Cherry. Rare falls below min_label_count and is dropped, which moves
+    # Cherry's compacted id from 3 to 2; Cherry cannot fill quotas of 20 + 20
+    names = ["Rare"] * 3 + ["Apple"] * 60 + ["Banana"] * 45 + ["Cherry"] * 15
+    n = len(names)
+    (tmp_path / "labels.tsv").write_text(
+        "".join(f"n{i}\t{name}\n" for i, name in enumerate(names)))
+    (tmp_path / "edges.txt").write_text("".join(f"n{i} n{(i + 1) % n}\n" for i in range(n)))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "edges": str(tmp_path / "edges.txt"),
+        "features": str(tmp_path / "features.csv"),
+        "labels": str(tmp_path / "labels.tsv"),
+        "train_per_class": 20, "val_per_class": 20, "min_label_count": 10}))
+    err = run_failing(["analyze", str(config), "--out", str(tmp_path / "out")], capsys)
+    assert err == "graphdiag: error: class Cherry has 15 nodes; needs more than 40\n"
+
+
+@pytest.mark.parametrize("command, flag, key, value", [
+    ("ablate", "--seed", "seed", 5),
+    ("ablate", "--keep-top-k-components", "keep_top_k_components", 2),
+    ("perturb", "--fractions", "fractions", [0, 0.1, 0.3]),
+])
+def test_each_override_writes_like_its_config_key(workdir, tmp_path, command, flag, key,
+                                                  value):
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    config = str(workdir / "config.json")
+    assert main([command, config, "--out", str(tmp_path / "flag"), flag, text]) == 0
+    assert main([command, with_config(workdir, f"{key}.json", **{key: value}),
+                 "--out", str(tmp_path / "key")]) == 0
+    assert main([command, config, "--out", str(tmp_path / "base")]) == 0
+    outputs = {run: {p.name: p.read_bytes() for p in (tmp_path / run).iterdir()}
+               for run in ("flag", "key", "base")}
+    assert outputs["flag"] == outputs["key"]
+    # the override took effect
+    assert outputs["flag"] != outputs["base"]
+
+
+def test_every_output_is_written_with_unix_newlines(workdir, tmp_path, monkeypatch):
+    # the golden digests pin bytes, so no writer may translate "\n" to the
+    # platform's line separator
+    from graphdiag import harness
+
+    newline = {}
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            newline[Path(file).name] = kwargs.get("newline")
+        return open(file, mode, *args, **kwargs)
+
+    for module in (harness, gio):
+        monkeypatch.setattr(module, "open", recording_open, raising=False)
+    for command in ("analyze", "ablate", "perturb", "verdict"):
+        assert main([command, str(workdir / "config.json"),
+                     "--out", str(tmp_path / command)]) == 0
+    assert newline == dict.fromkeys(["analyze.json", "partition.tsv", "report.json",
+                                     "accuracies.csv", "sweep.csv", "verdict.json"], "\n")
 
 
 def test_failed_study_cell_keeps_its_traceback(workdir, tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -151,6 +153,39 @@ class TestStudyConfig:
         path.write_text(json.dumps({key: value}))
         with pytest.raises(ValueError, match=rf"^{key} must be >= 1, got {value}$"):
             harness.load_config(path)
+
+
+# every number setting with the key its errors name
+NUMBER_SETTINGS = [(prefix + f.name, f) for cls, prefix in (
+    (StudyConfig, ""), (TrainConfig, "train."), (Thresholds, "thresholds."))
+    for f in dataclasses.fields(cls) if f.type.split(" | ")[0] in ("int", "float")]
+
+
+def _config_setting(key, value):
+    """A JSON config that sets the setting ``key`` alone, with valid bands."""
+    *nest, name = key.split(".")
+    if nest == ["thresholds"]:
+        return {"thresholds": {"low": 0.2, "high": 0.8, name: value}}
+    return {nest[0]: {name: value}} if nest else {name: value}
+
+
+@pytest.mark.parametrize("key, field", NUMBER_SETTINGS, ids=[k for k, _ in NUMBER_SETTINGS])
+def test_every_number_setting_is_checked_at_its_field(key, field):
+    integer = field.type.startswith("int")
+    op, text = field.metadata["rule"].split()
+    bound = int(text) if integer else float(text)
+    inf = float("inf")
+    past = {">=": bound - 1 if integer else math.nextafter(bound, -inf), ">": bound,
+            "<=": bound + 1 if integer else math.nextafter(bound, inf)}[op]
+    for bad in (True, "1", past):
+        with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be "):
+            StudyConfig.from_dict(_config_setting(key, bad))
+    # an int within the bound is stored as its own type's value
+    within = int(bound) + (op == ">")
+    loaded = StudyConfig.from_dict(_config_setting(key, within))
+    for part in key.split("."):
+        loaded = getattr(loaded, part)
+    assert loaded == within and type(loaded) is (int if integer else float)
 
 
 @pytest.fixture(scope="module")
