@@ -106,7 +106,8 @@ class FeatureMatrix:
         values = np.asarray(self.values, dtype=np.float64).view()
         if values.ndim != 2:
             raise GraphError("feature matrix must be 2-D")
-        if not np.all(np.isfinite(values)):
+        # min and max propagate nan, and need no n x d boolean temporary
+        if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise GraphError("feature values must be finite")
         object.__setattr__(self, "values", values)
         values.setflags(write=False)

@@ -27,7 +27,7 @@ from .graphs import (Dataset, GraphError, LabeledGraph, edge_density, induced_su
                      induced_subgraph, remove_rare_labels, select_components)
 from .infotheory import joint_counts, uncertainty_coefficient
 from .models import (TrainConfig, accuracy, check_number, check_settings, gcn_forward,
-                     logreg_forward, normalized_adjacency, setting, sgc_propagate, train_gcn,
+                     normalized_adjacency, setting, sgc_forward, sgc_propagate, train_gcn,
                      train_logreg)
 from .nullmodels import (generate_erdos_renyi, generate_sbm, rewire_configuration_model,
                          swap_count, swap_perturbation)
@@ -331,12 +331,12 @@ def _evaluate_models(prep: PreparedStudy, graph, variant: str, g: int,
                      models: Sequence[str]) -> dict[tuple[str, int, int], float]:
     """Test accuracy of every fit on one graph, keyed by (model, split, init).
 
-    Logreg (SGC with K=0) reads the raw features X, SGC reads A_hat^K X,
-    propagated once per graph, and the GCN reads X: each run trains on the
-    rows of A_hat X its loss reads and predicts through A_hat (X W0). Both
-    linear models start from zero weights, so each is fit once per split,
-    under init 0; only the GCN draws a fresh initialization for each of
-    the config's inits.
+    Logreg is SGC with K=0. Each linear fit reads only its split's labeled
+    rows of A_hat^K X, and prediction takes A_hat^K (X W^T); the GCN trains
+    on the rows of A_hat X its loss reads and predicts through A_hat (X W0).
+    So no n x d power of A_hat X is built. Both linear models start from
+    zero weights, so each is fit once per split, under init 0; only the GCN
+    draws a fresh initialization for each of the config's inits.
     """
     if not models:
         return {}
@@ -344,22 +344,22 @@ def _evaluate_models(prep: PreparedStudy, graph, variant: str, g: int,
     labels = prep.dataset.labels
     features = prep.dataset.features
     adj = normalized_adjacency(graph)
-    propagated = sgc_propagate(adj, features, config.train.sgc_k) if "sgc" in models else None
     vi = VARIANTS.index(variant)
     accs = {}
     for model in models:
         mi = MODEL_NAMES.index(model)
-        inputs = propagated if model == "sgc" else features
+        k = config.train.sgc_k if model == "sgc" else 0
         for s, split in enumerate(prep.splits):
             for i in range(config.n_inits if model == "gcn" else 1):
                 try:
                     if model == "gcn":
                         seed = derive_seed(config.seed, _ROLE_INIT, vi, g, s, i, mi)
-                        fitted = train_gcn(adj, inputs, labels, split, config.train, seed)
-                        probs = gcn_forward(fitted, adj, inputs)
+                        fitted = train_gcn(adj, features, labels, split, config.train, seed)
+                        probs = gcn_forward(fitted, adj, features)
                     else:
-                        fitted = train_logreg(inputs, labels, split, config.train)
-                        probs = logreg_forward(fitted, inputs)
+                        fitted = train_logreg(sgc_propagate(adj, features, k, split.labeled()),
+                                              labels, split, config.train, labeled_only=True)
+                        probs = sgc_forward(fitted, adj, features, k)
                 except Exception as exc:
                     raise RuntimeError(
                         f"study cell failed: variant={variant} graph_seed={g} "
@@ -428,6 +428,9 @@ def _map_tasks(tasks, prep: PreparedStudy, jobs: int) -> list:
     if workers <= 1:
         _set_task_state(prep, sbm_graphs)
         return [_study_cell(t) for t in tasks]
+    if any(models for *_, models in tasks):
+        # cells that train build A_hat with scipy: load it once, before the fork
+        import scipy.sparse  # noqa: F401
     with ProcessPoolExecutor(max_workers=workers, initializer=_set_task_state,
                              initargs=(prep, sbm_graphs)) as pool:
         return list(pool.map(_study_cell, tasks))

@@ -1,10 +1,17 @@
-"""Classifiers: feature-only logistic regression, k-step propagation
-features, and a two-layer graph convolution network.
+"""Classifiers: feature-only logistic regression, SGC (softmax regression
+on A_hat^K X), and a two-layer graph convolution network.
 
 Propagation uses the symmetric-normalized adjacency with self-connections,
 A_hat = D^(-1/2) (A + I) D^(-1/2). The GCN is
 softmax(A_hat . relu(A_hat X W0) . W1); its backward pass is written out
 by hand so training stays dependency-free and exactly reproducible.
+
+A linear fit (logreg, or SGC) reads only the labeled rows of A_hat^K X,
+and ``sgc_propagate`` computes just the rows asked for, working backwards
+over each power's support; a CSR row slice keeps each row's summation
+order, so every row equals the full product's bit for bit. SGC predicts
+every node through A_hat^K (X W^T), a product over n x num_labels, so no
+n x d power of A_hat X is built.
 
 A GCN epoch reads predictions on the train and validation rows only, so
 training runs on a row block: the rows of A_hat X within one hop of a
@@ -30,13 +37,15 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field, fields
-from typing import Callable
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphs import FeatureMatrix, LabeledGraph, LabelVector
+
+if TYPE_CHECKING:  # scipy loads where A_hat is built, so analyze never imports it
+    import scipy.sparse as sp
 
 MIN_LEARNING_RATE = 1e-12
 
@@ -73,13 +82,17 @@ def check_settings(config, prefix: str = "") -> None:
     """Check each field of the settings dataclass ``config`` in order by its
     annotated type, naming it ``prefix`` + its name: a ``str`` is a path
     string, an ``int`` or ``float`` is a ``setting`` within its bound (a
-    bool is no number), and a ``| None`` field may be None. Floats are
+    bool is no number), a field whose default is a settings object holds
+    one of its class, and a ``| None`` field may be None. Floats are
     stored as floats, so equal configs (2 or 2.0) write equal bytes."""
     for f in fields(config):
         key, value = prefix + f.name, getattr(config, f.name)
         kind, _, optional = f.type.partition(" | ")
         if value is None and optional == "None":
             continue
+        if is_dataclass(f.default) and not isinstance(value, type(f.default)):
+            raise ValueError(f"{key} must be a {type(f.default).__name__}, "
+                             f"got {type(value).__name__}")
         if kind == "str" and not isinstance(value, str):
             raise ValueError(f"{key} must be a path string, got {value!r}")
         if kind in ("int", "float"):
@@ -123,6 +136,8 @@ class GcnModel:
 def normalized_adjacency(graph: LabeledGraph) -> sp.csr_matrix:
     """Build A_hat = D^(-1/2) (A + I) D^(-1/2) in CSR form; isolated nodes
     get weight 1. It is symmetric with spectral radius <= 1."""
+    import scipy.sparse as sp
+
     deg = graph.degrees() + 1.0
     inv_sqrt = 1.0 / np.sqrt(deg)
     src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees())
@@ -132,15 +147,38 @@ def normalized_adjacency(graph: LabeledGraph) -> sp.csr_matrix:
     return sp.coo_matrix((data, (rows, cols)), shape=(graph.n, graph.n)).tocsr()
 
 
-def sgc_propagate(adj: sp.csr_matrix, features: FeatureMatrix,
-                  k: int) -> FeatureMatrix:
-    """Apply the propagation operator k times; k = 0 is the identity."""
+def _power_rows(adj: sp.csr_matrix, X: np.ndarray, k: int, rows=None) -> np.ndarray:
+    """The rows ``rows`` of A_hat^k X, or all of it when ``rows`` is None.
+
+    For given rows the product runs backwards over the support of each
+    power: S_k = rows, and S_(j-1) = the columns of adj[S_j]. The innermost
+    step is adj[S_1] @ X, which reads X whole and gathers none of its rows.
+    Row and column slices keep each row's nonzeros in node order, so each
+    row sums in the order of the full product and equals its row exactly.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
-    out = features.values
-    for _ in range(k):
-        out = adj @ out
-    return FeatureMatrix(out)
+    if rows is None:
+        for _ in range(k):
+            X = adj @ X
+        return X
+    if k == 0:
+        return X[rows]
+    supports = [rows]  # S_k, S_(k-1), ..., S_1
+    for _ in range(k - 1):
+        supports.append(np.unique(adj[supports[-1]].indices))
+    out = adj[supports[-1]] @ X  # rows S_1 of A_hat X
+    for j in range(k - 2, -1, -1):  # rows S_(k-j) of A_hat^(k-j) X
+        out = adj[supports[j]][:, supports[j + 1]] @ out
+    return out
+
+
+def sgc_propagate(adj: sp.csr_matrix, features: FeatureMatrix, k: int,
+                  rows=None) -> FeatureMatrix:
+    """The rows ``rows`` of A_hat^k X, in that order, or every row when
+    ``rows`` is None; k = 0 is the identity. Each row equals the same row
+    of the full product bit for bit."""
+    return FeatureMatrix(_power_rows(adj, features.values, k, rows))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -231,19 +269,24 @@ def logreg_loss_grad(params: list[np.ndarray], X: np.ndarray, y_train: np.ndarra
 
 
 def train_logreg(features: FeatureMatrix, labels: LabelVector, split,
-                 config: TrainConfig) -> LogRegModel:
-    """Softmax regression on raw features by full-batch gradient descent.
+                 config: TrainConfig, *, labeled_only: bool = False) -> LogRegModel:
+    """Softmax regression on the rows of ``features`` by full-batch
+    gradient descent.
 
     Weights start at zero, so the fit needs no seed. Only the train rows
     (loss) and validation rows (early stopping) are read, so the descent
-    runs on those rows alone. Returns the parameters of the
-    best-validation epoch.
+    runs on those rows alone. ``features`` holds every node's row, or with
+    ``labeled_only`` just the rows of ``split.labeled()`` in that order, as
+    ``sgc_propagate`` returns them for those rows. Returns the parameters
+    of the best-validation epoch.
     """
     train, val = np.asarray(split.train), np.asarray(split.val)
     if len(train) == 0 or len(val) == 0:
         raise ValueError("train and validation sets must be non-empty")
     rows = split.labeled()
-    X = features.values[rows]
+    if labeled_only and features.n != len(rows):
+        raise ValueError(f"features hold {features.n} rows; the split labels {len(rows)}")
+    X = features.values if labeled_only else features.values[rows]
     y = labels.labels[rows]
 
     def loss_grad(params):
@@ -256,6 +299,14 @@ def train_logreg(features: FeatureMatrix, labels: LabelVector, split,
 
 def logreg_forward(model: LogRegModel, features: FeatureMatrix) -> np.ndarray:
     return _softmax(features.values @ model.W.T + model.b)
+
+
+def sgc_forward(model: LogRegModel, adj: sp.csr_matrix, features: FeatureMatrix,
+                k: int) -> np.ndarray:
+    """Per-node class probabilities softmax(A_hat^k X W^T + b) of a model
+    fit on rows of A_hat^k X, taken as A_hat^k (X W^T): one GEMM, then k
+    sparse products over n x num_labels, so no n x d power is built."""
+    return _softmax(_power_rows(adj, features.values @ model.W.T, k) + model.b)
 
 
 def glorot_uniform(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
@@ -320,7 +371,7 @@ def gcn_row_block(adj: sp.csr_matrix, features: FeatureMatrix, train: np.ndarray
     """
     back = np.unique(adj[train].indices)
     rows = np.concatenate([back, np.setdiff1d(adj[val].indices, back)])
-    AX = adj[rows] @ features.values
+    AX = _power_rows(adj, features.values, 1, rows)
     return AX, adj[np.concatenate([train, val])][:, rows], adj[back][:, train]
 
 

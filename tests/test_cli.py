@@ -578,6 +578,26 @@ def test_console_entry_point(workdir, tmp_path):
     assert "U(L|C)" in result.stdout
 
 
+def test_analyze_and_verdict_never_import_scipy(workdir, tmp_path):
+    # scipy loads only where A_hat is built. Neither command trains: the
+    # default bands give this verdict no sweep, and the middle-band one
+    # sweeps without features, here through a pool of two workers
+    band = with_config(workdir, "band-no-scipy.json", thresholds={"low": 0.0, "high": 1.0})
+    runs = [["analyze", str(workdir / "config.json"), "--out", str(tmp_path / "analyze")],
+            ["verdict", str(workdir / "config.json"), "--out", str(tmp_path / "verdict")],
+            ["verdict", band, "--out", str(tmp_path / "band"), "--jobs", "2"]]
+    script = ("import sys\nfrom graphdiag.cli import main\n"
+              f"for argv in {runs!r}:\n    assert main(argv) == 0, argv\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(graphdiag.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            timeout=300, env=dict(os.environ, PYTHONPATH=path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert json.loads((tmp_path / "band" / "verdict.json").read_text())["sweep"]
+
+
 # sha256 of every output on one small study. The files must stay byte-identical
 # through refactors; a change that moves them on purpose updates these digests
 # and says why in CHANGES.md.

@@ -173,6 +173,19 @@ def test_freezing_leaves_the_callers_array_writable(name):
         assert np.shares_memory(stored, array)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_feature_matrix_rejects_a_non_finite_value(bad):
+    values = np.ones((3, 4))
+    values[1, 2] = bad
+    with pytest.raises(GraphError, match="^feature values must be finite$"):
+        FeatureMatrix(values)
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+def test_empty_feature_matrix_is_accepted(shape):
+    assert FeatureMatrix(np.zeros(shape)).values.shape == shape
+
+
 class TestComponents:
     def test_largest_of_two(self):
         # component sizes 5 and 3

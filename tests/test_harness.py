@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,17 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match=r"^train\.learning_rate must be > 0, got 0$"):
             StudyConfig.from_dict({"train": {"learning_rate": 0}})
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("train", {"max_epochs": 5}, "TrainConfig"),
+        ("thresholds", (0.2, 0.8), "Thresholds")])
+    def test_nested_settings_must_be_their_class(self, key, value, kind):
+        # StudyConfig(thresholds=(0.2, 0.8)) once constructed, and
+        # guideline_verdict then raised AttributeError: 'tuple' object has
+        # no attribute 'low'
+        with pytest.raises(ValueError, match=rf"^{key} must be a {kind}, "
+                                             rf"got {type(value).__name__}$"):
+            StudyConfig(**{key: value})
+
     @pytest.mark.parametrize("value", [0, -1])
     @pytest.mark.parametrize("key", [
         "train_per_class", "val_per_class", "keep_top_k_components",
@@ -257,8 +269,8 @@ class TestRunAblationStudy:
         steps_of = {}
         fits = {"logreg": 0, "sgc": 0, "gcn": 0}
 
-        def counting_propagate(adj, features, k):
-            out = propagate(adj, features, k)
+        def counting_propagate(adj, features, k, rows=None):
+            out = propagate(adj, features, k, rows)
             steps_of[id(out)] = k
             return out
 
@@ -319,22 +331,25 @@ class TestRunAblationStudy:
         run_perturbation_sweep(one_cell, jobs=64)
         assert asked == [4, 3]
 
-    def test_each_feature_power_is_propagated_once_per_graph(
-            self, tiny_dataset, monkeypatch):
-        # logreg reads X and the GCN propagates only its runs' row blocks,
-        # so the one full-graph product is SGC's A_hat^K X, once per graph
-        propagate = harness.sgc_propagate
-        steps = []
+    def test_no_study_call_builds_a_full_graph_feature_power(self, tiny_dataset,
+                                                             monkeypatch):
+        # the linear models propagate their splits' labeled rows and the GCN
+        # its row block; prediction propagates X W^T, never X itself
+        power_rows = models._power_rows
+        calls = []
 
-        def counting_propagate(adj, features, k):
-            steps.append(k)
-            return propagate(adj, features, k)
+        def recording_power_rows(adj, X, k, rows=None):
+            calls.append((X is features, rows is None))
+            return power_rows(adj, X, k, rows)
 
-        monkeypatch.setattr(harness, "sgc_propagate", counting_propagate)
+        monkeypatch.setattr(models, "_power_rows", recording_power_rows)
         prep = tiny_prep(tiny_dataset)
+        features = prep.dataset.features.values
         run_ablation_study(prep)
         graphs = 1 + 3 * prep.config.n_graph_seeds
-        assert steps == [prep.config.train.sgc_k] * graphs
+        fits = prep.config.n_splits * (1 + graphs * (1 + prep.config.n_inits))
+        assert calls.count((True, False)) == fits
+        assert (True, True) not in calls
 
     def test_a_gcn_only_sweep_propagates_no_full_feature_matrix(
             self, tiny_dataset, monkeypatch):
@@ -387,6 +402,24 @@ class TestRunAblationStudy:
             fitted = train_logreg(inputs, labels, split, cfg.train)
             expected = accuracy(logreg_forward(fitted, inputs), labels, split.test)
             assert values == [expected] * cfg.n_inits, (model, variant, g, s)
+
+
+def test_an_sgc_cell_peaks_below_one_n_by_d_array():
+    # on a path the labeled rows and their one-hop set are a few hundred of
+    # the 3000 nodes, so one n x d power of A_hat X would stand out
+    n, d = 3000, 400
+    rng = np.random.default_rng(0)
+    dataset = make_dataset([(i, i + 1) for i in range(n - 1)], n, np.repeat([0, 1], n // 2),
+                           features=rng.standard_normal((n, d)))
+    prep = prepare_study(dataset, StudyConfig(n_splits=1, train=FAST_TRAIN))
+    tracemalloc.start()
+    try:
+        accs = harness._evaluate_models(prep, prep.dataset.graph, "original", 0, ("sgc",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(accs) == [("sgc", 0, 0)]
+    assert peak < n * d * 8
 
 
 def test_labels_that_follow_cliques_read_exactly_one():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphdiag import (FeatureMatrix, LabelVector, TrainConfig, accuracy,
-                       gcn_forward, logreg_forward, normalized_adjacency,
+                       gcn_forward, logreg_forward, normalized_adjacency, sgc_forward,
                        sgc_propagate, to_undirected, train_gcn, train_logreg)
 from graphdiag.graphs import connected_components
 from graphdiag.harness import SplitSet
@@ -591,6 +591,50 @@ class TestSgcStructure:
         a = train_logreg(X, y, split, TrainConfig())
         b = train_logreg(propagated, y, split, TrainConfig())
         assert np.array_equal(logreg_forward(a, X), logreg_forward(b, propagated))
+
+
+def _two_components_and_isolated_nodes(rng):
+    """A_hat, X, labels and a split on 30 nodes: components 0-13 and 14-25,
+    isolated nodes 26-29, with labeled nodes in each part. Each part has
+    its own label, which shifts three of X's five columns, so propagation
+    keeps the signal and a fit has something to learn."""
+    edges = [(i, j) for lo, hi in ((0, 14), (14, 26)) for i in range(lo, hi)
+             for j in range(i + 1, hi) if rng.random() < 0.3]
+    adj = normalized_adjacency(to_undirected(edges, n=30))
+    labels = np.repeat([1, 2, 0], [14, 12, 4])
+    X = FeatureMatrix(rng.standard_normal((30, 5)) + 2 * np.eye(3, 5)[labels])
+    y = LabelVector(labels, 3)
+    train = np.array([0, 3, 7, 15, 20, 26, 27])
+    val = np.array([1, 9, 14, 22, 25, 28])
+    test = np.setdiff1d(np.arange(30), np.concatenate([train, val]))
+    return adj, X, y, SplitSet(train=train, val=val, test=test)
+
+
+class TestSgcOnLabeledRows:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_rows_and_fit_equal_the_full_graph_ones(self, k):
+        adj, X, y, split = _two_components_and_isolated_nodes(np.random.default_rng(20 + k))
+        rows = split.labeled()  # train, then validation: not in node order
+        block, full = sgc_propagate(adj, X, k, rows), sgc_propagate(adj, X, k)
+        assert np.array_equal(block.values, full.values[rows])
+        fitted = train_logreg(block, y, split, TrainConfig(), labeled_only=True)
+        expected = train_logreg(full, y, split, TrainConfig())
+        assert np.any(fitted.W)
+        assert np.array_equal(fitted.W, expected.W)
+        assert np.array_equal(fitted.b, expected.b)
+        # A_hat^k (X W^T) + b sums in another order than (A_hat^k X) W^T + b
+        assert np.allclose(sgc_forward(fitted, adj, X, k), logreg_forward(expected, full),
+                           rtol=0, atol=1e-12)
+
+    def test_zero_steps_predicts_as_logreg_does(self):
+        adj, X, y, split = _two_components_and_isolated_nodes(np.random.default_rng(5))
+        fitted = train_logreg(X, y, split, TrainConfig())
+        assert np.array_equal(sgc_forward(fitted, adj, X, 0), logreg_forward(fitted, X))
+
+    def test_labeled_rows_must_match_the_split(self):
+        adj, X, y, split = _two_components_and_isolated_nodes(np.random.default_rng(6))
+        with pytest.raises(ValueError, match="features hold 30 rows; the split labels 13"):
+            train_logreg(X, y, split, TrainConfig(), labeled_only=True)
 
 
 class TestAccuracy:
