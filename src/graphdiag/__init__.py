@@ -22,7 +22,7 @@ from .infotheory import (DegenerateDistributionError, JointCounts, entropy,
 from .io import load_dataset
 from .models import (GcnModel, LogRegModel, TrainConfig, TrainingDivergedError,
                      accuracy, gcn_forward, logreg_forward, normalized_adjacency,
-                     sgc_forward, sgc_propagate, train_gcn, train_logreg)
+                     sgc_propagate, train_gcn, train_logreg)
 from .nullmodels import (RewireStallWarning, generate_erdos_renyi, generate_sbm,
                          rewire_configuration_model, swap_perturbation)
 from .stats import UTestResult, bonferroni, mann_whitney_u

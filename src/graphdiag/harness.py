@@ -27,8 +27,8 @@ from .graphs import (Dataset, GraphError, LabeledGraph, edge_density, induced_su
                      induced_subgraph, remove_rare_labels, select_components)
 from .infotheory import joint_counts, uncertainty_coefficient
 from .models import (TrainConfig, accuracy, check_number, check_settings, gcn_forward,
-                     normalized_adjacency, setting, sgc_forward, sgc_propagate, train_gcn,
-                     train_logreg)
+                     logreg_forward, normalized_adjacency, setting, sgc_propagate,
+                     train_gcn, train_logreg)
 from .nullmodels import (generate_erdos_renyi, generate_sbm, rewire_configuration_model,
                          swap_count, swap_perturbation)
 from .stats import bonferroni, mann_whitney_u
@@ -59,6 +59,10 @@ class SplitSet:
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
+
+    def __post_init__(self) -> None:
+        if len(self.train) == 0 or len(self.val) == 0:
+            raise ValueError("train and validation sets must be non-empty")
 
     def labeled(self) -> np.ndarray:
         """Nodes whose labels the study may look at (train plus validation)."""
@@ -331,9 +335,10 @@ def _evaluate_models(prep: PreparedStudy, graph, variant: str, g: int,
                      models: Sequence[str]) -> dict[tuple[str, int, int], float]:
     """Test accuracy of every fit on one graph, keyed by (model, split, init).
 
-    Logreg is SGC with K=0. Each linear fit reads only its split's labeled
-    rows of A_hat^K X, and prediction takes A_hat^K (X W^T); the GCN trains
-    on the rows of A_hat X its loss reads and predicts through A_hat (X W0).
+    Logreg is SGC with K=0: each linear fit reads only its split's labeled
+    rows of A_hat^K X, and ``logreg_forward`` predicts through
+    A_hat^K (X W^T). The GCN trains on the rows of A_hat X its loss reads
+    and predicts through A_hat (X W0).
     So no n x d power of A_hat X is built. Both linear models start from
     zero weights, so each is fit once per split, under init 0; only the GCN
     draws a fresh initialization for each of the config's inits.
@@ -358,8 +363,8 @@ def _evaluate_models(prep: PreparedStudy, graph, variant: str, g: int,
                         probs = gcn_forward(fitted, adj, features)
                     else:
                         fitted = train_logreg(sgc_propagate(adj, features, k, split.labeled()),
-                                              labels, split, config.train, labeled_only=True)
-                        probs = sgc_forward(fitted, adj, features, k)
+                                              labels, split, config.train)
+                        probs = logreg_forward(fitted, features, adj, k)
                 except Exception as exc:
                     raise RuntimeError(
                         f"study cell failed: variant={variant} graph_seed={g} "
@@ -422,15 +427,16 @@ def _map_tasks(tasks, prep: PreparedStudy, jobs: int) -> list:
         if sbm_graphs[g].m == 0:
             raise GraphError(f"the sbm graph for graph seed {g} came out with no edges, "
                              "so it has no communities to detect")
+    if any(models for *_, models in tasks):
+        # cells that train build A_hat with scipy: import it once, here,
+        # before the serial loop or the fork, so no cell's time carries it
+        import scipy.sparse  # noqa: F401
     # a forked pool starts all of its workers at the first submit, so it
     # gets no more workers than there are tasks
     workers = min(jobs, len(tasks))
     if workers <= 1:
         _set_task_state(prep, sbm_graphs)
         return [_study_cell(t) for t in tasks]
-    if any(models for *_, models in tasks):
-        # cells that train build A_hat with scipy: load it once, before the fork
-        import scipy.sparse  # noqa: F401
     with ProcessPoolExecutor(max_workers=workers, initializer=_set_task_state,
                              initargs=(prep, sbm_graphs)) as pool:
         return list(pool.map(_study_cell, tasks))

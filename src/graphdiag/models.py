@@ -6,12 +6,13 @@ A_hat = D^(-1/2) (A + I) D^(-1/2). The GCN is
 softmax(A_hat . relu(A_hat X W0) . W1); its backward pass is written out
 by hand so training stays dependency-free and exactly reproducible.
 
-A linear fit (logreg, or SGC) reads only the labeled rows of A_hat^K X,
-and ``sgc_propagate`` computes just the rows asked for, working backwards
-over each power's support; a CSR row slice keeps each row's summation
-order, so every row equals the full product's bit for bit. SGC predicts
-every node through A_hat^K (X W^T), a product over n x num_labels, so no
-n x d power of A_hat X is built.
+Logreg is SGC with K = 0, and both share one fit and one forward. The
+fit takes only the labeled rows of A_hat^K X, which ``sgc_propagate``
+computes working backwards over each power's support; a CSR row slice
+keeps each row's summation order, so every row equals the full product's
+bit for bit. ``logreg_forward`` predicts every node through
+A_hat^K (X W^T), a product over n x num_labels, so no n x d power of
+A_hat X is built.
 
 A GCN epoch reads predictions on the train and validation rows only, so
 training runs on a row block: the rows of A_hat X within one hop of a
@@ -269,43 +270,36 @@ def logreg_loss_grad(params: list[np.ndarray], X: np.ndarray, y_train: np.ndarra
 
 
 def train_logreg(features: FeatureMatrix, labels: LabelVector, split,
-                 config: TrainConfig, *, labeled_only: bool = False) -> LogRegModel:
-    """Softmax regression on the rows of ``features`` by full-batch
-    gradient descent.
+                 config: TrainConfig) -> LogRegModel:
+    """Softmax regression by full-batch gradient descent on the rows of
+    ``split.labeled()``, which ``features`` holds in that order (train,
+    then validation), as ``sgc_propagate(adj, X, k, split.labeled())``
+    returns them.
 
-    Weights start at zero, so the fit needs no seed. Only the train rows
-    (loss) and validation rows (early stopping) are read, so the descent
-    runs on those rows alone. ``features`` holds every node's row, or with
-    ``labeled_only`` just the rows of ``split.labeled()`` in that order, as
-    ``sgc_propagate`` returns them for those rows. Returns the parameters
-    of the best-validation epoch.
+    Weights start at zero, so the fit needs no seed. The train rows drive
+    the loss and the validation rows early stopping. Returns the
+    parameters of the best-validation epoch.
     """
-    train, val = np.asarray(split.train), np.asarray(split.val)
-    if len(train) == 0 or len(val) == 0:
-        raise ValueError("train and validation sets must be non-empty")
     rows = split.labeled()
-    if labeled_only and features.n != len(rows):
+    if features.n != len(rows):
         raise ValueError(f"features hold {features.n} rows; the split labels {len(rows)}")
-    X = features.values if labeled_only else features.values[rows]
+    n_train = len(split.train)
     y = labels.labels[rows]
 
     def loss_grad(params):
-        return logreg_loss_grad(params, X, y[:len(train)], config.weight_decay)
+        return logreg_loss_grad(params, features.values, y[:n_train], config.weight_decay)
 
     params0 = [np.zeros((labels.num_labels, features.d)), np.zeros(labels.num_labels)]
-    (W, b), _ = _descend(params0, loss_grad, y[len(train):], config)
+    (W, b), _ = _descend(params0, loss_grad, y[n_train:], config)
     return LogRegModel(W=W, b=b)
 
 
-def logreg_forward(model: LogRegModel, features: FeatureMatrix) -> np.ndarray:
-    return _softmax(features.values @ model.W.T + model.b)
-
-
-def sgc_forward(model: LogRegModel, adj: sp.csr_matrix, features: FeatureMatrix,
-                k: int) -> np.ndarray:
-    """Per-node class probabilities softmax(A_hat^k X W^T + b) of a model
-    fit on rows of A_hat^k X, taken as A_hat^k (X W^T): one GEMM, then k
-    sparse products over n x num_labels, so no n x d power is built."""
+def logreg_forward(model: LogRegModel, features: FeatureMatrix,
+                   adj: sp.csr_matrix | None = None, k: int = 0) -> np.ndarray:
+    """Per-node class probabilities softmax(A_hat^k (X W^T) + b) of a model
+    fit on rows of A_hat^k X: one GEMM, then k sparse products over
+    n x num_labels, so no n x d power is built. At k = 0 (logreg) ``adj``
+    is not read."""
     return _softmax(_power_rows(adj, features.values @ model.W.T, k) + model.b)
 
 
@@ -394,8 +388,6 @@ def train_gcn(adj: sp.csr_matrix, features: FeatureMatrix, labels: LabelVector,
     rows, so they may differ from the full-graph sums in the last bit.
     """
     train, val = np.asarray(split.train), np.asarray(split.val)
-    if len(train) == 0 or len(val) == 0:
-        raise ValueError("train and validation sets must be non-empty")
     AX, up, down = gcn_row_block(adj, features, train, val)
     y = labels.labels[split.labeled()]
 

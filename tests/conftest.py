@@ -32,6 +32,12 @@ def make_dataset(edges, n, labels, features=None, num_labels=None, tokens=None):
                    node_tokens=tuple(tokens) if tokens else ())
 
 
+def labeled_rows(features, split):
+    """The rows of ``split.labeled()`` in that order: the input ``train_logreg``
+    takes, gathered from a matrix that holds every node's row."""
+    return FeatureMatrix(features.values[split.labeled()])
+
+
 @pytest.fixture
 def path3():
     """Path graph 0-1-2."""

@@ -4,7 +4,16 @@ name it lists must stay a module-level function of the package."""
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import graphdiag
+from graphdiag.synthetic import aligned_benchmark
+
+from conftest import write_dataset
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -58,3 +67,34 @@ def test_train_gcn_calls_the_module_loss_once_per_evaluation(monkeypatch):
     models.train_gcn(normalized_adjacency(graph), features, labels, split,
                      TrainConfig(max_epochs=40), init_seed=1)
     assert counts["calls"] == counts["evaluations"] > 1
+
+
+def test_every_span_is_called_by_analyze_ablate_and_perturb(tmp_path):
+    # a span that no study command calls measures nothing. Tracer.install
+    # rewrites module globals, so the commands run in a fresh interpreter
+    write_dataset(tmp_path, aligned_benchmark(seed=2))
+    config = {
+        "edges": "edges.txt", "features": "features.csv", "labels": "labels.tsv",
+        "train_per_class": 10, "val_per_class": 15,
+        "n_splits": 1, "n_inits": 1, "n_graph_seeds": 1, "seed": 11,
+        "fractions": [0, 0.25],
+        "train": {"max_epochs": 20, "patience": 5, "hidden_dim": 8},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    script = (
+        "import importlib.util, json\n"
+        f"spec = importlib.util.spec_from_file_location('bench_tracing', {str(TRACING)!r})\n"
+        "tracing = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracing)\n"
+        "tracer = tracing.Tracer()\n"
+        "tracer.install()\n"
+        "import graphdiag.cli\n"
+        "for command in ('analyze', 'ablate', 'perturb'):\n"
+        "    assert graphdiag.cli.main([command, 'config.json', '--out', command]) == 0\n"
+        "print(json.dumps([n for n in tracing.SPAN_NAMES if not tracer.calls[n]]))\n")
+    src = str(Path(graphdiag.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            cwd=tmp_path, timeout=300, env=dict(os.environ, PYTHONPATH=path))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == []

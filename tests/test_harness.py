@@ -19,7 +19,7 @@ from graphdiag.harness import (StudyReport, SweepRow, Thresholds, Verdict, deriv
                                write_json)
 from graphdiag.synthetic import planted_dataset
 
-from conftest import make_dataset, write_dataset
+from conftest import labeled_rows, make_dataset, write_dataset
 
 FAST_TRAIN = TrainConfig(max_epochs=60, patience=15, hidden_dim=8)
 
@@ -73,6 +73,16 @@ class TestMakeSplits:
         labels = LabelVector(np.array([0] * 100 + [1] * 30), 2)
         with pytest.raises(ValueError, match="class 1"):
             make_splits(labels, (20, 30), 1, seed=0)
+
+    @pytest.mark.parametrize("empty", ["train", "val"])
+    def test_a_split_needs_train_and_validation_nodes(self, empty):
+        # every fit reads train rows for its loss and validation rows for
+        # early stopping, so an empty set is refused where the split is made
+        parts = dict(train=np.array([0, 1]), val=np.array([2, 3]), test=np.array([4]))
+        parts[empty] = np.array([], dtype=np.int64)
+        with pytest.raises(ValueError) as err:
+            harness.SplitSet(**parts)
+        assert str(err.value) == "train and validation sets must be non-empty"
 
 
 class TestSeedDerivation:
@@ -262,12 +272,15 @@ class TestRunAblationStudy:
 
     def test_each_distinct_model_is_fit_once(self, tiny_dataset, monkeypatch):
         # logreg (SGC with K=0) once per split on the original graph, SGC
-        # once per (graph, split), GCN once per (graph, split, init)
+        # once per (graph, split), GCN once per (graph, split, init); each
+        # linear fit is predicted once, through the forward of its own k
         cfg = tiny_config()
-        propagate, fit_linear, fit_gcn = (harness.sgc_propagate, harness.train_logreg,
-                                          harness.train_gcn)
+        propagate, fit_linear, fit_gcn, forward = (harness.sgc_propagate,
+                                                   harness.train_logreg, harness.train_gcn,
+                                                   harness.logreg_forward)
         steps_of = {}
         fits = {"logreg": 0, "sgc": 0, "gcn": 0}
+        linear_fits, linear_predictions = [], []
 
         def counting_propagate(adj, features, k, rows=None):
             out = propagate(adj, features, k, rows)
@@ -275,8 +288,15 @@ class TestRunAblationStudy:
             return out
 
         def counting_logreg(features, *args, **kwargs):
-            fits["sgc" if steps_of.get(id(features), 0) else "logreg"] += 1
-            return fit_linear(features, *args, **kwargs)
+            k = steps_of[id(features)]
+            fits["sgc" if k else "logreg"] += 1
+            fitted = fit_linear(features, *args, **kwargs)
+            linear_fits.append((fitted, k))
+            return fitted
+
+        def counting_forward(model, features, adj=None, k=0):
+            linear_predictions.append((model, k))
+            return forward(model, features, adj, k)
 
         def counting_gcn(*args, **kwargs):
             fits["gcn"] += 1
@@ -296,12 +316,15 @@ class TestRunAblationStudy:
         monkeypatch.setattr(harness, "sgc_propagate", counting_propagate)
         monkeypatch.setattr(harness, "train_logreg", counting_logreg)
         monkeypatch.setattr(harness, "train_gcn", counting_gcn)
+        monkeypatch.setattr(harness, "logreg_forward", counting_forward)
         monkeypatch.setattr(harness, "_evaluate_models", checking_evaluate)
         run_ablation_study(prepare_study(tiny_dataset, cfg), jobs=1)
         graphs = 1 + 3 * cfg.n_graph_seeds
         assert fits == {"logreg": cfg.n_splits, "sgc": graphs * cfg.n_splits,
                         "gcn": graphs * cfg.n_splits * cfg.n_inits}
         assert len(evaluated) == graphs
+        assert [(id(m), k) for m, k in linear_predictions] == [
+            (id(m), k) for m, k in linear_fits]
 
     def test_pool_gets_at_most_one_worker_per_cell(self, tiny_dataset, monkeypatch):
         # a forked pool starts every worker it is given, so --jobs 64 on a
@@ -399,7 +422,7 @@ class TestRunAblationStudy:
                                     cfg.train.sgc_k)
                       if model == "sgc" else features)
             split = prep.splits[s]
-            fitted = train_logreg(inputs, labels, split, cfg.train)
+            fitted = train_logreg(labeled_rows(inputs, split), labels, split, cfg.train)
             expected = accuracy(logreg_forward(fitted, inputs), labels, split.test)
             assert values == [expected] * cfg.n_inits, (model, variant, g, s)
 
