@@ -84,6 +84,8 @@ def block_density_matrix(graph: LabeledGraph, partition: Partition) -> np.ndarra
     Entry [a, a] is internal edges over size_a-choose-2 (0 for singleton
     communities); entry [a, b] is cross edges over size_a * size_b.
     """
+    if len(partition.assignment) != graph.n:
+        raise ValueError("partition does not cover this graph")
     comm = partition.assignment
     k = partition.num_communities
     sizes = partition.sizes()
@@ -95,8 +97,7 @@ def block_density_matrix(graph: LabeledGraph, partition: Partition) -> np.ndarra
     np.add.at(counts, (b[cross], a[cross]), 1)
     pairs = np.outer(sizes, sizes).astype(np.float64)
     np.fill_diagonal(pairs, sizes * (sizes - 1) / 2.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(pairs > 0, counts / np.where(pairs > 0, pairs, 1.0), 0.0)
+    return counts / np.maximum(pairs, 1.0)
 
 
 def _local_moves(offsets: np.ndarray, neighbors: np.ndarray, weights: np.ndarray,

@@ -268,14 +268,13 @@ class StudyReport:
 
 @dataclass(frozen=True)
 class PreparedStudy:
-    """A study's config, its preprocessed dataset, and everything shared
-    across study cells; the one input of every study stage."""
+    """A study's config, preprocessed dataset, splits and base communities: the
+    one input of every study stage. ``_map_tasks`` builds what only cells read."""
 
     config: StudyConfig
     dataset: Dataset
     splits: tuple[SplitSet, ...]
     base_partition: Partition
-    densities: np.ndarray  # block densities of base_partition
 
 
 def preprocess_dataset(dataset: Dataset, config: StudyConfig) -> Dataset:
@@ -294,6 +293,7 @@ def preprocess_dataset(dataset: Dataset, config: StudyConfig) -> Dataset:
 
 
 def prepare_study(dataset: Dataset, config: StudyConfig) -> PreparedStudy:
+    """Preprocess, split and detect communities; ``_map_tasks`` checks the rest."""
     ds = preprocess_dataset(dataset, config)
     if ds.labels.num_labels < 2:
         raise GraphError("need at least two label classes after preprocessing")
@@ -302,8 +302,7 @@ def prepare_study(dataset: Dataset, config: StudyConfig) -> PreparedStudy:
     base_partition = louvain(
         ds.graph, derive_seed(config.seed, _ROLE_LOUVAIN, VARIANTS.index("original"), 0))
     return PreparedStudy(config=config, dataset=ds, splits=tuple(splits),
-                         base_partition=base_partition,
-                         densities=block_density_matrix(ds.graph, base_partition))
+                         base_partition=base_partition)
 
 
 def dataset_summary(prep: PreparedStudy) -> dict:
@@ -318,12 +317,12 @@ def dataset_summary(prep: PreparedStudy) -> dict:
     }
 
 
-def _variant_graph(prep: PreparedStudy, variant: str, g: int):
+def _variant_graph(prep: PreparedStudy, variant: str, g: int, densities=None):
     if variant == "original":
         return prep.dataset.graph
     seed = derive_seed(prep.config.seed, _ROLE_GRAPH, VARIANTS.index(variant), g)
     if variant == "sbm":
-        return generate_sbm(prep.densities, prep.base_partition, seed)
+        return generate_sbm(densities, prep.base_partition, seed)
     if variant == "cm":
         return rewire_configuration_model(prep.dataset.graph, seed)
     if variant == "random":
@@ -412,22 +411,32 @@ def _study_cell(task: tuple[str, int, int | None, tuple[str, ...]]):
 
 
 def _map_tasks(tasks, prep: PreparedStudy, jobs: int) -> list:
-    # a swap's rules read only the study's node count and base communities,
-    # so an infeasible fraction is found before any cell runs
+    """Run the cells ``tasks``, after the one pre-flight of every study. It
+    refuses, before any cell runs and in this order: missing features, too
+    few edges to rewire, a swap fraction that cannot run, an edgeless sbm graph."""
+    trains = any(models for *_, models in tasks)
+    if trains and prep.dataset.features is None:
+        raise ValueError("the study's dataset was loaded without features; training needs them")
+    m = prep.dataset.graph.m
+    if m < 2 and any(variant == "cm" for variant, *_ in tasks):
+        raise GraphError(f"the cm variant rewires the kept graph, which has {m} "
+                         f"edge{'' if m == 1 else 's'}; rewiring needs at least two")
     for fi in sorted({fi for _, _, fi, _ in tasks if fi is not None}):
         swap_count(prep.config.fractions[fi], prep.dataset.n,
                    prep.base_partition.num_communities)
-    # each block-model graph is drawn once, here, and shared by every cell
-    # of its graph seed. Swaps and the cm and random rebuilds keep the edge
-    # count, so only a sparse graph's block-model rebuild can draw no edge
-    # at all; it is found before any cell runs
+    # each block-model graph is drawn once, here, from one density matrix,
+    # and shared by every cell of its graph seed. Only it can draw no edge:
+    # swaps and the cm and random rebuilds keep the edge count
+    sbm_seeds = sorted({g for variant, g, _, _ in tasks if variant == "sbm"})
+    if sbm_seeds:
+        densities = block_density_matrix(prep.dataset.graph, prep.base_partition)
     sbm_graphs = {}
-    for g in sorted({g for variant, g, _, _ in tasks if variant == "sbm"}):
-        sbm_graphs[g] = _variant_graph(prep, "sbm", g)
+    for g in sbm_seeds:
+        sbm_graphs[g] = _variant_graph(prep, "sbm", g, densities)
         if sbm_graphs[g].m == 0:
             raise GraphError(f"the sbm graph for graph seed {g} came out with no edges, "
                              "so it has no communities to detect")
-    if any(models for *_, models in tasks):
+    if trains:
         # cells that train build A_hat with scipy: import it once, here,
         # before the serial loop or the fork, so no cell's time carries it
         import scipy.sparse  # noqa: F401
@@ -446,12 +455,6 @@ def run_ablation_study(prep: PreparedStudy, jobs: int = 1) -> StudyReport:
     """Evaluate every configured model on the original graph and on each
     rebuilt variant, measure per-graph label/community alignment, and test
     each cell against the feature-only baseline."""
-    if prep.dataset.features is None:
-        raise ValueError("the study's dataset was loaded without features; training needs them")
-    m = prep.dataset.graph.m
-    if m < 2:
-        raise GraphError(f"the cm variant rewires the kept graph, which has {m} "
-                         f"edge{'' if m == 1 else 's'}; rewiring needs at least two")
     config = prep.config
     # the feature-only baseline ignores the graph: it is fit on the original
     # graph only, and its records repeat for every rebuilt one

@@ -75,30 +75,38 @@ def generate_sbm(densities: np.ndarray, partition: Partition,
                  seed: int) -> LabeledGraph:
     """Sample a graph where each node pair carries an edge independently
     with the density of its community pair, ``densities[a, b]`` for a <= b.
-    Node identities (and hence features and labels) are untouched."""
+    Node identities (and hence features and labels) are untouched.
+
+    Every density must lie in [0, 1]; any other value, NaN included, is
+    refused, naming its block pair. Only the block pairs of density above 0
+    draw anything, so only they are visited, in (a, b) order.
+    """
     k = partition.num_communities
     if np.shape(densities) != (k, k):
         raise ValueError(f"densities must be {k}x{k} for a partition into {k} "
                          f"communities, got shape {np.shape(densities)}")
+    valid = (densities >= 0.0) & (densities <= 1.0)
+    if not valid.all():
+        a, b = np.argwhere(~valid)[0]
+        raise ValueError(f"densities[{a}, {b}] is {densities[a, b]}; "
+                         "a block density must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     n = len(partition.assignment)
-    members = [np.flatnonzero(partition.assignment == c) for c in range(k)]
+    members = np.split(np.argsort(partition.assignment, kind="stable"),
+                       np.cumsum(partition.sizes())[:-1])
     pieces = []
-    for a in range(k):
-        for b in range(a, k):
-            p = float(densities[a, b])
-            if p <= 0.0:
-                continue
-            s, t = len(members[a]), len(members[b])
-            n_pairs = s * (s - 1) // 2 if a == b else s * t
-            count = int(rng.binomial(n_pairs, p)) if p < 1.0 else n_pairs
-            if count:
-                idx = _sample_distinct(n_pairs, count, rng)
-                if a == b:
-                    pieces.append(_decode_pairs(idx, members[a]))
-                else:
-                    i, j = np.divmod(idx, t)
-                    pieces.append(np.column_stack([members[a][i], members[b][j]]))
+    for a, b in zip(*np.divmod(np.flatnonzero(np.triu(densities > 0.0)), k)):
+        p = float(densities[a, b])
+        s, t = len(members[a]), len(members[b])
+        n_pairs = s * (s - 1) // 2 if a == b else s * t
+        count = int(rng.binomial(n_pairs, p)) if p < 1.0 else n_pairs
+        if count:
+            idx = _sample_distinct(n_pairs, count, rng)
+            if a == b:
+                pieces.append(_decode_pairs(idx, members[a]))
+            else:
+                i, j = np.divmod(idx, t)
+                pieces.append(np.column_stack([members[a][i], members[b][j]]))
     edges = np.concatenate(pieces) if pieces else np.empty((0, 2), dtype=np.int64)
     return to_undirected(edges, n=n)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphdiag import Dataset, FeatureMatrix, LabelVector, to_undirected
+from graphdiag.synthetic import planted_dataset
 
 
 def write_dataset(root, ds):
@@ -30,6 +31,20 @@ def make_dataset(edges, n, labels, features=None, num_labels=None, tokens=None):
                    features=FeatureMatrix(np.asarray(features, dtype=float)),
                    labels=LabelVector(labels, num),
                    node_tokens=tuple(tokens) if tokens else ())
+
+
+def planted_plus_isolated(n_isolated, seed=1, **planted):
+    """``planted_dataset(seed=seed, **planted)`` plus ``n_isolated`` nodes with
+    no edge, labelled in turn and with Gaussian features. A study keeps them
+    all when ``keep_top_k_components`` is at least the node count, and then
+    each is a community of its own."""
+    ds = planted_dataset(seed=seed, **planted)
+    rng = np.random.default_rng(seed)
+    return make_dataset(
+        ds.graph.edge_array(), ds.n + n_isolated,
+        np.concatenate([ds.labels.labels, np.arange(n_isolated) % ds.labels.num_labels]),
+        np.vstack([ds.features.values, rng.standard_normal((n_isolated, ds.features.d))]),
+        num_labels=ds.labels.num_labels)
 
 
 def labeled_rows(features, split):

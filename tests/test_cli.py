@@ -13,7 +13,7 @@ from graphdiag import io as gio
 from graphdiag.cli import main
 from graphdiag.synthetic import planted_dataset
 
-from conftest import make_dataset, write_dataset
+from conftest import make_dataset, planted_plus_isolated, write_dataset
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +314,48 @@ def test_middle_band_verdict_trains_nothing(workdir, tmp_path, monkeypatch, jobs
     band = with_config(workdir, "band-untrained.json", thresholds={"low": 0.0, "high": 1.0})
     assert main(["verdict", band, "--out", str(tmp_path), "--jobs", jobs]) == 0
     assert json.loads((tmp_path / "verdict.json").read_text())["sweep"] is not None
+
+
+@pytest.mark.parametrize("command, thresholds, decision, builds", [
+    ("analyze", None, None, 0),
+    ("verdict", None, "feature_only", 0),
+    ("verdict", {"low": 0.0, "high": 0.1}, "gnn_applicable", 0),
+    ("verdict", {"low": 0.0, "high": 1.0}, "gnn_applicable_after_sweep", 1),
+    ("ablate", None, None, 1),
+    ("perturb", None, None, 1),
+], ids=["analyze", "verdict-below-low", "verdict-above-high", "verdict-middle-band",
+        "ablate", "perturb"])
+def test_only_block_model_draws_build_block_densities(tmp_path, monkeypatch, command,
+                                                      thresholds, decision, builds):
+    # 20 kept isolated nodes are 20 singleton communities; labels independent
+    # of the blocks put U(L|C) at about 0.26, below the default low of 0.3
+    from graphdiag import harness
+    write_dataset(tmp_path, planted_plus_isolated(
+        20, n_per_block=40, p_in=0.25, p_out=0.03, labels_follow_blocks=False,
+        feature_dim=4, feature_shift=0.3))
+    config = {
+        "edges": str(tmp_path / "edges.txt"), "features": str(tmp_path / "features.csv"),
+        "labels": str(tmp_path / "labels.tsv"), "train_per_class": 5, "val_per_class": 8,
+        "n_splits": 2, "n_inits": 1, "n_graph_seeds": 2, "seed": 3,
+        "keep_top_k_components": 100, "fractions": [0.0, 0.3],
+        "train": {"max_epochs": 30, "patience": 10, "hidden_dim": 8},
+    }
+    if thresholds is not None:
+        config["thresholds"] = thresholds
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    build = harness.block_density_matrix
+    calls = []
+
+    def counting_build(graph, partition):
+        calls.append(partition.num_communities)
+        return build(graph, partition)
+
+    monkeypatch.setattr(harness, "block_density_matrix", counting_build)
+    out = tmp_path / "out"
+    assert main([command, str(tmp_path / "config.json"), "--out", str(out)]) == 0
+    assert calls == [22] * builds
+    if decision is not None:
+        assert json.loads((out / "verdict.json").read_text())["verdict"]["decision"] == decision
 
 
 def test_middle_band_verdict_with_one_fraction_fails_before_sweeping(workdir, tmp_path,

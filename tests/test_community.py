@@ -455,6 +455,15 @@ class TestBlockDensityMatrix:
         assert np.array_equal(densities, densities.T)
 
 
+@pytest.mark.parametrize("measure", [modularity, block_density_matrix])
+def test_a_partition_must_cover_the_graph(measure):
+    # a triangle and the edge 3-4, partitioned as if there were 7 nodes;
+    # unchecked, the 3-4 block's density reads 1/6, counting two absent nodes
+    g = to_undirected([(0, 1), (0, 2), (1, 2), (3, 4)], n=5)
+    with pytest.raises(ValueError, match="partition does not cover this graph"):
+        measure(g, Partition(np.array([0, 0, 0, 1, 1, 1, 1])))
+
+
 class TestPartitionValidation:
     def test_non_compact_ids_rejected(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphdiag import (Decision, GraphError, LabelVector, StudyConfig, TrainConfig, accuracy,
-                       analyze_prepared, emit_report, guideline_verdict, load_dataset,
+                       analyze_prepared, block_density_matrix, emit_report, guideline_verdict, load_dataset,
                        logreg_forward, make_splits, normalized_adjacency, prepare_study,
                        run_ablation_study, run_perturbation_sweep, sgc_propagate,
                        train_logreg)
@@ -19,7 +19,7 @@ from graphdiag.harness import (StudyReport, SweepRow, Thresholds, Verdict, deriv
                                write_json)
 from graphdiag.synthetic import planted_dataset
 
-from conftest import labeled_rows, make_dataset, write_dataset
+from conftest import labeled_rows, make_dataset, planted_plus_isolated, write_dataset
 
 FAST_TRAIN = TrainConfig(max_epochs=60, patience=15, hidden_dim=8)
 
@@ -415,9 +415,10 @@ class TestRunAblationStudy:
                 accs.setdefault((r.model, r.variant, r.graph_seed, r.split),
                                 []).append(r.accuracy)
         assert len(accs) == 2 * (1 + 3 * cfg.n_graph_seeds) * cfg.n_splits
+        densities = block_density_matrix(prep.dataset.graph, prep.base_partition)
         for (model, variant, g, s), values in accs.items():
             assert len(values) == cfg.n_inits
-            graph = harness._variant_graph(prep, variant, g)
+            graph = harness._variant_graph(prep, variant, g, densities)
             inputs = (sgc_propagate(normalized_adjacency(graph), features,
                                     cfg.train.sgc_k)
                       if model == "sgc" else features)
@@ -443,6 +444,24 @@ def test_an_sgc_cell_peaks_below_one_n_by_d_array():
         tracemalloc.stop()
     assert list(accs) == [("sgc", 0, 0)]
     assert peak < n * d * 8
+
+
+def test_analyze_peaks_below_one_block_density_matrix():
+    # every kept isolated node is a community of its own, so one K x K
+    # float64 matrix of block densities would be about 32 MB
+    dataset = planted_plus_isolated(2000, n_per_block=40, feature_dim=4)
+    config = StudyConfig(train_per_class=5, val_per_class=8, n_splits=1,
+                         keep_top_k_components=dataset.n)
+    tracemalloc.start()
+    try:
+        prep = prepare_study(dataset, config)
+        analyze_prepared(prep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k = prep.base_partition.num_communities
+    assert k > 2000
+    assert peak < k * k * 8
 
 
 def test_labels_that_follow_cliques_read_exactly_one():
@@ -562,6 +581,23 @@ class TestStudyWithoutFeatures:
             assert (b.fraction, b.graph_seed, b.u_values) == (f.fraction, f.graph_seed,
                                                                 f.u_values)
             assert b.accuracies == () and len(f.accuracies) == 1
+
+
+def test_missing_features_are_refused_before_too_few_edges(monkeypatch):
+    # one kept edge and no features: both refuse the ablation before any
+    # cell runs, and the features are named first
+    def refuse(*args, **kwargs):
+        raise AssertionError("no study cell may run")
+
+    n = 120
+    dataset = make_dataset([(0, 1)], n, np.arange(n) % 2)
+    prep = prepare_study(dataset, tiny_config(keep_top_k_components=n))
+    monkeypatch.setattr(harness, "_study_cell", refuse)
+    with pytest.raises(ValueError, match="loaded without features; training needs them"):
+        run_ablation_study(dataclasses.replace(
+            prep, dataset=dataclasses.replace(prep.dataset, features=None)))
+    with pytest.raises(GraphError, match="which has 1 edge; rewiring needs at least two"):
+        run_ablation_study(prep)
 
 
 class TestEmitReport:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from itertools import combinations
 from types import SimpleNamespace
@@ -13,10 +14,11 @@ from graphdiag import (GraphError, Partition, RewireStallWarning,
                        generate_erdos_renyi, generate_sbm, modularity,
                        rewire_configuration_model, swap_perturbation,
                        to_undirected)
-from graphdiag.nullmodels import SWAPS_PER_EDGE, _index_and_word_stream
+from graphdiag.nullmodels import (SWAPS_PER_EDGE, _decode_pairs, _index_and_word_stream,
+                                  _sample_distinct)
 from graphdiag.synthetic import planted_blocks, planted_partition_graph
 
-from conftest import random_simple_graph
+from conftest import planted_plus_isolated, random_simple_graph
 
 
 def uniform_densities(k, p_in, p_out):
@@ -25,7 +27,63 @@ def uniform_densities(k, p_in, p_out):
     return densities
 
 
+def reference_sbm_edges(densities, partition, seed):
+    """The block-model draw as a loop over all K^2 block pairs a <= b,
+    skipping those of density 0: the order ``generate_sbm`` must keep."""
+    k = partition.num_communities
+    rng = np.random.default_rng(seed)
+    members = [np.flatnonzero(partition.assignment == c) for c in range(k)]
+    pieces = []
+    for a in range(k):
+        for b in range(a, k):
+            p = float(densities[a, b])
+            if p <= 0.0:
+                continue
+            s, t = len(members[a]), len(members[b])
+            n_pairs = s * (s - 1) // 2 if a == b else s * t
+            count = int(rng.binomial(n_pairs, p)) if p < 1.0 else n_pairs
+            if count:
+                idx = _sample_distinct(n_pairs, count, rng)
+                if a == b:
+                    pieces.append(_decode_pairs(idx, members[a]))
+                else:
+                    i, j = np.divmod(idx, t)
+                    pieces.append(np.column_stack([members[a][i], members[b][j]]))
+    edges = np.concatenate(pieces) if pieces else np.empty((0, 2), dtype=np.int64)
+    return to_undirected(edges, n=len(partition.assignment)).edge_array()
+
+
 class TestGenerateSbm:
+    @pytest.mark.parametrize("n_isolated", [0, 7, 37])
+    def test_draws_what_the_all_pairs_loop_draws(self, n_isolated):
+        # three planted blocks plus singleton communities, K up to 40, with
+        # the study's densities overwritten by exact 0s and 1s in places
+        ds = planted_plus_isolated(n_isolated, n_per_block=12, num_blocks=3,
+                                   p_in=0.3, p_out=0.05)
+        part = Partition(np.concatenate([np.repeat(np.arange(3), 12),
+                                         3 + np.arange(n_isolated)]))
+        rng = np.random.default_rng(n_isolated)
+        densities = block_density_matrix(ds.graph, part)
+        densities[rng.random(densities.shape) < 0.2] = 0.0
+        densities[rng.random(densities.shape) < 0.1] = 1.0
+        # a complete cross block, an empty planted block, and at density 1
+        # the last community's own block: a singleton's has no node pair
+        densities[0, 1], densities[1, 1], densities[-1, -1] = 1.0, 0.0, 1.0
+        densities = np.triu(densities) + np.triu(densities, 1).T
+        for seed in range(4):
+            assert np.array_equal(generate_sbm(densities, part, seed).edge_array(),
+                                  reference_sbm_edges(densities, part, seed))
+
+    @pytest.mark.parametrize("value", [np.nan, 1.5, -0.3])
+    def test_density_outside_zero_one_rejected(self, value):
+        # unchecked, a NaN or 1.5 draws the whole cross block and -0.3 none of it
+        part = planted_blocks(20, 2)
+        densities = uniform_densities(2, 0.2, 0.05)
+        densities[0, 1] = densities[1, 0] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"densities[0, 1] is {value}; a block density must lie in [0, 1]")):
+            generate_sbm(densities, part, seed=0)
+
     def test_density_one_gives_complete_graph(self):
         part = planted_blocks(4, 2)
         g = generate_sbm(uniform_densities(2, 1.0, 1.0), part, seed=0)
