@@ -5,13 +5,19 @@ Formats:
     lines starting with '#' are ignored
   * labels: one line per node, "node_token<TAB>label_token"
   * features: CSV with the node token in the first column, or a sparse
-    triplet file "node_token col value" densified on load
+    triplet file "node_token col value" densified on load. A CSV is read in
+    blocks, runs of lines of about ``_BLOCK_CHARS`` characters, each parsed
+    by one ``np.loadtxt`` call; a block with any fault in it is read again
+    line by line, which names the fault. The bound is on characters rather
+    than rows, so a block's transient memory stays small however wide the
+    rows are. Values follow Python's ``float()`` syntax.
   * partition: "node_token<TAB>community_id"
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -81,31 +87,94 @@ def load_edges(path, node_index: dict[str, int]) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
+# characters of line text after which a CSV block ends (see _load_features_csv)
+_BLOCK_CHARS = 64 * 1024
+
+
+def _blocks(lines):
+    """Group ``(lineno, line)`` pairs into lists of about ``_BLOCK_CHARS``."""
+    block, size = [], 0
+    for item in lines:
+        block.append(item)
+        size += len(item[1])
+        if size >= _BLOCK_CHARS:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
+
+
+def _read_block(block, width: int, node_index: dict[str, int], out: np.ndarray,
+                line_of: np.ndarray) -> bool:
+    """Store a block's rows through one ``np.loadtxt`` call and return True,
+    or return False with nothing stored when any line of it is at fault: an
+    unknown or repeated token, a wrong column count, or a value numpy does
+    not parse."""
+    nodes, bodies = [], []
+    try:
+        for _, line in block:
+            token, _, body = line.partition(",")
+            nodes.append(node_index[token.strip()])
+            bodies.append(body)
+    except KeyError:
+        return False
+    if len(set(nodes)) != len(nodes) or line_of[nodes].any():
+        return False
+    try:
+        # an all-empty block warns that it holds no data; that is a fault too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(bodies, delimiter=",", comments=None, dtype=np.float64,
+                                ndmin=2)
+    except (ValueError, Warning):
+        return False
+    if values.shape != (len(block), width - 1):
+        return False
+    out[nodes] = values
+    line_of[nodes] = [lineno for lineno, _ in block]
+    return True
+
+
 def _load_features_csv(path, lines, node_index: dict[str, int]) -> np.ndarray:
-    out = width = None
+    """Read a CSV feature file block by block; the first line sets the width.
+
+    A block is a run of data lines that ends once it holds ``_BLOCK_CHARS``
+    characters of line text, so its strings and parsed array stay a small
+    fraction of the matrix even for rows thousands of columns wide (a count
+    of rows would not bound them). It is parsed in one ``np.loadtxt`` call
+    when every token is known and new, and every line has the width's
+    numbers in numpy's grammar. Otherwise the block is read again line by
+    line with ``float()``, which raises the first fault in line order with
+    the message it always had, or accepts what only ``float()`` parses
+    (``"1_0"``, non-ASCII digits). Both parsers round correctly, so the
+    matrix does not depend on which one read a row.
+    """
+    first = next(lines)
+    width = first[1].count(",") + 1
+    if width < 2:
+        raise DatasetFormatError(path, first[0], "need at least one feature column")
+    out = np.empty((len(node_index), width - 1), dtype=np.float64)
     line_of = np.zeros(len(node_index), dtype=np.int64)  # of each node's row; 0: none yet
-    for lineno, line in lines:
-        parts = line.split(",")
-        if width is None:
-            width = len(parts)
-            if width < 2:
-                raise DatasetFormatError(path, lineno, "need at least one feature column")
-            out = np.empty((len(node_index), width - 1), dtype=np.float64)
-        elif len(parts) != width:
-            raise DatasetFormatError(
-                path, lineno, f"expected {width} columns, found {len(parts)}")
-        token = parts[0].strip()
-        if token not in node_index:
-            raise DatasetFormatError(
-                path, lineno, f"node token {token!r} not present in the label file")
-        node = node_index[token]
-        if line_of[node]:
-            raise DatasetFormatError(path, lineno, f"duplicate feature row for {token!r}")
-        try:
-            out[node] = [float(x) for x in parts[1:]]
-        except ValueError:
-            raise DatasetFormatError(path, lineno, "non-numeric feature value") from None
-        line_of[node] = lineno
+    for block in _blocks(chain([first], lines)):
+        if _read_block(block, width, node_index, out, line_of):
+            continue
+        for lineno, line in block:
+            parts = line.split(",")
+            if len(parts) != width:
+                raise DatasetFormatError(
+                    path, lineno, f"expected {width} columns, found {len(parts)}")
+            token = parts[0].strip()
+            if token not in node_index:
+                raise DatasetFormatError(
+                    path, lineno, f"node token {token!r} not present in the label file")
+            node = node_index[token]
+            if line_of[node]:
+                raise DatasetFormatError(path, lineno, f"duplicate feature row for {token!r}")
+            try:
+                out[node] = [float(x) for x in parts[1:]]
+            except ValueError:
+                raise DatasetFormatError(path, lineno, "non-numeric feature value") from None
+            line_of[node] = lineno
     missing = np.count_nonzero(line_of == 0)
     if missing:
         raise DatasetFormatError(path, None, f"{missing} nodes have no feature row")

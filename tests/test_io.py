@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphdiag import load_dataset
-from graphdiag.io import (DatasetFormatError, _data_lines, load_edges, load_features,
-                          load_labels, write_partition)
+import graphdiag.io
+from graphdiag.io import (DatasetFormatError, _blocks, _data_lines, load_edges,
+                          load_features, load_labels, write_partition)
 
 from conftest import write_dataset
 
@@ -167,10 +170,11 @@ def test_format_is_decided_after_the_first_node_token(tmp_path, text, node_index
     assert out.tolist() == [[1.0], [2.0]]
 
 
-def test_csv_load_peaks_below_twice_the_matrix(tmp_path):
+@pytest.mark.parametrize("n, d", [(1000, 300), (200, 3000)])
+def test_csv_load_peaks_below_twice_the_matrix(tmp_path, n, d):
     # a per-value Python intermediate (a float object and a list slot, about
-    # 32 bytes against the matrix's 8) would put the peak near 5x
-    n, d = 1000, 300
+    # 32 bytes against the matrix's 8) would put the peak near 5x; so would
+    # parsing a fixed number of wide rows at once rather than a bounded text
     values = np.random.default_rng(0).standard_normal((n, d))
     path = tmp_path / "f.csv"
     path.write_text("".join(f"n{i},{','.join(map(repr, row.tolist()))}\n"
@@ -287,7 +291,10 @@ def feature_files(draw):
                            min_size=1, max_size=6, unique=True))
     node_index = {t: i for i, t in enumerate(tokens)}
     order = draw(st.permutations(tokens))
-    value = st.sampled_from(["0.0", "1.5", "-2", "3e-3", "7"])
+    # the last five parse with float() but not all with numpy, or are empty
+    # or padded, so that blocks also take the line-by-line path
+    value = st.sampled_from(["0.0", "1.5", "-2", "3e-3", "7",
+                             "1_0", "\u0661\u0662", "\uff11", "", " 2 "])
     if draw(st.booleans()):
         width = draw(st.integers(1, 4))
         lines = [[t, *draw(st.lists(value, min_size=width, max_size=width))] for t in order]
@@ -337,10 +344,93 @@ def _outcome(load, path, node_index):
 
 
 @settings(max_examples=400, deadline=None)
-@given(feature_files())
-def test_load_features_matches_reference(tmp_path_factory, file):
+@given(feature_files(), st.one_of(st.just(graphdiag.io._BLOCK_CHARS), st.integers(1, 40)))
+def test_load_features_matches_reference(tmp_path_factory, file, block_chars):
+    # with a drawn block of 1-40 characters a file spans many blocks, so
+    # faults meet block boundaries
     text, node_index = file
     path = tmp_path_factory.mktemp("features") / "f.txt"
     path.write_text(text, encoding="utf-8")
-    assert (_outcome(load_features, path, node_index)
-            == _outcome(_reference_load_features, path, node_index))
+    with mock.patch.object(graphdiag.io, "_BLOCK_CHARS", block_chars):
+        assert (_outcome(load_features, path, node_index)
+                == _outcome(_reference_load_features, path, node_index))
+
+
+# ---------------------------------------------------------------------------
+# block boundaries: 12 lines of 15 characters in blocks of 45 characters, so
+# lines 1-3, 4-6, 7-9 and 10-12 each form one block; every fault below keeps
+# its line's length, so the blocks stay where they are
+# ---------------------------------------------------------------------------
+
+BLOCK_LINES = [f"n{i:02d},1.5,2.5,3.5" for i in range(12)]
+BLOCK_INDEX = {f"n{i:02d}": i for i in range(12)}
+LINE_FAULTS = {
+    "more-columns": lambda i: f"n{i:02d},1.5,2.5,3,5",
+    "fewer-columns": lambda i: f"n{i:02d},1.5,2.50355",
+    "unknown": lambda i: f"q{i:02d},1.5,2.5,3.5",
+    "duplicate-in-block": lambda i: f"n{i - 1:02d},1.5,2.5,3.5",
+    "duplicate-of-earlier-block": lambda i: "n00,1.5,2.5,3.5",
+    "non-numeric": lambda i: f"n{i:02d},1.5,2.5,x.5",
+    "empty-value": lambda i: f"n{i:02d},1.5,,2.5005",
+    "non-finite": lambda i: f"n{i:02d},1.5,2.5,nan",
+    "float-only-grammar": lambda i: f"n{i:02d},1.5,2.5,1_0",
+}
+
+
+FOUR_BLOCKS = [[1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 12]]
+
+
+def _block_layout(path, block_chars, monkeypatch):
+    """Set the block size to ``block_chars``; return each block's line numbers."""
+    monkeypatch.setattr(graphdiag.io, "_BLOCK_CHARS", block_chars)
+    return [[lineno for lineno, _ in block]
+            for block in _blocks(_data_lines(path, allow_comments=False))]
+
+
+def test_clean_file_across_blocks_matches_reference(tmp_path, monkeypatch):
+    path = write(tmp_path / "f.csv", "\n".join(BLOCK_LINES) + "\n")
+    assert _block_layout(path, 45, monkeypatch) == FOUR_BLOCKS
+    got = _outcome(load_features, path, BLOCK_INDEX)
+    assert got == _outcome(_reference_load_features, path, BLOCK_INDEX)
+    assert isinstance(got, tuple)
+
+
+@pytest.mark.parametrize("at", [3, 5, 11], ids=["block-first", "block-last", "file-end"])
+@pytest.mark.parametrize("fault", LINE_FAULTS)
+def test_fault_at_a_block_boundary_matches_reference(tmp_path, monkeypatch, fault, at):
+    lines = list(BLOCK_LINES)
+    lines[at] = LINE_FAULTS[fault](at)
+    path = write(tmp_path / "f.csv", "\n".join(lines) + "\n")
+    assert _block_layout(path, 45, monkeypatch) == FOUR_BLOCKS
+    got = _outcome(load_features, path, BLOCK_INDEX)
+    assert got == _outcome(_reference_load_features, path, BLOCK_INDEX)
+    if fault == "float-only-grammar":
+        assert isinstance(got, tuple)
+    else:
+        assert f"f.csv:{at + 1}: " in got or fault == "non-finite"
+
+
+def test_first_fault_wins_across_blocks(tmp_path, monkeypatch):
+    # a non-numeric value in the second block, a duplicate row in the fourth
+    lines = list(BLOCK_LINES)
+    lines[4] = LINE_FAULTS["non-numeric"](4)
+    lines[10] = LINE_FAULTS["duplicate-of-earlier-block"](10)
+    path = write(tmp_path / "f.csv", "\n".join(lines) + "\n")
+    assert _block_layout(path, 45, monkeypatch) == FOUR_BLOCKS
+    got = _outcome(load_features, path, BLOCK_INDEX)
+    assert got == _outcome(_reference_load_features, path, BLOCK_INDEX)
+    assert got.endswith("f.csv:5: non-numeric feature value")
+
+
+def test_block_of_empty_bodies_is_non_numeric_without_a_warning(tmp_path, monkeypatch):
+    # the 14-character first line fills a 12-character block alone, so the
+    # three bodiless lines after it make up the second block
+    path = write(tmp_path / "f.csv", "n00,1.50000000\nn01,\nn02,\nn03,\n")
+    node_index = {f"n{i:02d}": i for i in range(4)}
+    assert _block_layout(path, 12, monkeypatch) == [[1], [2, 3, 4]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _outcome(load_features, path, node_index)
+    assert caught == []
+    assert got == _outcome(_reference_load_features, path, node_index)
+    assert got.endswith("f.csv:2: non-numeric feature value")
