@@ -78,11 +78,11 @@ def modularity(graph: LabeledGraph, partition: Partition) -> float:
     return float(np.sum(internal / m - (comm_degree / (2.0 * m)) ** 2))
 
 
-def block_density_matrix(graph: LabeledGraph, partition: Partition) -> np.ndarray:
-    """K x K edge densities within and between communities, as exact count ratios.
+def block_density_matrix(graph: LabeledGraph, partition: Partition) -> dict[tuple[int, int], float]:
+    """Edge densities of the block pairs a <= b that hold an edge, as exact count ratios.
 
-    Entry [a, a] is internal edges over size_a-choose-2 (0 for singleton
-    communities); entry [a, b] is cross edges over size_a * size_b.
+    Maps (a, b), in ascending order, to internal edges over size_a-choose-2
+    if a == b, else to cross edges over size_a * size_b: O(m + K) entries.
     """
     if len(partition.assignment) != graph.n:
         raise ValueError("partition does not cover this graph")
@@ -91,13 +91,10 @@ def block_density_matrix(graph: LabeledGraph, partition: Partition) -> np.ndarra
     sizes = partition.sizes()
     edges = graph.edge_array()
     a, b = comm[edges[:, 0]], comm[edges[:, 1]]
-    counts = np.zeros((k, k), dtype=np.int64)
-    np.add.at(counts, (a, b), 1)
-    cross = a != b
-    np.add.at(counts, (b[cross], a[cross]), 1)
-    pairs = np.outer(sizes, sizes).astype(np.float64)
-    np.fill_diagonal(pairs, sizes * (sizes - 1) / 2.0)
-    return counts / np.maximum(pairs, 1.0)
+    codes, counts = np.unique(np.minimum(a, b) * k + np.maximum(a, b), return_counts=True)
+    a, b = np.divmod(codes, k)
+    pairs = np.where(a == b, sizes[a] * (sizes[a] - 1) // 2, sizes[a] * sizes[b])
+    return dict(zip(zip(a.tolist(), b.tolist()), (counts / pairs).tolist()))
 
 
 def _local_moves(offsets: np.ndarray, neighbors: np.ndarray, weights: np.ndarray,

@@ -424,9 +424,9 @@ def _map_tasks(tasks, prep: PreparedStudy, jobs: int) -> list:
     for fi in sorted({fi for _, _, fi, _ in tasks if fi is not None}):
         swap_count(prep.config.fractions[fi], prep.dataset.n,
                    prep.base_partition.num_communities)
-    # each block-model graph is drawn once, here, from one density matrix,
-    # and shared by every cell of its graph seed. Only it can draw no edge:
-    # swaps and the cm and random rebuilds keep the edge count
+    # each block-model graph is drawn once, here, from one map of block-pair
+    # densities, and shared by every cell of its graph seed. Only it can draw
+    # no edge: swaps and the cm and random rebuilds keep the edge count
     sbm_seeds = sorted({g for variant, g, _, _ in tasks if variant == "sbm"})
     if sbm_seeds:
         densities = block_density_matrix(prep.dataset.graph, prep.base_partition)

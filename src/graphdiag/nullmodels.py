@@ -71,32 +71,33 @@ def _decode_pairs(indices: np.ndarray, members: np.ndarray) -> np.ndarray:
     return np.column_stack([members[first], members[second]])
 
 
-def generate_sbm(densities: np.ndarray, partition: Partition,
+def generate_sbm(densities: dict[tuple[int, int], float], partition: Partition,
                  seed: int) -> LabeledGraph:
     """Sample a graph where each node pair carries an edge independently
-    with the density of its community pair, ``densities[a, b]`` for a <= b.
-    Node identities (and hence features and labels) are untouched.
+    with the density of its community pair, ``densities[a, b]`` for a <= b
+    (0 if left out). Node identities (and hence features and labels) are untouched.
 
-    Every density must lie in [0, 1]; any other value, NaN included, is
-    refused, naming its block pair. Only the block pairs of density above 0
-    draw anything, so only they are visited, in (a, b) order.
+    A key that is not a pair a <= b of community ids below K, or a density
+    outside [0, 1], NaN included, is refused before any draw, naming its
+    block pair. Only the block pairs of density above 0 draw, in (a, b) order.
     """
     k = partition.num_communities
-    if np.shape(densities) != (k, k):
-        raise ValueError(f"densities must be {k}x{k} for a partition into {k} "
-                         f"communities, got shape {np.shape(densities)}")
-    valid = (densities >= 0.0) & (densities <= 1.0)
-    if not valid.all():
-        a, b = np.argwhere(~valid)[0]
-        raise ValueError(f"densities[{a}, {b}] is {densities[a, b]}; "
-                         "a block density must lie in [0, 1]")
+    blocks = sorted(densities.items())
+    for (a, b), p in blocks:
+        if not 0 <= a <= b < k:
+            raise ValueError(f"densities[{a}, {b}] names no block pair a <= b "
+                             f"of community ids 0..{k - 1}")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"densities[{a}, {b}] is {p}; "
+                             "a block density must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     n = len(partition.assignment)
     members = np.split(np.argsort(partition.assignment, kind="stable"),
                        np.cumsum(partition.sizes())[:-1])
     pieces = []
-    for a, b in zip(*np.divmod(np.flatnonzero(np.triu(densities > 0.0)), k)):
-        p = float(densities[a, b])
+    for (a, b), p in blocks:
+        if p == 0.0:
+            continue
         s, t = len(members[a]), len(members[b])
         n_pairs = s * (s - 1) // 2 if a == b else s * t
         count = int(rng.binomial(n_pairs, p)) if p < 1.0 else n_pairs

@@ -23,8 +23,8 @@ def planted_partition_graph(n_per_block: int, num_blocks: int, p_in: float,
                             p_out: float, seed: int):
     """Sample a planted-partition graph; returns (graph, partition)."""
     part = planted_blocks(n_per_block, num_blocks)
-    densities = np.full((num_blocks, num_blocks), p_out)
-    np.fill_diagonal(densities, p_in)
+    densities = {(a, b): p_in if a == b else p_out
+                 for a in range(num_blocks) for b in range(a, num_blocks)}
     return generate_sbm(densities, part, seed), part
 
 

@@ -390,31 +390,37 @@ def pair_counts(sizes):
     return pairs
 
 
+def as_matrix(densities, k):
+    """The K x K symmetric matrix of block densities; a missing pair reads 0."""
+    matrix = np.zeros((k, k))
+    for (a, b), p in densities.items():
+        matrix[a, b] = matrix[b, a] = p
+    return matrix
+
+
 class TestBlockDensityMatrix:
     def test_two_cliques_no_cross(self, disjoint_triangles):
         part = Partition(np.array([0, 0, 0, 1, 1, 1]))
         densities = block_density_matrix(disjoint_triangles, part)
-        assert np.allclose(np.diag(densities), 1.0)
-        assert densities[0, 1] == 0.0
+        assert densities == {(0, 0): 1.0, (1, 1): 1.0}
 
     def test_two_pairs_with_cross(self):
         g = to_undirected([(0, 1), (2, 3), (1, 2)], n=4)
         part = Partition(np.array([0, 0, 1, 1]))
         densities = block_density_matrix(g, part)
-        assert np.allclose(np.diag(densities), 1.0)
         # one cross edge over 2 * 2 node pairs
-        assert densities[0, 1] == 0.25
+        assert densities == {(0, 0): 1.0, (0, 1): 0.25, (1, 1): 1.0}
 
     def test_single_community_reduces_to_density(self, bridged_triangles):
         part = Partition(np.zeros(6, dtype=int))
         densities = block_density_matrix(bridged_triangles, part)
-        assert densities.shape == (1, 1)
+        assert list(densities) == [(0, 0)]
         assert densities[0, 0] == pytest.approx(edge_density(bridged_triangles))
 
     def test_singleton_community_diagonal_zero(self):
         g = to_undirected([(0, 1), (1, 2)], n=3)
         part = Partition(np.array([0, 0, 1]))
-        assert block_density_matrix(g, part)[1, 1] == 0.0
+        assert block_density_matrix(g, part) == {(0, 0): 1.0, (0, 1): 0.5}
 
     def test_counts_match_per_edge_reference(self):
         rng = np.random.default_rng(17)
@@ -434,25 +440,32 @@ class TestBlockDensityMatrix:
             with np.errstate(invalid="ignore", divide="ignore"):
                 reference = np.where(pairs > 0, expected / pairs, 0.0)
             densities = block_density_matrix(g, part)
-            assert densities.dtype == np.float64
-            assert np.array_equal(densities, reference)
+            # exactly the block pairs a <= b that hold an edge, as floats
+            assert list(densities) == list(zip(*np.nonzero(np.triu(expected))))
+            assert all(type(p) is float for p in densities.values())
+            assert np.array_equal(as_matrix(densities, k), reference)
 
     def test_reconstruction_equals_edge_count(self):
         rng = np.random.default_rng(31)
         for _ in range(15):
             g = random_simple_graph(rng)
             part = louvain(g, seed=2)
-            recon = block_density_matrix(g, part) * pair_counts(part.sizes())
+            densities = block_density_matrix(g, part)
+            recon = as_matrix(densities, part.num_communities) * pair_counts(part.sizes())
             # each block's edge count comes back to within rounding
             assert np.allclose(recon, np.rint(recon), rtol=0, atol=1e-9)
             assert int(np.rint(np.triu(recon)).sum()) == g.m
             assert np.triu(recon).sum() == pytest.approx(g.m, rel=1e-12)
 
-    def test_symmetric(self):
+    def test_keys_are_pairs_a_le_b_in_ascending_order(self):
         rng = np.random.default_rng(37)
         g = random_simple_graph(rng, n=14, p=0.3)
-        densities = block_density_matrix(g, louvain(g, seed=5))
-        assert np.array_equal(densities, densities.T)
+        part = louvain(g, seed=5)
+        keys = list(block_density_matrix(g, part))
+        assert part.num_communities > 1
+        assert any(a < b for a, b in keys)
+        assert all(a <= b for a, b in keys)
+        assert keys == sorted(set(keys))
 
 
 @pytest.mark.parametrize("measure", [modularity, block_density_matrix])

@@ -448,7 +448,9 @@ def test_an_sgc_cell_peaks_below_one_n_by_d_array():
 
 def test_analyze_peaks_below_one_block_density_matrix():
     # every kept isolated node is a community of its own, so one K x K
-    # float64 matrix of block densities would be about 32 MB
+    # float64 array would be about 32 MB. analyze builds no block
+    # densities at all, and those of the block-model rebuild hold only
+    # the block pairs that contain an edge
     dataset = planted_plus_isolated(2000, n_per_block=40, feature_dim=4)
     config = StudyConfig(train_per_class=5, val_per_class=8, n_splits=1,
                          keep_top_k_components=dataset.n)

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import re
+import tracemalloc
 import warnings
 from itertools import combinations
 from types import SimpleNamespace
@@ -11,8 +13,8 @@ from hypothesis import strategies as st
 
 from graphdiag import (GraphError, Partition, RewireStallWarning,
                        block_density_matrix, edge_density,
-                       generate_erdos_renyi, generate_sbm, modularity,
-                       rewire_configuration_model, swap_perturbation,
+                       generate_erdos_renyi, generate_sbm, louvain, modularity,
+                       nullmodels, rewire_configuration_model, swap_perturbation,
                        to_undirected)
 from graphdiag.nullmodels import (SWAPS_PER_EDGE, _decode_pairs, _index_and_word_stream,
                                   _sample_distinct)
@@ -22,21 +24,20 @@ from conftest import planted_plus_isolated, random_simple_graph
 
 
 def uniform_densities(k, p_in, p_out):
-    densities = np.full((k, k), p_out, dtype=float)
-    np.fill_diagonal(densities, p_in)
-    return densities
+    return {(a, b): p_in if a == b else p_out for a in range(k) for b in range(a, k)}
 
 
 def reference_sbm_edges(densities, partition, seed):
     """The block-model draw as a loop over all K^2 block pairs a <= b,
-    skipping those of density 0: the order ``generate_sbm`` must keep."""
+    skipping those of density 0: the order ``generate_sbm`` must keep.
+    A pair missing from ``densities`` has density 0."""
     k = partition.num_communities
     rng = np.random.default_rng(seed)
     members = [np.flatnonzero(partition.assignment == c) for c in range(k)]
     pieces = []
     for a in range(k):
         for b in range(a, k):
-            p = float(densities[a, b])
+            p = float(densities.get((a, b), 0.0))
             if p <= 0.0:
                 continue
             s, t = len(members[a]), len(members[b])
@@ -53,6 +54,19 @@ def reference_sbm_edges(densities, partition, seed):
     return to_undirected(edges, n=len(partition.assignment)).edge_array()
 
 
+def edge_digest(graph):
+    return hashlib.sha256(graph.edge_array().astype("<i8").tobytes()).hexdigest()
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Fail any block-model draw: a refused input must be refused first."""
+    def draw(*args):
+        raise AssertionError("a block was drawn before the input was checked")
+
+    monkeypatch.setattr(nullmodels, "_sample_distinct", draw)
+
+
 class TestGenerateSbm:
     @pytest.mark.parametrize("n_isolated", [0, 7, 37])
     def test_draws_what_the_all_pairs_loop_draws(self, n_isolated):
@@ -62,24 +76,31 @@ class TestGenerateSbm:
                                    p_in=0.3, p_out=0.05)
         part = Partition(np.concatenate([np.repeat(np.arange(3), 12),
                                          3 + np.arange(n_isolated)]))
+        k = part.num_communities
         rng = np.random.default_rng(n_isolated)
         densities = block_density_matrix(ds.graph, part)
-        densities[rng.random(densities.shape) < 0.2] = 0.0
-        densities[rng.random(densities.shape) < 0.1] = 1.0
+        zeros, ones = rng.random((k, k)) < 0.2, rng.random((k, k)) < 0.1
+        for a, b in zip(*np.triu_indices(k)):
+            if zeros[a, b]:
+                densities[a, b] = 0.0
+            if ones[a, b]:
+                densities[a, b] = 1.0
         # a complete cross block, an empty planted block, and at density 1
         # the last community's own block: a singleton's has no node pair
-        densities[0, 1], densities[1, 1], densities[-1, -1] = 1.0, 0.0, 1.0
-        densities = np.triu(densities) + np.triu(densities, 1).T
+        densities[0, 1], densities[1, 1], densities[k - 1, k - 1] = 1.0, 0.0, 1.0
         for seed in range(4):
-            assert np.array_equal(generate_sbm(densities, part, seed).edge_array(),
-                                  reference_sbm_edges(densities, part, seed))
+            expected = reference_sbm_edges(densities, part, seed)
+            assert np.array_equal(generate_sbm(densities, part, seed).edge_array(), expected)
+            # the draw order is (a, b) order, whatever the dict's own order
+            backwards = dict(reversed(densities.items()))
+            assert np.array_equal(generate_sbm(backwards, part, seed).edge_array(), expected)
 
     @pytest.mark.parametrize("value", [np.nan, 1.5, -0.3])
-    def test_density_outside_zero_one_rejected(self, value):
+    def test_density_outside_zero_one_rejected(self, value, no_draw):
         # unchecked, a NaN or 1.5 draws the whole cross block and -0.3 none of it
         part = planted_blocks(20, 2)
         densities = uniform_densities(2, 0.2, 0.05)
-        densities[0, 1] = densities[1, 0] = value
+        densities[0, 1] = value
         with pytest.raises(ValueError, match=re.escape(
                 f"densities[0, 1] is {value}; a block density must lie in [0, 1]")):
             generate_sbm(densities, part, seed=0)
@@ -93,6 +114,17 @@ class TestGenerateSbm:
         part = planted_blocks(4, 2)
         g = generate_sbm(uniform_densities(2, 0.0, 0.0), part, seed=0)
         assert g.m == 0
+
+    def test_omitted_pair_draws_as_density_zero(self):
+        part = planted_blocks(30, 3)
+        explicit = uniform_densities(3, 0.3, 0.05)
+        explicit[0, 2] = 0.0
+        omitted = {pair: p for pair, p in explicit.items() if pair != (0, 2)}
+        for seed in range(4):
+            g = generate_sbm(omitted, part, seed)
+            assert np.array_equal(g.edge_array(),
+                                  generate_sbm(explicit, part, seed).edge_array())
+            assert (0, 2) not in block_density_matrix(g, part)
 
     def test_edge_count_within_four_sigma(self):
         part = planted_blocks(100, 2)
@@ -109,11 +141,11 @@ class TestGenerateSbm:
         p = uniform_densities(3, 0.25, 0.03)
         g = generate_sbm(p, part, seed=7)
         observed = block_density_matrix(g, part)
-        sizes = part.sizes().astype(float)
-        pairs = np.outer(sizes, sizes)
-        np.fill_diagonal(pairs, sizes * (sizes - 1) / 2.0)
-        sigma = np.sqrt(p * (1 - p) / pairs)
-        assert np.all(np.abs(observed - p) <= 4 * sigma)
+        sizes = part.sizes().tolist()
+        for (a, b), expected in p.items():
+            pairs = sizes[a] * (sizes[a] - 1) / 2.0 if a == b else sizes[a] * sizes[b]
+            sigma = np.sqrt(expected * (1 - expected) / pairs)
+            assert abs(observed.get((a, b), 0.0) - expected) <= 4 * sigma
 
     def test_deterministic(self):
         part = planted_blocks(30, 2)
@@ -122,11 +154,71 @@ class TestGenerateSbm:
         b = generate_sbm(densities, part, seed=5)
         assert np.array_equal(a.neighbors, b.neighbors)
 
-    def test_partition_mismatch_rejected(self):
-        # three blocks of densities for a partition into two communities
+    @pytest.mark.parametrize("pair", [(1, 0), (-1, 0), (0, -1), (0, 2), (2, 2)],
+                             ids=["b-below-a", "a-negative", "b-negative", "b-beyond-k",
+                                  "a-beyond-k"])
+    def test_key_outside_the_block_pairs_rejected(self, pair, no_draw):
+        # a partition into two communities has block pairs (0, 0), (0, 1)
+        # and (1, 1); the bad key sorts after the good ones, or before
         part = planted_blocks(4, 2)
-        with pytest.raises(ValueError, match="densities must be 2x2"):
-            generate_sbm(uniform_densities(3, 0.5, 0.5), part, seed=0)
+        densities = uniform_densities(2, 0.5, 0.5)
+        densities[pair] = 0.5
+        a, b = pair
+        with pytest.raises(ValueError, match=re.escape(
+                f"densities[{a}, {b}] names no block pair a <= b of community ids 0..1")):
+            generate_sbm(densities, part, seed=0)
+
+    def test_block_model_draws_keep_their_bytes(self):
+        # the edges of four draws, pinned by digest: a planted graph plus 40
+        # isolated nodes, each of them a singleton community, so K = 43 and
+        # most block pairs hold no edge
+        g0, _ = planted_partition_graph(12, 3, 0.3, 0.05, seed=1)
+        g = to_undirected(g0.edge_array(), n=g0.n + 40)
+        part = louvain(g, 0)
+        densities = block_density_matrix(g, part)
+        assert part.num_communities == 43
+        assert len(densities) < 43 * 44 // 2
+        assert [edge_digest(generate_sbm(densities, part, seed)) for seed in range(4)] == [
+            "88a88880b8e0215b5910880046828c349c82108bf189d1c632d9def8f296c1f2",
+            "3d5c19aa51425adf57b07b59cefbe5e70fd9b5d0e30b7413ae9473b26de773a3",
+            "7b13df44303ea5200badb86b1ec5ae22ade016e8204e439dc843c8c5c91686b3",
+            "4052ce3fc9fac37593ba4729bcd71bf852bf532054ff43dbdcd0996ef93aba43",
+        ]
+
+    def test_bench_cora_graph_keeps_its_bytes(self):
+        # the benchmark's Cora-scale structure (its seed drawn as
+        # bench/workloads.py draws it) and seeds 0-3: the bench data stays fixed
+        bench_seed = int(np.random.default_rng([0, 1]).integers(2**32))
+        digests = [edge_digest(planted_partition_graph(400, 7, 0.0115, 0.0004, seed)[0])
+                   for seed in (bench_seed, 0, 1, 2, 3)]
+        assert digests == [
+            "c4fc03d79c036eab00b7afcb67c8ed917f6f7ea50db468e5bce9ea8c2b61224d",
+            "67ccf307e59912a1a8d97c9d1e41efe2d9a1391d8bf29b3f0a0d9e7f812cced9",
+            "f9716ea44d61ad2328adcdb9dfb7a39471aded943f421e04660a9e3a078231c2",
+            "d38c140e24e9ffe77dc64c6bf5146146a0d859ec8376049c6fcb9384b0feb12a",
+            "bbc06ee54c1d8325dd7439fda7e73eabe9bbf4f08aa7b6cbb20373a7cab37f5d",
+        ]
+
+    def test_many_singleton_communities_cost_no_k_by_k_array(self):
+        # 1,500 planted nodes plus 3,000 isolated ones give K = 3,005, so
+        # one K x K float64 array would be 72 MB; 15 block pairs hold an edge
+        g0, blocks = planted_partition_graph(300, 5, 0.02, 0.002, seed=3)
+        g = to_undirected(g0.edge_array(), n=g0.n + 3000)
+        part = Partition(np.concatenate([blocks.assignment, 5 + np.arange(3000)]))
+        assert part.num_communities == 3005
+        peaks = []
+        tracemalloc.start()
+        try:
+            densities = block_density_matrix(g, part)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            drawn = generate_sbm(densities, part, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 16 * 2**20, peaks
+        assert len(densities) == 15
+        assert drawn.n == g.n
 
 
 class TestRewireConfigurationModel:
