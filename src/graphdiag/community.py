@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import GraphError, LabeledGraph
+from .graphs import GraphError, LabeledGraph, frozen_array
 
 # A single-node move must improve modularity by more than this to count.
 GAIN_EPS = 1e-9
@@ -44,15 +44,13 @@ class Partition:
     num_communities: int = field(init=False)
 
     def __post_init__(self) -> None:
-        assignment = np.asarray(self.assignment, dtype=np.int64).view()
-        object.__setattr__(self, "assignment", assignment)
+        assignment = frozen_array(self, "assignment", np.int64)
         if assignment.ndim != 1:
             raise ValueError("assignment must be 1-D")
         present = np.unique(assignment)
         if not np.array_equal(present, np.arange(len(present))):
             raise ValueError("community ids must be exactly 0..K-1, all non-empty")
         object.__setattr__(self, "num_communities", len(present))
-        assignment.setflags(write=False)
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.num_communities)

@@ -12,6 +12,17 @@ class GraphError(ValueError):
     """Raised for structurally invalid graphs or datasets."""
 
 
+def frozen_array(obj, name: str, dtype) -> np.ndarray:
+    """Store ``obj.<name>`` as a read-only ``dtype`` view of the array given
+    for it, and return the view: the one rule by which every value class
+    here keeps an array, so instances can be shared freely across workers.
+    A view copies no data and leaves the caller's own array writable."""
+    array = np.asarray(getattr(obj, name), dtype=dtype).view()
+    array.setflags(write=False)
+    object.__setattr__(obj, name, array)
+    return array
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     """Undirected simple graph stored in compressed sparse row form.
@@ -19,10 +30,7 @@ class LabeledGraph:
     Each undirected edge {u, v} appears twice in ``neighbors`` (once per
     endpoint); ``m`` counts it once. ``n`` and ``m`` are read off the
     arrays. Neighbor lists are sorted ascending with no self-loops or
-    duplicates. The arrays are stored as read-only views, so instances can
-    be shared freely across workers. A view copies no data and leaves the
-    caller's own array writable, as in every class here that freezes an
-    array.
+    duplicates. The arrays are stored by ``frozen_array``.
     """
 
     offsets: np.ndarray
@@ -31,13 +39,11 @@ class LabeledGraph:
     m: int = field(init=False)
 
     def __post_init__(self) -> None:
-        offsets = np.asarray(self.offsets, dtype=np.int64).view()
-        neighbors = np.asarray(self.neighbors, dtype=np.int64).view()
+        offsets = frozen_array(self, "offsets", np.int64)
+        neighbors = frozen_array(self, "neighbors", np.int64)
         if offsets.ndim != 1 or len(offsets) == 0:
             raise GraphError("offsets must be a non-empty 1-D array")
         n = len(offsets) - 1
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "neighbors", neighbors)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", len(neighbors) // 2)
         if len(neighbors) and (neighbors.min() < 0 or neighbors.max() >= n):
@@ -57,8 +63,6 @@ class LabeledGraph:
         # symmetry: the sorted codes are invariant under reversal
         if not np.array_equal(codes, np.sort(neighbors * n + src)):
             raise GraphError("adjacency must be symmetric")
-        offsets.setflags(write=False)
-        neighbors.setflags(write=False)
 
     def neighbors_of(self, u: int) -> np.ndarray:
         return self.neighbors[self.offsets[u]:self.offsets[u + 1]]
@@ -103,14 +107,12 @@ class FeatureMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64).view()
+        values = frozen_array(self, "values", np.float64)
         if values.ndim != 2:
             raise GraphError("feature matrix must be 2-D")
         # min and max propagate nan, and need no n x d boolean temporary
         if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise GraphError("feature values must be finite")
-        object.__setattr__(self, "values", values)
-        values.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -131,8 +133,7 @@ class LabelVector:
     tokens: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=np.int64).view()
-        object.__setattr__(self, "labels", labels)
+        labels = frozen_array(self, "labels", np.int64)
         if labels.ndim != 1:
             raise GraphError("labels must be 1-D")
         if self.num_labels < 1:
@@ -143,7 +144,6 @@ class LabelVector:
             object.__setattr__(self, "tokens", tuple(str(c) for c in range(self.num_labels)))
         if len(self.tokens) != self.num_labels:
             raise GraphError("labels and label tokens disagree on the class count")
-        labels.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -27,8 +27,8 @@ from .graphs import (Dataset, GraphError, LabeledGraph, edge_density, induced_su
                      induced_subgraph, remove_rare_labels, select_components)
 from .infotheory import joint_counts, uncertainty_coefficient
 from .models import (TrainConfig, accuracy, check_number, check_settings, gcn_forward,
-                     logreg_forward, normalized_adjacency, setting, sgc_propagate,
-                     train_gcn, train_logreg)
+                     logreg_forward, normalized_adjacency, setting, train_gcn,
+                     train_logreg)
 from .nullmodels import (generate_erdos_renyi, generate_sbm, rewire_configuration_model,
                          swap_count, swap_perturbation)
 from .stats import bonferroni, mann_whitney_u
@@ -334,13 +334,10 @@ def _evaluate_models(prep: PreparedStudy, graph, variant: str, g: int,
                      models: Sequence[str]) -> dict[tuple[str, int, int], float]:
     """Test accuracy of every fit on one graph, keyed by (model, split, init).
 
-    Logreg is SGC with K=0: each linear fit reads only its split's labeled
-    rows of A_hat^K X, and ``logreg_forward`` predicts through
-    A_hat^K (X W^T). The GCN trains on the rows of A_hat X its loss reads
-    and predicts through A_hat (X W0).
-    So no n x d power of A_hat X is built. Both linear models start from
-    zero weights, so each is fit once per split, under init 0; only the GCN
-    draws a fresh initialization for each of the config's inits.
+    Logreg is SGC with K=0: both linear models are fit and predicted from
+    the raw X, A_hat and their K. They start from zero weights, so each is
+    fit once per split, under init 0; only the GCN draws a fresh
+    initialization for each of the config's inits.
     """
     if not models:
         return {}
@@ -361,8 +358,7 @@ def _evaluate_models(prep: PreparedStudy, graph, variant: str, g: int,
                         fitted = train_gcn(adj, features, labels, split, config.train, seed)
                         probs = gcn_forward(fitted, adj, features)
                     else:
-                        fitted = train_logreg(sgc_propagate(adj, features, k, split.labeled()),
-                                              labels, split, config.train)
+                        fitted = train_logreg(features, labels, split, config.train, adj, k)
                         probs = logreg_forward(fitted, features, adj, k)
                 except Exception as exc:
                     raise RuntimeError(

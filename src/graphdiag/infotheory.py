@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .community import Partition
-from .graphs import LabelVector
+from .graphs import LabelVector, frozen_array
 
 
 class DegenerateDistributionError(ValueError):
@@ -31,15 +31,13 @@ class JointCounts:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        table = np.asarray(self.table, dtype=np.float64).view()
-        object.__setattr__(self, "table", table)
+        table = frozen_array(self, "table", np.float64)
         if table.ndim != 2:
             raise ValueError("joint table must be 2-D")
         if not np.all(np.isfinite(table)) or np.any(table < 0):
             raise ValueError("joint table entries must be finite and non-negative")
         if table.sum() <= 0:
             raise ValueError("joint table must contain at least one observation")
-        table.setflags(write=False)
 
     @property
     def total(self) -> float:

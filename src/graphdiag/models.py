@@ -6,13 +6,13 @@ A_hat = D^(-1/2) (A + I) D^(-1/2). The GCN is
 softmax(A_hat . relu(A_hat X W0) . W1); its backward pass is written out
 by hand so training stays dependency-free and exactly reproducible.
 
-Logreg is SGC with K = 0, and both share one fit and one forward. The
-fit takes only the labeled rows of A_hat^K X, which ``sgc_propagate``
-computes working backwards over each power's support; a CSR row slice
-keeps each row's summation order, so every row equals the full product's
-bit for bit. ``logreg_forward`` predicts every node through
-A_hat^K (X W^T), a product over n x num_labels, so no n x d power of
-A_hat X is built.
+Logreg is SGC with K = 0, and both share one fit and one forward, which
+read the same (X, A_hat, K). The fit propagates only the split's labeled
+rows of A_hat^K X, working backwards over each power's support
+(``sgc_propagate``); a CSR row slice keeps each row's summation order, so
+every row equals the full product's bit for bit. ``logreg_forward``
+predicts every node through A_hat^K (X W^T), a product over
+n x num_labels, so no n x d power of A_hat X is built.
 
 A GCN epoch reads predictions on the train and validation rows only, so
 training runs on a row block: the rows of A_hat X within one hop of a
@@ -270,24 +270,26 @@ def logreg_loss_grad(params: list[np.ndarray], X: np.ndarray, y_train: np.ndarra
 
 
 def train_logreg(features: FeatureMatrix, labels: LabelVector, split,
-                 config: TrainConfig) -> LogRegModel:
+                 config: TrainConfig, adj: sp.csr_matrix | None = None,
+                 k: int = 0) -> LogRegModel:
     """Softmax regression by full-batch gradient descent on the rows of
-    ``split.labeled()``, which ``features`` holds in that order (train,
-    then validation), as ``sgc_propagate(adj, X, k, split.labeled())``
-    returns them.
+    ``split.labeled()`` (train, then validation) of A_hat^k X, from the raw
+    X in ``features``; it propagates only those rows (``sgc_propagate``).
+    At k = 0 (logreg) ``adj`` is not read.
 
     Weights start at zero, so the fit needs no seed. The train rows drive
     the loss and the validation rows early stopping. Returns the
     parameters of the best-validation epoch.
     """
+    if features.n != len(labels):
+        raise ValueError(f"features hold {features.n} rows; labels hold {len(labels)}")
     rows = split.labeled()
-    if features.n != len(rows):
-        raise ValueError(f"features hold {features.n} rows; the split labels {len(rows)}")
+    X = sgc_propagate(adj, features, k, rows).values
     n_train = len(split.train)
     y = labels.labels[rows]
 
     def loss_grad(params):
-        return logreg_loss_grad(params, features.values, y[:n_train], config.weight_decay)
+        return logreg_loss_grad(params, X, y[:n_train], config.weight_decay)
 
     params0 = [np.zeros((labels.num_labels, features.d)), np.zeros(labels.num_labels)]
     (W, b), _ = _descend(params0, loss_grad, y[n_train:], config)

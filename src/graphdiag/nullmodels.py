@@ -257,9 +257,7 @@ def swap_perturbation(graph: LabeledGraph, partition: Partition, fraction: float
     sigma = np.arange(n, dtype=np.int64)
     retries = 0
     retry_cap = 100 * (n_selected // 2)
-    while len(pool) >= 2:
-        if non_empty < 2:
-            break  # only one community left; no further cross pair exists
+    while non_empty >= 2:  # with one community left, no cross pair exists
         i = int(rng.integers(len(pool)))
         j = int(rng.integers(len(pool) - 1))
         if j >= i:

@@ -47,12 +47,6 @@ def planted_plus_isolated(n_isolated, seed=1, **planted):
         num_labels=ds.labels.num_labels)
 
 
-def labeled_rows(features, split):
-    """The rows of ``split.labeled()`` in that order: the input ``train_logreg``
-    takes, gathered from a matrix that holds every node's row."""
-    return FeatureMatrix(features.values[split.labeled()])
-
-
 @pytest.fixture
 def path3():
     """Path graph 0-1-2."""

@@ -1,14 +1,17 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import graphdiag
+from graphdiag import StudyConfig, TrainConfig
 from graphdiag import io as gio
 from graphdiag.cli import main
 from graphdiag.synthetic import planted_dataset
@@ -255,6 +258,19 @@ def test_config_that_is_not_an_object_fails_in_one_line(tmp_path, capsys):
     cfg.write_text("[1, 2]")
     err = run_failing(["analyze", str(cfg), "--out", str(tmp_path)], capsys)
     assert err == "graphdiag: error: a config must be a JSON object, got list\n"
+
+
+def test_readme_config_table_names_every_setting():
+    # the backticked keys in the first column of the README's key table are
+    # the StudyConfig fields, with train expanded to its TrainConfig fields
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    table = text.split("The full key set with defaults:", 1)[1].split("\n\n")[1]
+    keys = [key for row in table.splitlines()[2:]
+            for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    settings = [f.name for f in fields(StudyConfig) if f.name != "train"]
+    settings += [f"train.{f.name}" for f in fields(TrainConfig)]
+    assert sorted(keys) == sorted(settings)
 
 
 def test_analyze_opens_no_feature_file(workdir, tmp_path):

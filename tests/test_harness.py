@@ -19,7 +19,7 @@ from graphdiag.harness import (StudyReport, SweepRow, Thresholds, Verdict, deriv
                                write_json)
 from graphdiag.synthetic import planted_dataset
 
-from conftest import labeled_rows, make_dataset, planted_plus_isolated, write_dataset
+from conftest import make_dataset, planted_plus_isolated, write_dataset
 
 FAST_TRAIN = TrainConfig(max_epochs=60, patience=15, hidden_dim=8)
 
@@ -275,22 +275,14 @@ class TestRunAblationStudy:
         # once per (graph, split), GCN once per (graph, split, init); each
         # linear fit is predicted once, through the forward of its own k
         cfg = tiny_config()
-        propagate, fit_linear, fit_gcn, forward = (harness.sgc_propagate,
-                                                   harness.train_logreg, harness.train_gcn,
-                                                   harness.logreg_forward)
-        steps_of = {}
+        fit_linear, fit_gcn, forward = (harness.train_logreg, harness.train_gcn,
+                                        harness.logreg_forward)
         fits = {"logreg": 0, "sgc": 0, "gcn": 0}
         linear_fits, linear_predictions = [], []
 
-        def counting_propagate(adj, features, k, rows=None):
-            out = propagate(adj, features, k, rows)
-            steps_of[id(out)] = k
-            return out
-
-        def counting_logreg(features, *args, **kwargs):
-            k = steps_of[id(features)]
+        def counting_logreg(features, labels, split, config, adj=None, k=0):
             fits["sgc" if k else "logreg"] += 1
-            fitted = fit_linear(features, *args, **kwargs)
+            fitted = fit_linear(features, labels, split, config, adj, k)
             linear_fits.append((fitted, k))
             return fitted
 
@@ -313,7 +305,6 @@ class TestRunAblationStudy:
             evaluated.append((variant, g))
             return accs
 
-        monkeypatch.setattr(harness, "sgc_propagate", counting_propagate)
         monkeypatch.setattr(harness, "train_logreg", counting_logreg)
         monkeypatch.setattr(harness, "train_gcn", counting_gcn)
         monkeypatch.setattr(harness, "logreg_forward", counting_forward)
@@ -379,7 +370,6 @@ class TestRunAblationStudy:
         def refuse(*args, **kwargs):
             raise AssertionError("sgc_propagate called")
 
-        monkeypatch.setattr(harness, "sgc_propagate", refuse)
         monkeypatch.setattr(models, "sgc_propagate", refuse)
         sweep = run_perturbation_sweep(tiny_prep(tiny_dataset), jobs=1)
         assert sweep.cells and all(c.accuracies for c in sweep.cells)
@@ -423,7 +413,7 @@ class TestRunAblationStudy:
                                     cfg.train.sgc_k)
                       if model == "sgc" else features)
             split = prep.splits[s]
-            fitted = train_logreg(labeled_rows(inputs, split), labels, split, cfg.train)
+            fitted = train_logreg(inputs, labels, split, cfg.train)
             expected = accuracy(logreg_forward(fitted, inputs), labels, split.test)
             assert values == [expected] * cfg.n_inits, (model, variant, g, s)
 

@@ -14,7 +14,7 @@ from graphdiag.models import (GcnModel, TrainingDivergedError, _descend, gcn_los
                               gcn_row_block, glorot_uniform, logreg_loss_grad)
 from graphdiag.synthetic import planted_partition_graph
 
-from conftest import labeled_rows, random_simple_graph
+from conftest import random_simple_graph
 
 
 def split_thirds(n):
@@ -77,7 +77,7 @@ class TestTrainLogreg:
         y = LabelVector(np.array([0, 1, 0, 1, 0, 1]), 2)
         split = SplitSet(train=np.array([0, 1]), val=np.array([2, 3]),
                          test=np.array([4, 5]))
-        model = train_logreg(labeled_rows(X, split), y, split, TrainConfig())
+        model = train_logreg(X, y, split, TrainConfig())
         assert accuracy(logreg_forward(model, X), y, split.train) == 1.0
 
     def test_zero_features_majority_rate(self):
@@ -85,7 +85,7 @@ class TestTrainLogreg:
         y = LabelVector(np.array([1, 1, 1, 0, 1, 1, 0, 1, 0]), 2)
         split = SplitSet(train=np.arange(0, 3), val=np.arange(3, 6),
                          test=np.arange(6, 9))
-        model = train_logreg(labeled_rows(X, split), y, split, TrainConfig())
+        model = train_logreg(X, y, split, TrainConfig())
         # train labels are all class 1 -> predicts 1 everywhere
         preds = logreg_forward(model, X)
         test_rate = np.mean(y.labels[split.test] == 1)
@@ -96,9 +96,8 @@ class TestTrainLogreg:
         X = FeatureMatrix(rng.standard_normal((30, 4)))
         y = LabelVector(rng.integers(0, 2, 30), 2)
         split = split_thirds(30)
-        rows = labeled_rows(X, split)
-        free = train_logreg(rows, y, split, TrainConfig(max_epochs=40, weight_decay=0.0))
-        decayed = train_logreg(rows, y, split,
+        free = train_logreg(X, y, split, TrainConfig(max_epochs=40, weight_decay=0.0))
+        decayed = train_logreg(X, y, split,
                                TrainConfig(max_epochs=40, weight_decay=1e3))
         assert np.linalg.norm(decayed.W) < np.linalg.norm(free.W)
 
@@ -112,9 +111,9 @@ class TestTrainLogreg:
         params = inspect.signature(train_logreg).parameters
         assert not any("seed" in name for name in params)
         np.random.seed(0)
-        a = train_logreg(labeled_rows(X, split), y, split, TrainConfig())
+        a = train_logreg(X, y, split, TrainConfig())
         np.random.seed(999)
-        b = train_logreg(labeled_rows(X, split), y, split, TrainConfig())
+        b = train_logreg(X, y, split, TrainConfig())
         assert np.array_equal(a.W, b.W) and np.array_equal(a.b, b.b)
 
 
@@ -296,7 +295,7 @@ class TestTrainGcn:
         splits = make_splits(y, (20, 20), n_splits=6, seed=0)
         acc_lr, acc_gcn = [], []
         for i, split in enumerate(splits):
-            base = train_logreg(labeled_rows(X, split), y, split, TrainConfig())
+            base = train_logreg(X, y, split, TrainConfig())
             acc_lr.append(accuracy(logreg_forward(base, X), y, split.test))
             model = train_gcn(adj, X, y, split, TrainConfig(hidden_dim=8),
                               init_seed=i)
@@ -568,7 +567,7 @@ def test_fit_matches_the_reference_set_up(model, case, monkeypatch):
 
     monkeypatch.setattr(models, name, counting)
     if model == "logreg":
-        fitted = train_logreg(labeled_rows(features, split), labels, split, config)
+        fitted = train_logreg(features, labels, split, config)
         weights = [fitted.W, fitted.b]
     else:
         fitted = train_gcn(adj, features, labels, split, config, init_seed=4)
@@ -589,8 +588,8 @@ class TestSgcStructure:
         g = to_undirected([], n=n)
         split = split_thirds(n)
         propagated = sgc_propagate(normalized_adjacency(g), X, 2)
-        a = train_logreg(labeled_rows(X, split), y, split, TrainConfig())
-        b = train_logreg(labeled_rows(propagated, split), y, split, TrainConfig())
+        a = train_logreg(X, y, split, TrainConfig())
+        b = train_logreg(propagated, y, split, TrainConfig())
         assert np.array_equal(logreg_forward(a, X), logreg_forward(b, propagated))
 
 
@@ -618,8 +617,8 @@ class TestSgcOnLabeledRows:
         rows = split.labeled()  # train, then validation: not in node order
         block, full = sgc_propagate(adj, X, k, rows), sgc_propagate(adj, X, k)
         assert np.array_equal(block.values, full.values[rows])
-        fitted = train_logreg(block, y, split, TrainConfig())
-        expected = train_logreg(labeled_rows(full, split), y, split, TrainConfig())
+        fitted = train_logreg(X, y, split, TrainConfig(), adj, k)
+        expected = train_logreg(full, y, split, TrainConfig())
         assert np.any(fitted.W)
         assert np.array_equal(fitted.W, expected.W)
         assert np.array_equal(fitted.b, expected.b)
@@ -629,8 +628,9 @@ class TestSgcOnLabeledRows:
 
     def test_labeled_rows_must_match_the_split(self):
         adj, X, y, split = _two_components_and_isolated_nodes(np.random.default_rng(6))
-        with pytest.raises(ValueError, match="features hold 30 rows; the split labels 13"):
-            train_logreg(X, y, split, TrainConfig())
+        # the fit propagates the split's rows itself, so pre-gathered rows fail
+        with pytest.raises(ValueError, match="features hold 13 rows; labels hold 30"):
+            train_logreg(FeatureMatrix(X.values[split.labeled()]), y, split, TrainConfig())
 
 
 class TestAccuracy:
