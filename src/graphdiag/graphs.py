@@ -90,7 +90,12 @@ def to_undirected(edges: Iterable[Sequence[int]] | np.ndarray, n: int) -> Labele
     e = e[e[:, 0] != e[:, 1]]
     lo = np.minimum(e[:, 0], e[:, 1])
     hi = np.maximum(e[:, 0], e[:, 1])
-    codes = np.unique(lo * n + hi)
+    # dedupe by sort and a neighbour mask: numpy 2.4's np.unique hashes
+    # int64 values, which measured 30-60x slower on 60k-370k edge codes
+    codes = np.sort(lo * n + hi)
+    fresh = np.ones(len(codes), dtype=bool)
+    fresh[1:] = codes[1:] != codes[:-1]
+    codes = codes[fresh]
     lo, hi = codes // n, codes % n
     both = np.concatenate([lo * n + hi, hi * n + lo])
     both.sort()

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Sequence
@@ -27,8 +26,8 @@ from .graphs import (Dataset, GraphError, LabeledGraph, edge_density, induced_su
                      induced_subgraph, remove_rare_labels, select_components)
 from .infotheory import joint_counts, uncertainty_coefficient
 from .models import (TrainConfig, accuracy, check_number, check_settings, gcn_forward,
-                     logreg_forward, normalized_adjacency, setting, train_gcn,
-                     train_logreg)
+                     gcn_row_block, logreg_forward, normalized_adjacency, setting,
+                     train_gcn, train_logreg)
 from .nullmodels import (generate_erdos_renyi, generate_sbm, rewire_configuration_model,
                          swap_count, swap_perturbation)
 from .stats import bonferroni, mann_whitney_u
@@ -92,9 +91,9 @@ def make_splits(labels, quotas: tuple[int, int], n_splits: int,
             val_parts.append(perm[train_q:train_q + val_q])
         train = np.sort(np.concatenate(train_parts))
         val = np.sort(np.concatenate(val_parts))
-        labeled = np.concatenate([train, val])
-        test = np.setdiff1d(np.arange(n), labeled)
-        splits.append(SplitSet(train=train, val=val, test=test))
+        unlabeled = np.ones(n, dtype=bool)
+        unlabeled[train] = unlabeled[val] = False
+        splits.append(SplitSet(train=train, val=val, test=np.flatnonzero(unlabeled)))
     return splits
 
 
@@ -337,7 +336,8 @@ def _evaluate_models(prep: PreparedStudy, graph, variant: str, g: int,
     Logreg is SGC with K=0: both linear models are fit and predicted from
     the raw X, A_hat and their K. They start from zero weights, so each is
     fit once per split, under init 0; only the GCN draws a fresh
-    initialization for each of the config's inits.
+    initialization for each of the config's inits, and its inits share the
+    split's row block.
     """
     if not models:
         return {}
@@ -351,11 +351,19 @@ def _evaluate_models(prep: PreparedStudy, graph, variant: str, g: int,
         mi = MODEL_NAMES.index(model)
         k = config.train.sgc_k if model == "sgc" else 0
         for s, split in enumerate(prep.splits):
+            block = None  # the split's GCN row block, shared by its inits
             for i in range(config.n_inits if model == "gcn" else 1):
                 try:
                     if model == "gcn":
+                        if block is None:
+                            block = gcn_row_block(adj, features, split.train, split.val)
                         seed = derive_seed(config.seed, _ROLE_INIT, vi, g, s, i, mi)
-                        fitted = train_gcn(adj, features, labels, split, config.train, seed)
+                        fitted = train_gcn(adj, features, labels, split, config.train, seed,
+                                           block)
+                        if i == config.n_inits - 1:
+                            # freed before the last forward pass, so that
+                            # peak memory stays that of a single run
+                            block = None
                         probs = gcn_forward(fitted, adj, features)
                     else:
                         fitted = train_logreg(features, labels, split, config.train, adj, k)
@@ -442,6 +450,9 @@ def _map_tasks(tasks, prep: PreparedStudy, jobs: int) -> list:
     if workers <= 1:
         _set_task_state(prep, sbm_graphs)
         return [_study_cell(t) for t in tasks]
+    # imported here: a serial study skips the 20-30 ms it adds to start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers, initializer=_set_task_state,
                              initargs=(prep, sbm_graphs)) as pool:
         return list(pool.map(_study_cell, tasks))

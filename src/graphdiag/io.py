@@ -5,13 +5,22 @@ Formats:
     lines starting with '#' are ignored
   * labels: one line per node, "node_token<TAB>label_token"
   * features: CSV with the node token in the first column, or a sparse
-    triplet file "node_token col value" densified on load. A CSV is read in
-    blocks, runs of lines of about ``_BLOCK_CHARS`` characters, each parsed
-    by one ``np.loadtxt`` call; a block with any fault in it is read again
-    line by line, which names the fault. The bound is on characters rather
-    than rows, so a block's transient memory stays small however wide the
-    rows are. Values follow Python's ``float()`` syntax.
+    triplet file "node_token col value" densified on load. Values follow
+    Python's ``float()`` syntax.
   * partition: "node_token<TAB>community_id"
+
+Edge, CSV and triplet files are read by one rule. The open file is read in
+blocks, runs of whole lines of about ``_BLOCK_CHARS`` characters, and each
+block is parsed by whole-block operations: one ``np.loadtxt`` call for a
+CSV block; one ``str.split`` and a ``map`` of the token lookups, ``int``
+and ``float`` for an edge or triplet block, so values keep Python's
+grammar. A block with any fault in it, or a line those operations do not
+read (a comment, a blank line), is read again line by line, which names
+the first fault with its line or accepts what only the line reader reads.
+A repeated triplet entry may lie blocks away from its first copy, so a
+fault in a triplet file has the file read again from its start. The bound
+is on characters rather than rows, so a block's transient memory stays
+small however wide the rows are.
 """
 
 from __future__ import annotations
@@ -34,16 +43,23 @@ class DatasetFormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _data_lines(path, allow_comments: bool):
+def _open(path):
     # utf-8-sig drops a leading byte-order mark
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if allow_comments and line.startswith("#"):
-                continue
+    return open(path, "r", encoding="utf-8-sig")
+
+
+def _lines(source, allow_comments: bool, start: int = 1):
+    """``(lineno, line)`` of each line of ``source`` that holds data, stripped;
+    blank lines hold none, nor, with ``allow_comments``, lines led by '#'."""
+    for lineno, raw in enumerate(source, start=start):
+        line = raw.strip()
+        if line and not (allow_comments and line.startswith("#")):
             yield lineno, line
+
+
+def _data_lines(path, allow_comments: bool):
+    with _open(path) as fh:
+        yield from _lines(fh, allow_comments)
 
 
 def load_labels(path) -> tuple[dict[str, int], LabelVector]:
@@ -71,37 +87,78 @@ def load_labels(path) -> tuple[dict[str, int], LabelVector]:
     return node_index, labels
 
 
-def load_edges(path, node_index: dict[str, int]) -> np.ndarray:
-    """Read edge pairs, mapping tokens through ``node_index``."""
-    pairs = []
-    for lineno, line in _data_lines(path, allow_comments=True):
-        parts = line.split()
-        if len(parts) != 2:
-            raise DatasetFormatError(path, lineno, "expected two node tokens")
-        try:
-            pairs.append((node_index[parts[0]], node_index[parts[1]]))
-        except KeyError as exc:
-            raise DatasetFormatError(
-                path, lineno, f"node token {exc.args[0]!r} not present in the label file"
-            ) from None
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
-
-
-# characters of line text after which a CSV block ends (see _load_features_csv)
+# characters read into one block (see _blocks)
 _BLOCK_CHARS = 64 * 1024
 
 
-def _blocks(lines):
-    """Group ``(lineno, line)`` pairs into lists of about ``_BLOCK_CHARS``."""
-    block, size = [], 0
-    for item in lines:
-        block.append(item)
-        size += len(item[1])
-        if size >= _BLOCK_CHARS:
-            yield block
-            block, size = [], 0
-    if block:
-        yield block
+def _blocks(fh, lineno: int = 1):
+    """Yield ``(lineno, text)`` for runs of whole lines read from ``fh``: about
+    ``_BLOCK_CHARS`` characters each, ending in a line break, with the
+    number of each run's first line."""
+    while text := fh.read(_BLOCK_CHARS):
+        text += fh.readline()
+        if not text.endswith("\n"):
+            text += "\n"  # the file's last line had none
+        yield lineno, text
+        lineno += text.count("\n")
+
+
+def _block_tokens(text: str, width: int) -> list[str] | None:
+    """The whitespace-separated tokens of a block in file order if each of
+    its lines holds ``width`` of them, else None.
+
+    Each line break becomes a NUL token, so one ``str.split`` also shows
+    where the lines end: when every ``width + 1``-th token is a NUL and the
+    count of tokens is right, each line holds ``width``. A blank line, or a
+    NUL already in the text, makes the block read line by line instead.
+    """
+    if "\0" in text:
+        return None
+    lines = text.count("\n")
+    tokens = text.replace("\n", " \0 ").split()
+    if len(tokens) != (width + 1) * lines or tokens[width::width + 1].count("\0") != lines:
+        return None
+    del tokens[width::width + 1]
+    return tokens
+
+
+def _read_blocks(blocks, width: int, parse, parse_lines, comments: bool = False):
+    """Yield the parse of each edge or triplet block: ``parse(tokens)`` when
+    each of its lines holds ``width`` tokens and that returns a value, else
+    ``parse_lines`` of its data lines, which raises the block's first fault.
+    With ``comments``, a block that holds a '#' is read line by line."""
+    for lineno, text in blocks:
+        tokens = None if comments and "#" in text else _block_tokens(text, width)
+        parsed = None if tokens is None else parse(tokens)
+        yield parsed if parsed is not None else parse_lines(
+            _lines(text.split("\n"), comments, lineno))
+
+
+def load_edges(path, node_index: dict[str, int]) -> np.ndarray:
+    """Read edge pairs, mapping tokens through ``node_index``."""
+    def parse(tokens):
+        try:
+            return np.fromiter(map(node_index.__getitem__, tokens), np.int64, len(tokens))
+        except KeyError:
+            return None
+
+    def parse_lines(lines):
+        ids = []
+        for lineno, line in lines:
+            parts = line.split()
+            if len(parts) != 2:
+                raise DatasetFormatError(path, lineno, "expected two node tokens")
+            try:
+                ids += node_index[parts[0]], node_index[parts[1]]
+            except KeyError as exc:
+                raise DatasetFormatError(
+                    path, lineno, f"node token {exc.args[0]!r} not present in the label file"
+                ) from None
+        return np.array(ids, dtype=np.int64)
+
+    with _open(path) as fh:
+        ids = list(_read_blocks(_blocks(fh), 2, parse, parse_lines, comments=True))
+    return np.concatenate([np.empty(0, dtype=np.int64), *ids]).reshape(-1, 2)
 
 
 def _read_block(block, width: int, node_index: dict[str, int], out: np.ndarray,
@@ -135,27 +192,23 @@ def _read_block(block, width: int, node_index: dict[str, int], out: np.ndarray,
     return True
 
 
-def _load_features_csv(path, lines, node_index: dict[str, int]) -> np.ndarray:
-    """Read a CSV feature file block by block; the first line sets the width.
+def _load_features_csv(path, blocks, node_index: dict[str, int], width: int) -> np.ndarray:
+    """Read a CSV feature file of ``width`` columns block by block.
 
-    A block is a run of data lines that ends once it holds ``_BLOCK_CHARS``
-    characters of line text, so its strings and parsed array stay a small
-    fraction of the matrix even for rows thousands of columns wide (a count
-    of rows would not bound them). It is parsed in one ``np.loadtxt`` call
-    when every token is known and new, and every line has the width's
-    numbers in numpy's grammar. Otherwise the block is read again line by
-    line with ``float()``, which raises the first fault in line order with
-    the message it always had, or accepts what only ``float()`` parses
-    (``"1_0"``, non-ASCII digits). Both parsers round correctly, so the
-    matrix does not depend on which one read a row.
+    A block's strings and parsed array stay a small fraction of the matrix
+    even for rows thousands of columns wide, because its bound is on
+    characters (a count of rows would not bound them). It is parsed in one
+    ``np.loadtxt`` call when every token is known and new, and every line
+    has the width's numbers in numpy's grammar. Otherwise the block is read
+    again line by line with ``float()``, which raises the first fault in
+    line order with the message it always had, or accepts what only
+    ``float()`` parses (``"1_0"``, non-ASCII digits). Both parsers round
+    correctly, so the matrix does not depend on which one read a row.
     """
-    first = next(lines)
-    width = first[1].count(",") + 1
-    if width < 2:
-        raise DatasetFormatError(path, first[0], "need at least one feature column")
     out = np.empty((len(node_index), width - 1), dtype=np.float64)
     line_of = np.zeros(len(node_index), dtype=np.int64)  # of each node's row; 0: none yet
-    for block in _blocks(chain([first], lines)):
+    for lineno, text in blocks:
+        block = list(_lines(text.split("\n"), False, lineno))
         if _read_block(block, width, node_index, out, line_of):
             continue
         for lineno, line in block:
@@ -187,8 +240,11 @@ def _load_features_csv(path, lines, node_index: dict[str, int]) -> np.ndarray:
     return out
 
 
-def _load_features_triplet(path, lines, node_index: dict[str, int]) -> np.ndarray:
-    values: dict[tuple[int, int], float] = {}
+def _triplet_lines(path, lines, node_index: dict[str, int]):
+    """Parse triplet lines one by one into ``(nodes, cols, values)`` lists,
+    raising the first fault in line order."""
+    seen: set[tuple[int, int]] = set()
+    nodes, cols, vals = [], [], []
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 3:
@@ -207,27 +263,80 @@ def _load_features_triplet(path, lines, node_index: dict[str, int]) -> np.ndarra
         if not math.isfinite(val):
             raise DatasetFormatError(path, lineno, "feature values must be finite")
         key = (node_index[token], col)
-        if key in values:
+        if key in seen:
             raise DatasetFormatError(path, lineno, f"duplicate entry for {token!r} col {col}")
-        values[key] = val
-    out = np.zeros((len(node_index), max(col for _, col in values) + 1), dtype=np.float64)
-    for (node, col), val in values.items():
-        out[node, col] = val
+        seen.add(key)
+        nodes.append(key[0])
+        cols.append(col)
+        vals.append(val)
+    return nodes, cols, vals
+
+
+def _load_features_triplet(path, fh, blocks, node_index: dict[str, int]) -> np.ndarray:
+    """Read a triplet feature file block by block into a dense matrix.
+
+    A repeated entry can sit blocks away from its first copy, so entries are
+    checked for repeats once, by one sort of their keys, after every block
+    has parsed. A fault anywhere, a repeat included, has the whole file read
+    again line by line from its start, which names the first fault in line
+    order; so does a matrix too wide to key its entries in int64.
+    """
+    n = len(node_index)
+
+    def parse(tokens):
+        try:
+            nodes = np.fromiter(map(node_index.__getitem__, tokens[0::3]), np.int64)
+            cols = np.fromiter(map(int, tokens[1::3]), np.int64)
+            vals = np.fromiter(map(float, tokens[2::3]), np.float64)
+        except (KeyError, ValueError, OverflowError):
+            return None
+        if cols.min() < 0 or not np.isfinite(vals).all():
+            return None
+        return nodes, cols, vals
+
+    def width(entries) -> int:
+        # a Python int, so a column too wide to allocate fails in np.zeros
+        return 1 + max(int(np.max(cols, initial=-1)) for _, cols, _ in entries)
+
+    try:
+        entries = list(_read_blocks(blocks, 3, parse,
+                                    lambda lines: _triplet_lines(path, lines, node_index)))
+    except DatasetFormatError:
+        entries = None
+    # col * n + node is below width * n, so it fits int64 where it is tried
+    clean = entries is not None and width(entries) * n < 2**63
+    if clean:
+        keys = np.sort(np.concatenate([np.asarray(cols, np.int64) * n
+                                       + np.asarray(nodes, np.int64)
+                                       for nodes, cols, _ in entries]))
+        clean = not (keys[1:] == keys[:-1]).any()
+    if not clean:
+        fh.seek(0)
+        entries = [_triplet_lines(path, _lines(fh, allow_comments=False), node_index)]
+    out = np.zeros((n, width(entries)), dtype=np.float64)
+    for nodes, cols, vals in entries:
+        if len(nodes):
+            out[nodes, cols] = vals
     return out
 
 
 def load_features(path, node_index: dict[str, int]) -> np.ndarray:
-    """Load features in one pass over the file. A comma after the first data
+    """Load features, opening the file once. A comma after the first data
     line's node token (its first whitespace-separated field) marks the CSV
     format, and so does a token that ends in one; otherwise triplets."""
-    lines = _data_lines(path, allow_comments=False)
-    first = next(lines, None)
-    if first is None:
-        raise DatasetFormatError(path, None, "feature file is empty")
-    head = first[1].split(None, 1)
-    csv = "," in head[-1] or head[0].endswith(",")
-    return (_load_features_csv if csv else _load_features_triplet)(
-        path, chain([first], lines), node_index)
+    with _open(path) as fh:
+        blocks = _blocks(fh)
+        for block in blocks:
+            first = next(_lines(block[1].split("\n"), False, block[0]), None)
+            if first is not None:
+                break
+        else:
+            raise DatasetFormatError(path, None, "feature file is empty")
+        blocks = chain([block], blocks)
+        head = first[1].split(None, 1)
+        if "," in head[-1] or head[0].endswith(","):
+            return _load_features_csv(path, blocks, node_index, first[1].count(",") + 1)
+        return _load_features_triplet(path, fh, blocks, node_index)
 
 
 def load_dataset(edge_path, feature_path, label_path) -> Dataset:

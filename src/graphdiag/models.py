@@ -16,11 +16,12 @@ n x num_labels, so no n x d power of A_hat X is built.
 
 A GCN epoch reads predictions on the train and validation rows only, so
 training runs on a row block: the rows of A_hat X within one hop of a
-labeled node, built once per run, and the train nodes' one-hop set for
-the backward pass. The labeled rows' probabilities and the loss equal the
-full-graph ones bit for bit; the gradients, summed over fewer rows, may
-differ in the last bit. Prediction over every node takes A_hat (X W0), so
-no n x d product is built and X is read only through ``@``.
+labeled node, built once per graph and split and shared by every run on
+them, and the train nodes' one-hop set for the backward pass. The labeled
+rows' probabilities and the loss equal the full-graph ones bit for bit;
+the gradients, summed over fewer rows, may differ in the last bit.
+Prediction over every node takes A_hat (X W0), so no n x d product is
+built and X is read only through ``@``.
 
 Optimization is full-batch gradient descent with a halve-on-increase
 learning-rate backoff: a step that would raise the training loss is
@@ -372,7 +373,7 @@ def gcn_row_block(adj: sp.csr_matrix, features: FeatureMatrix, train: np.ndarray
 
 
 def train_gcn(adj: sp.csr_matrix, features: FeatureMatrix, labels: LabelVector,
-              split, config: TrainConfig, init_seed: int = 0) -> GcnModel:
+              split, config: TrainConfig, init_seed: int = 0, block=None) -> GcnModel:
     """Two-layer GCN trained with hand-derived gradients.
 
     ``adj`` is the graph's A_hat (``normalized_adjacency``), which the
@@ -383,14 +384,17 @@ def train_gcn(adj: sp.csr_matrix, features: FeatureMatrix, labels: LabelVector,
     ``init_seed``; early stopping watches validation accuracy.
 
     An epoch reads predictions on the labeled nodes only, so it runs on
-    the rows of A_hat X within one hop of them (A_hat's self-loops count),
-    built once per run; the backward pass reads the train nodes' one-hop
-    set alone. The labeled rows' probabilities and the loss equal those
-    of the full-graph product bit for bit. The gradients sum over fewer
-    rows, so they may differ from the full-graph sums in the last bit.
+    the rows of A_hat X within one hop of them (A_hat's self-loops count);
+    the backward pass reads the train nodes' one-hop set alone. ``block``
+    is ``gcn_row_block(adj, features, split.train, split.val)``, which
+    depends on the graph and split only, so runs on the same ones can
+    share it; without it the run builds its own. The labeled rows'
+    probabilities and the loss equal those of the full-graph product bit
+    for bit. The gradients sum over fewer rows, so they may differ from
+    the full-graph sums in the last bit.
     """
     train, val = np.asarray(split.train), np.asarray(split.val)
-    AX, up, down = gcn_row_block(adj, features, train, val)
+    AX, up, down = gcn_row_block(adj, features, train, val) if block is None else block
     y = labels.labels[split.labeled()]
 
     def loss_grad(params):

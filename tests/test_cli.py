@@ -656,6 +656,34 @@ def test_analyze_and_verdict_never_import_scipy(workdir, tmp_path):
     assert json.loads((tmp_path / "band" / "verdict.json").read_text())["sweep"]
 
 
+def test_a_serial_study_never_imports_the_process_pool(workdir, tmp_path):
+    # concurrent.futures and multiprocessing add 20-30 ms to every start-up,
+    # so only a study that runs more than one worker imports them
+    band = with_config(workdir, "band-pool.json", thresholds={"low": 0.0, "high": 1.0})
+    runs = [["analyze", str(workdir / "config.json"), "--out", str(tmp_path / "analyze"),
+             "--jobs", "1"],
+            ["verdict", band, "--out", str(tmp_path / "band"), "--jobs", "2"]]
+    script = ("import sys\n"
+              "def pool():\n"
+              "    return sorted(m for m in sys.modules\n"
+              "                  if m.split('.')[0] in ('concurrent', 'multiprocessing'))\n"
+              "import graphdiag.cli\n"
+              "print('pool', pool())\n"
+              f"for argv in {runs!r}:\n"
+              "    assert graphdiag.cli.main(argv) == 0, argv\n"
+              "    print('pool', pool())\n")
+    src = str(Path(graphdiag.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            timeout=300, env=dict(os.environ, PYTHONPATH=path))
+    assert result.returncode == 0, result.stderr
+    after_import, after_analyze, after_pool = [
+        line for line in result.stdout.splitlines() if line.startswith("pool ")]
+    assert after_import == after_analyze == "pool []"
+    # the two-worker sweep is where the pool is imported
+    assert "'concurrent.futures'" in after_pool
+
+
 # sha256 of every output on one small study. The files must stay byte-identical
 # through refactors; a change that moves them on purpose updates these digests
 # and says why in CHANGES.md.

@@ -345,6 +345,9 @@ class TestDegreeSequence:
        st.integers(12, 16))
 def test_random_edge_lists_yield_valid_graphs(edges, n):
     g = to_undirected(edges, n=n)
+    # one edge per unordered pair of distinct endpoints, in pair order
+    assert [tuple(e) for e in g.edge_array().tolist()] == sorted(
+        {(min(u, v), max(u, v)) for u, v in edges if u != v})
     deg = g.degrees()
     assert deg.sum() == 2 * g.m
     # symmetry and sortedness are enforced by the constructor; spot-check

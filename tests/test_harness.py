@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -54,6 +55,13 @@ class TestMakeSplits:
             for c in range(3):
                 assert np.sum(labels.labels[s.train] == c) == 20
                 assert np.sum(labels.labels[s.val] == c) == 30
+
+    def test_test_set_is_every_unlabeled_node_in_order(self):
+        labels = LabelVector(np.repeat([0, 1, 2], [50, 70, 90]), 3)
+        for split in make_splits(labels, (5, 7), n_splits=3, seed=4):
+            expected = np.setdiff1d(np.arange(len(labels)), split.labeled())
+            assert split.test.dtype == expected.dtype
+            assert np.array_equal(split.test, expected)
 
     def test_reduced_quota_variant(self):
         labels = LabelVector(np.repeat([0, 1], 40), 2)
@@ -338,7 +346,7 @@ class TestRunAblationStudy:
 
         prep = tiny_prep(tiny_dataset)
         serial = run_perturbation_sweep(prep, jobs=1)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         assert run_perturbation_sweep(prep, jobs=64) == serial
         assert run_perturbation_sweep(prep, jobs=3) == serial
         one_cell = tiny_prep(tiny_dataset, n_graph_seeds=1, fractions=(0.0,))
@@ -348,7 +356,8 @@ class TestRunAblationStudy:
     def test_no_study_call_builds_a_full_graph_feature_power(self, tiny_dataset,
                                                              monkeypatch):
         # the linear models propagate their splits' labeled rows and the GCN
-        # its row block; prediction propagates X W^T, never X itself
+        # its row block, once per graph and split for all of its inits;
+        # prediction propagates X W^T, never X itself
         power_rows = models._power_rows
         calls = []
 
@@ -361,8 +370,9 @@ class TestRunAblationStudy:
         features = prep.dataset.features.values
         run_ablation_study(prep)
         graphs = 1 + 3 * prep.config.n_graph_seeds
-        fits = prep.config.n_splits * (1 + graphs * (1 + prep.config.n_inits))
-        assert calls.count((True, False)) == fits
+        assert prep.config.n_inits > 1
+        propagations = prep.config.n_splits * (1 + graphs * 2)
+        assert calls.count((True, False)) == propagations
         assert (True, True) not in calls
 
     def test_a_gcn_only_sweep_propagates_no_full_feature_matrix(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from graphdiag import load_dataset
 import graphdiag.io
-from graphdiag.io import (DatasetFormatError, _blocks, _data_lines, load_edges,
+from graphdiag.io import (DatasetFormatError, _blocks, _data_lines, _lines, load_edges,
                           load_features, load_labels, write_partition)
 
 from conftest import write_dataset
@@ -383,8 +383,9 @@ FOUR_BLOCKS = [[1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 12]]
 def _block_layout(path, block_chars, monkeypatch):
     """Set the block size to ``block_chars``; return each block's line numbers."""
     monkeypatch.setattr(graphdiag.io, "_BLOCK_CHARS", block_chars)
-    return [[lineno for lineno, _ in block]
-            for block in _blocks(_data_lines(path, allow_comments=False))]
+    with open(path, encoding="utf-8-sig") as fh:
+        return [[lineno for lineno, _ in _lines(text.split("\n"), False, first)]
+                for first, text in _blocks(fh)]
 
 
 def test_clean_file_across_blocks_matches_reference(tmp_path, monkeypatch):
@@ -434,3 +435,264 @@ def test_block_of_empty_bodies_is_non_numeric_without_a_warning(tmp_path, monkey
     assert caught == []
     assert got == _outcome(_reference_load_features, path, node_index)
     assert got.endswith("f.csv:2: non-numeric feature value")
+
+
+# ---------------------------------------------------------------------------
+# edge and triplet files: the block reader against the per-line readers it
+# replaced, which read one line at a time and stop at the first fault
+# ---------------------------------------------------------------------------
+
+def _reference_load_edges(path, node_index: dict[str, int]) -> np.ndarray:
+    pairs = []
+    for lineno, line in _data_lines(path, allow_comments=True):
+        parts = line.split()
+        if len(parts) != 2:
+            raise DatasetFormatError(path, lineno, "expected two node tokens")
+        try:
+            pairs.append((node_index[parts[0]], node_index[parts[1]]))
+        except KeyError as exc:
+            raise DatasetFormatError(
+                path, lineno, f"node token {exc.args[0]!r} not present in the label file"
+            ) from None
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+# column and value tokens, some in spellings that only Python's int() and
+# float() read; the columns are 0, 1, 2, 3 and 10
+COLUMNS = ("-0", "1", "+2", "٣", "1_0")
+VALUES = ("0.0", "1.5", "-2", "3e-3", "7", "1_0", "١٢", "１", "-0.0")
+WHITESPACE_FAULTS = {
+    "edges": ("more-tokens", "fewer-tokens", "unknown", "comment"),
+    "triplets": ("more-tokens", "fewer-tokens", "unknown", "bad-column", "bad-value",
+                 "negative", "non-finite", "duplicate"),
+}
+
+
+@st.composite
+def whitespace_files(draw, kind):
+    """(data, node_index): the bytes of an edge or triplet file over node
+    tokens without whitespace or commas, with up to three faults (for edges,
+    a comment is one) at drawn lines, blank lines, tabs and runs of spaces
+    between and around tokens, CRLF or LF line ends, and maybe a byte-order
+    mark and no final line end."""
+    tokens = draw(st.lists(st.text("abxy_.#é", min_size=1, max_size=3),
+                           min_size=1, max_size=6, unique=True))
+    node_index = {t: i for i, t in enumerate(tokens)}
+    token = st.sampled_from(tokens)
+    if kind == "edges":
+        lines = draw(st.lists(st.lists(token, min_size=2, max_size=2), min_size=1, max_size=12))
+    else:
+        lines = [[t, c, draw(st.sampled_from(VALUES))] for t in tokens
+                 for c in draw(st.sets(st.sampled_from(COLUMNS), min_size=1, max_size=3))]
+        lines = draw(st.permutations(lines))
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(WHITESPACE_FAULTS[kind]))
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        if fault == "more-tokens":
+            line += draw(st.lists(token, min_size=1, max_size=5))
+        elif not line:
+            continue
+        elif fault == "fewer-tokens":
+            del line[-1]
+        elif fault == "unknown":
+            line[draw(st.integers(0, len(line) - 1))] = "Q"
+        elif fault == "comment":
+            line[0] = "#" + line[0]
+        elif fault == "duplicate":
+            lines.insert(draw(st.integers(i + 1, len(lines))), list(line))
+        elif len(line) != 3:
+            continue
+        elif fault == "bad-column":
+            line[1] = "1.5"
+        elif fault == "negative":
+            line[1] = "-1"
+        elif fault == "bad-value":
+            line[2] = "x1"
+        else:  # non-finite
+            line[2] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+    pad = st.sampled_from(["", " ", "\t"])
+    space = st.sampled_from([" ", "\t", "  ", " \t "])
+    text = []
+    for line in lines:
+        gaps = [draw(space) for _ in line[1:]] + [""]
+        text.append(draw(pad) + "".join(t + gap for t, gap in zip(line, gaps)) + draw(pad))
+    for at in sorted(draw(st.lists(st.integers(0, len(text)), max_size=3)), reverse=True):
+        text.insert(at, draw(pad))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    data = end.join(text) + (end if draw(st.booleans()) else "")
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return bom + data.encode("utf-8"), node_index
+
+
+BLOCK_CHARS = st.one_of(st.just(graphdiag.io._BLOCK_CHARS), st.integers(1, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(whitespace_files("edges"), BLOCK_CHARS)
+def test_load_edges_matches_reference(tmp_path_factory, file, block_chars):
+    data, node_index = file
+    path = tmp_path_factory.mktemp("edges") / "e.txt"
+    path.write_bytes(data)
+    with mock.patch.object(graphdiag.io, "_BLOCK_CHARS", block_chars):
+        assert (_outcome(load_edges, path, node_index)
+                == _outcome(_reference_load_edges, path, node_index))
+
+
+@settings(max_examples=300, deadline=None)
+@given(whitespace_files("triplets"), BLOCK_CHARS)
+def test_load_triplets_matches_reference(tmp_path_factory, file, block_chars):
+    data, node_index = file
+    path = tmp_path_factory.mktemp("triplets") / "f.txt"
+    path.write_bytes(data)
+    with mock.patch.object(graphdiag.io, "_BLOCK_CHARS", block_chars):
+        assert (_outcome(load_features, path, node_index)
+                == _outcome(_reference_load_features_triplet, path, node_index))
+
+
+# 12 lines of equal length; at the block sizes below lines 1-3, 4-6, 7-9 and
+# 10-12 each form one block, and every variant keeps its line's length
+EDGE_LINES = [f"n{i:02d} n{(i + 1) % 12:02d}" for i in range(12)]
+EDGE_VARIANTS = {
+    "more-tokens": lambda i: f"n{i:02d} n 1",
+    "fewer-tokens": lambda i: f"n{i:02d}n{i:02d}x",
+    "unknown-first": lambda i: f"q{i:02d} n00",
+    "unknown-second": lambda i: f"n{i:02d} q00",
+    "comment": lambda i: f"#{i:02d} n00",
+    "blank": lambda i: " " * 7,
+}
+TRIPLET_LINES = [f"n{i:02d} {i % 3} 1.5" for i in range(12)]
+TRIPLET_VARIANTS = {
+    "more-tokens": lambda i: f"n{i:02d} 0 1 5",
+    "fewer-tokens": lambda i: f"n{i:02d} 01.50",
+    "unknown": lambda i: f"q{i:02d} 0 1.5",
+    "bad-column": lambda i: f"n{i:02d} x 1.5",
+    "bad-value": lambda i: f"n{i:02d} 0 x.5",
+    "negative-column": lambda i: f"n{i:02d} -1 1.",
+    "non-finite": lambda i: f"n{i:02d} 0 nan",
+    "duplicate-in-block": lambda i: f"n{i - 1:02d} {(i - 1) % 3} 1.5",
+    "duplicate-of-earlier-block": lambda i: "n00 0 1.5",
+    "python-only-grammar": lambda i: f"n{i:02d} ٠ 1_0",
+    "blank": lambda i: " " * 9,
+}
+# variants that are no fault: the file loads, as it does line by line
+VALID_VARIANTS = {"comment", "blank", "python-only-grammar"}
+WHITESPACE_CASES = {
+    "edges": (EDGE_LINES, EDGE_VARIANTS, 20, load_edges, _reference_load_edges),
+    "triplets": (TRIPLET_LINES, TRIPLET_VARIANTS, 25, load_features,
+                 _reference_load_features_triplet),
+}
+
+
+@pytest.mark.parametrize("block_chars", [None, 20], ids=["at-boundaries", "tiny-blocks"])
+@pytest.mark.parametrize("at", [3, 5, 11], ids=["block-first", "block-last", "file-end"])
+@pytest.mark.parametrize("kind, variant", [(kind, variant) for kind, case in
+                                           WHITESPACE_CASES.items() for variant in case[1]])
+def test_whitespace_fault_at_a_block_boundary_matches_reference(
+        tmp_path, monkeypatch, kind, variant, at, block_chars):
+    clean, variants, boundary_chars, load, reference = WHITESPACE_CASES[kind]
+    lines = list(clean)
+    path = write(tmp_path / "f.txt", "\n".join(lines) + "\n")
+    assert _block_layout(path, boundary_chars, monkeypatch) == FOUR_BLOCKS
+    lines[at] = variants[variant](at)
+    assert len(lines[at]) == len(clean[at])
+    write(path, "\n".join(lines) + "\n")
+    if block_chars is not None:
+        monkeypatch.setattr(graphdiag.io, "_BLOCK_CHARS", block_chars)
+    node_index = {f"n{i:02d}": i for i in range(12)}
+    got = _outcome(load, path, node_index)
+    assert got == _outcome(reference, path, node_index)
+    if variant in VALID_VARIANTS:
+        assert isinstance(got, tuple)
+    else:
+        assert f"f.txt:{at + 1}: " in got
+
+
+@pytest.mark.parametrize("tail", ["data", "blank"])
+@pytest.mark.parametrize("kind", WHITESPACE_CASES)
+def test_a_last_line_without_a_line_break_matches_reference(tmp_path, monkeypatch, kind,
+                                                             tail):
+    # at some block size the last block is that line alone
+    clean, _, _, load, reference = WHITESPACE_CASES[kind]
+    text = "\n".join(clean[:-1]) + "\n" + (clean[-1] if tail == "data" else "   ")
+    path = write(tmp_path / "f.txt", text)
+    node_index = {f"n{i:02d}": i for i in range(12)}
+    expected = _outcome(reference, path, node_index)
+    assert isinstance(expected, tuple)
+    for block_chars in range(1, 41):
+        monkeypatch.setattr(graphdiag.io, "_BLOCK_CHARS", block_chars)
+        assert _outcome(load, path, node_index) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "a 0 1\nb 4611686018427387904 2\n",  # 2**62: its entry keys would overflow int64
+    "a 0 1\nb 1000000000000000000000000000000 2\n",  # beyond int64 itself
+    "a 0 1\nb 4611686018427387904 2\nq 0 1\n",  # a fault after the wide column
+], ids=["wide", "wider-than-int64", "wide-then-fault"])
+def test_a_column_too_wide_to_allocate_fails_as_line_by_line(tmp_path, text):
+    # np.zeros refuses such a width without allocating it
+    path = write(tmp_path / "f.txt", text)
+    node_index = {"a": 0, "b": 1}
+    with pytest.raises(ValueError) as got:
+        load_features(path, node_index)
+    with pytest.raises(ValueError) as expected:
+        _reference_load_features_triplet(path, node_index)
+    assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+
+
+def test_triplet_repeat_of_an_earlier_block_wins_over_a_later_fault(tmp_path, monkeypatch):
+    # line 5 repeats line 1's entry; line 11, two blocks on, is malformed
+    lines = list(TRIPLET_LINES)
+    lines[4] = TRIPLET_VARIANTS["duplicate-of-earlier-block"](4)
+    lines[10] = TRIPLET_VARIANTS["bad-value"](10)
+    path = write(tmp_path / "f.txt", "\n".join(lines) + "\n")
+    assert _block_layout(path, 25, monkeypatch) == FOUR_BLOCKS
+    node_index = {f"n{i:02d}": i for i in range(12)}
+    got = _outcome(load_features, path, node_index)
+    assert got == _outcome(_reference_load_features_triplet, path, node_index)
+    assert got.endswith("f.txt:5: duplicate entry for 'n00' col 0")
+
+
+@pytest.mark.parametrize("kind, line", [("edges", "n00 n01 n02 n03 n04"),
+                                        ("triplets", "n00 0 1.5 n01 n02 1 2.5")])
+def test_a_line_holding_a_further_lines_tokens_is_a_fault(tmp_path, kind, line):
+    # with its line end, the line holds as many tokens as two lines do, and
+    # dropping every (width + 1)-th token would leave valid rows
+    _, _, _, load, reference = WHITESPACE_CASES[kind]
+    path = write(tmp_path / "f.txt", f"n05 1 0.5\n{line}\n" if kind == "triplets"
+                 else f"n05 n06\n{line}\n")
+    node_index = {f"n{i:02d}": i for i in range(12)}
+    got = _outcome(load, path, node_index)
+    assert got == _outcome(reference, path, node_index)
+    assert "f.txt:2: expected" in got
+
+
+def test_a_nul_token_is_not_taken_for_a_line_end(tmp_path):
+    # the block parse marks line ends with NUL tokens, so a NUL of the file's
+    # own must send its block to the line reader
+    path = write(tmp_path / "e.txt", "a b \0\nc\n")
+    node_index = {"a": 0, "b": 1, "c": 2, "\0": 3}
+    got = _outcome(load_edges, path, node_index)
+    assert got == _outcome(_reference_load_edges, path, node_index)
+    assert got.endswith("e.txt:1: expected two node tokens")
+
+
+def test_edge_load_peak_is_bounded_by_the_block_not_the_file(tmp_path, monkeypatch):
+    # beyond the edge array and one copy of it, the loader holds one block's
+    # text and tokens; a per-line Python pair (a tuple and a list slot, about
+    # 64 bytes against the array's 16) would put the peak near 5x the array
+    n, m = 3000, 60_000
+    pairs = np.random.default_rng(0).integers(n, size=(m, 2))
+    path = tmp_path / "e.txt"
+    path.write_text("".join(f"n{u} n{v}\n" for u, v in pairs.tolist()))
+    node_index = {f"n{i}": i for i in range(n)}
+    monkeypatch.setattr(graphdiag.io, "_BLOCK_CHARS", 4096)
+    tracemalloc.start()
+    try:
+        out = load_edges(path, node_index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, pairs)
+    assert path.stat().st_size > 100 * 4096
+    assert peak < 2 * out.nbytes + 64 * 4096

@@ -320,6 +320,25 @@ class TestTrainGcn:
             y[val], cfg)
         assert all(b <= a for a, b in zip(losses, losses[1:]))
 
+    def test_a_shared_row_block_trains_the_same_models(self):
+        # the block depends on the graph and split only, so every init on
+        # them may share one; sharing it must not change a weight's bits
+        rng = np.random.default_rng(5)
+        g, part = planted_partition_graph(30, 2, 0.3, 0.05, seed=2)
+        labels = LabelVector(part.assignment.copy(), 2)
+        X = FeatureMatrix(rng.standard_normal((60, 5)))
+        perm = rng.permutation(60)
+        split = SplitSet(train=np.sort(perm[:10]), val=np.sort(perm[10:20]),
+                         test=np.sort(perm[20:]))
+        adj = normalized_adjacency(g)
+        config = TrainConfig(max_epochs=40, patience=40, hidden_dim=6)
+        block = gcn_row_block(adj, X, split.train, split.val)
+        for seed in (0, 1, 2):
+            own = train_gcn(adj, X, labels, split, config, seed)
+            shared = train_gcn(adj, X, labels, split, config, seed, block)
+            assert own.W0.tobytes() == shared.W0.tobytes()
+            assert own.W1.tobytes() == shared.W1.tobytes()
+
     def test_divergence_is_reported(self):
         def bad_loss(params):
             return float("nan"), [np.zeros(1)], np.zeros((1, 1))
