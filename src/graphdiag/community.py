@@ -47,10 +47,13 @@ class Partition:
         assignment = frozen_array(self, "assignment", np.int64)
         if assignment.ndim != 1:
             raise ValueError("assignment must be 1-D")
-        present = np.unique(assignment)
-        if not np.array_equal(present, np.arange(len(present))):
+        # not np.unique: its first call in a process pays a hash set-up
+        n = len(assignment)
+        counts = (np.bincount(assignment)
+                  if n == 0 or (assignment.min() >= 0 and assignment.max() < n) else None)
+        if counts is None or not counts.all():
             raise ValueError("community ids must be exactly 0..K-1, all non-empty")
-        object.__setattr__(self, "num_communities", len(present))
+        object.__setattr__(self, "num_communities", len(counts))
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.num_communities)

@@ -26,8 +26,8 @@ from .graphs import (Dataset, GraphError, LabeledGraph, edge_density, induced_su
                      induced_subgraph, remove_rare_labels, select_components)
 from .infotheory import joint_counts, uncertainty_coefficient
 from .models import (TrainConfig, accuracy, check_number, check_settings, gcn_forward,
-                     gcn_row_block, logreg_forward, normalized_adjacency, setting,
-                     train_gcn, train_logreg)
+                     logreg_forward, normalized_adjacency, setting, train_gcn,
+                     train_logreg)
 from .nullmodels import (generate_erdos_renyi, generate_sbm, rewire_configuration_model,
                          swap_count, swap_perturbation)
 from .stats import bonferroni, mann_whitney_u
@@ -336,8 +336,8 @@ def _evaluate_models(prep: PreparedStudy, graph, variant: str, g: int,
     Logreg is SGC with K=0: both linear models are fit and predicted from
     the raw X, A_hat and their K. They start from zero weights, so each is
     fit once per split, under init 0; only the GCN draws a fresh
-    initialization for each of the config's inits, and its inits share the
-    split's row block.
+    initialization for each of the config's inits, and one ``train_gcn``
+    call fits them all.
     """
     if not models:
         return {}
@@ -351,28 +351,21 @@ def _evaluate_models(prep: PreparedStudy, graph, variant: str, g: int,
         mi = MODEL_NAMES.index(model)
         k = config.train.sgc_k if model == "sgc" else 0
         for s, split in enumerate(prep.splits):
-            block = None  # the split's GCN row block, shared by its inits
-            for i in range(config.n_inits if model == "gcn" else 1):
-                try:
-                    if model == "gcn":
-                        if block is None:
-                            block = gcn_row_block(adj, features, split.train, split.val)
-                        seed = derive_seed(config.seed, _ROLE_INIT, vi, g, s, i, mi)
-                        fitted = train_gcn(adj, features, labels, split, config.train, seed,
-                                           block)
-                        if i == config.n_inits - 1:
-                            # freed before the last forward pass, so that
-                            # peak memory stays that of a single run
-                            block = None
-                        probs = gcn_forward(fitted, adj, features)
-                    else:
-                        fitted = train_logreg(features, labels, split, config.train, adj, k)
-                        probs = logreg_forward(fitted, features, adj, k)
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"study cell failed: variant={variant} graph_seed={g} "
-                        f"split={s} init={i} model={model}") from exc
-                accs[model, s, i] = accuracy(probs, labels, split.test)
+            try:
+                if model == "gcn":
+                    seeds = [derive_seed(config.seed, _ROLE_INIT, vi, g, s, i, mi)
+                             for i in range(config.n_inits)]
+                    probs = [gcn_forward(fitted, adj, features) for fitted in
+                             train_gcn(adj, features, labels, split, config.train, seeds)]
+                else:
+                    fitted = train_logreg(features, labels, split, config.train, adj, k)
+                    probs = [logreg_forward(fitted, features, adj, k)]
+            except Exception as exc:
+                raise RuntimeError(
+                    f"study cell failed: variant={variant} graph_seed={g} "
+                    f"split={s} model={model}") from exc
+            for i, p in enumerate(probs):
+                accs[model, s, i] = accuracy(p, labels, split.test)
     return accs
 
 

@@ -16,8 +16,8 @@ n x num_labels, so no n x d power of A_hat X is built.
 
 A GCN epoch reads predictions on the train and validation rows only, so
 training runs on a row block: the rows of A_hat X within one hop of a
-labeled node, built once per graph and split and shared by every run on
-them, and the train nodes' one-hop set for the backward pass. The labeled
+labeled node, and the train nodes' one-hop set for the backward pass;
+``train_gcn`` builds it once per split, for all of its inits. The labeled
 rows' probabilities and the loss equal the full-graph ones bit for bit;
 the gradients, summed over fewer rows, may differ in the last bit.
 Prediction over every node takes A_hat (X W0), so no n x d product is
@@ -40,7 +40,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -373,35 +373,34 @@ def gcn_row_block(adj: sp.csr_matrix, features: FeatureMatrix, train: np.ndarray
 
 
 def train_gcn(adj: sp.csr_matrix, features: FeatureMatrix, labels: LabelVector,
-              split, config: TrainConfig, init_seed: int = 0, block=None) -> GcnModel:
-    """Two-layer GCN trained with hand-derived gradients.
+              split, config: TrainConfig, init_seeds: Sequence[int]) -> list[GcnModel]:
+    """Two-layer GCNs trained with hand-derived gradients, one per seed of
+    ``init_seeds``, in order.
 
     ``adj`` is the graph's A_hat (``normalized_adjacency``), which the
     caller builds once and shares with every run on that graph, and
     ``features`` the raw X. Forward: P = softmax(A_hat relu(A_hat X W0) W1),
     loss = mean cross-entropy on the train rows plus (weight_decay / 2)
-    ||W||^2 over both weight matrices. Weights are Glorot-uniform from
-    ``init_seed``; early stopping watches validation accuracy.
+    ||W||^2 over both weight matrices. Weights are Glorot-uniform from the
+    seed; early stopping watches validation accuracy.
 
-    An epoch reads predictions on the labeled nodes only, so it runs on
-    the rows of A_hat X within one hop of them (A_hat's self-loops count);
-    the backward pass reads the train nodes' one-hop set alone. ``block``
-    is ``gcn_row_block(adj, features, split.train, split.val)``, which
-    depends on the graph and split only, so runs on the same ones can
-    share it; without it the run builds its own. The labeled rows'
-    probabilities and the loss equal those of the full-graph product bit
-    for bit. The gradients sum over fewer rows, so they may differ from
-    the full-graph sums in the last bit.
+    An epoch reads predictions on the labeled nodes only, so every run
+    trains on the split's ``gcn_row_block``, built once for all seeds and
+    released when the call returns. The labeled rows' probabilities and
+    the loss equal those of the full-graph product bit for bit. The
+    gradients sum over fewer rows, so they may differ in the last bit.
     """
     train, val = np.asarray(split.train), np.asarray(split.val)
-    AX, up, down = gcn_row_block(adj, features, train, val) if block is None else block
+    AX, up, down = gcn_row_block(adj, features, train, val)
     y = labels.labels[split.labeled()]
 
     def loss_grad(params):
         return gcn_loss_grad(params, AX, up, down, y[:len(train)], config.weight_decay)
 
-    rng = np.random.default_rng(init_seed)
-    params0 = [glorot_uniform((features.d, config.hidden_dim), rng),
-               glorot_uniform((config.hidden_dim, labels.num_labels), rng)]
-    (W0, W1), _ = _descend(params0, loss_grad, y[len(train):], config)
-    return GcnModel(W0=W0, W1=W1)
+    fitted = []
+    for rng in map(np.random.default_rng, init_seeds):
+        params0 = [glorot_uniform((features.d, config.hidden_dim), rng),
+                   glorot_uniform((config.hidden_dim, labels.num_labels), rng)]
+        (W0, W1), _ = _descend(params0, loss_grad, y[len(train):], config)
+        fitted.append(GcnModel(W0=W0, W1=W1))
+    return fitted

@@ -65,7 +65,7 @@ def test_train_gcn_calls_the_module_loss_once_per_evaluation(monkeypatch):
     monkeypatch.setattr(models, "gcn_loss_grad", counting_loss_grad)
     monkeypatch.setattr(models, "_descend", counting_descend)
     models.train_gcn(normalized_adjacency(graph), features, labels, split,
-                     TrainConfig(max_epochs=40), init_seed=1)
+                     TrainConfig(max_epochs=40), [1])
     assert counts["calls"] == counts["evaluations"] > 1
 
 

@@ -622,6 +622,41 @@ def test_failed_study_cell_keeps_its_traceback(workdir, tmp_path, monkeypatch):
         main(["ablate", str(workdir / "config.json"), "--out", str(tmp_path)])
 
 
+def test_failed_gcn_cell_names_its_cell_and_keeps_its_cause(workdir, tmp_path,
+                                                             monkeypatch):
+    # one train_gcn call fits every init of a split, so the message names
+    # the cell without an init; the chained cause is the fit's own error
+    from graphdiag import TrainingDivergedError, models
+
+    loss_grad = models.gcn_loss_grad
+
+    def diverging(*args):
+        _, grads, probs = loss_grad(*args)
+        return float("nan"), grads, probs
+
+    monkeypatch.setattr(models, "gcn_loss_grad", diverging)
+    with pytest.raises(RuntimeError, match="study cell failed: variant=original "
+                       "graph_seed=0 split=0 model=gcn$") as err:
+        main(["ablate", str(workdir / "config.json"), "--out", str(tmp_path)])
+    assert isinstance(err.value.__cause__, TrainingDivergedError)
+
+
+def test_analyze_makes_no_plain_unique_call(workdir, tmp_path, monkeypatch):
+    # numpy 2.4's np.unique without a return_* flag takes a hash path whose
+    # first call in a process pays a one-time set-up of many milliseconds
+    unique, plain = np.unique, []
+
+    def recording_unique(ar, *args, **kwargs):
+        flags = [kwargs.get(f"return_{name}") for name in ("index", "inverse", "counts")]
+        if not any(args[:3]) and not any(flags):
+            plain.append(np.shape(ar))
+        return unique(ar, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", recording_unique)
+    assert main(["analyze", str(workdir / "config.json"), "--out", str(tmp_path)]) == 0
+    assert plain == []
+
+
 def test_console_entry_point(workdir, tmp_path):
     # the child process runs the package this suite imports, installed or
     # found through pytest's pythonpath setting

@@ -482,6 +482,11 @@ class TestPartitionValidation:
         with pytest.raises(ValueError):
             Partition(np.array([0, 2, 2]))
 
+    def test_an_id_past_the_node_count_is_rejected_before_counting(self):
+        # counting up to the largest id would size an array by it
+        with pytest.raises(ValueError, match="exactly 0..K-1"):
+            Partition(np.array([0, 2**62]))
+
     def test_valid(self):
         part = Partition(np.array([1, 0, 1]))
         assert list(part.sizes()) == [1, 2]

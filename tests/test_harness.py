@@ -299,8 +299,9 @@ class TestRunAblationStudy:
             return forward(model, features, adj, k)
 
         def counting_gcn(*args, **kwargs):
-            fits["gcn"] += 1
-            return fit_gcn(*args, **kwargs)
+            fitted = fit_gcn(*args, **kwargs)
+            fits["gcn"] += len(fitted)
+            return fitted
 
         evaluate = harness._evaluate_models
         evaluated = []

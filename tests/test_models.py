@@ -277,7 +277,7 @@ class TestTrainGcn:
         split = SplitSet(train=np.sort(perm[:20]), val=np.sort(perm[20:50]),
                          test=np.sort(perm[50:]))
         adj = normalized_adjacency(g)
-        model = train_gcn(adj, X, labels, split, TrainConfig(), init_seed=3)
+        [model] = train_gcn(adj, X, labels, split, TrainConfig(), [3])
         probs = gcn_forward(model, adj, X)
         assert accuracy(probs, labels, split.test) >= 0.9
 
@@ -297,8 +297,7 @@ class TestTrainGcn:
         for i, split in enumerate(splits):
             base = train_logreg(X, y, split, TrainConfig())
             acc_lr.append(accuracy(logreg_forward(base, X), y, split.test))
-            model = train_gcn(adj, X, y, split, TrainConfig(hidden_dim=8),
-                              init_seed=i)
+            [model] = train_gcn(adj, X, y, split, TrainConfig(hidden_dim=8), [i])
             acc_gcn.append(accuracy(gcn_forward(model, adj, X), y, split.test))
         assert abs(np.median(acc_gcn) - np.median(acc_lr)) <= 0.05
         assert mann_whitney_u(acc_gcn, acc_lr).p_value > 0.01
@@ -321,8 +320,8 @@ class TestTrainGcn:
         assert all(b <= a for a, b in zip(losses, losses[1:]))
 
     def test_a_shared_row_block_trains_the_same_models(self):
-        # the block depends on the graph and split only, so every init on
-        # them may share one; sharing it must not change a weight's bits
+        # one call builds the split's row block once and trains every seed
+        # on it; sharing it must not change a weight's bits
         rng = np.random.default_rng(5)
         g, part = planted_partition_graph(30, 2, 0.3, 0.05, seed=2)
         labels = LabelVector(part.assignment.copy(), 2)
@@ -332,12 +331,12 @@ class TestTrainGcn:
                          test=np.sort(perm[20:]))
         adj = normalized_adjacency(g)
         config = TrainConfig(max_epochs=40, patience=40, hidden_dim=6)
-        block = gcn_row_block(adj, X, split.train, split.val)
-        for seed in (0, 1, 2):
-            own = train_gcn(adj, X, labels, split, config, seed)
-            shared = train_gcn(adj, X, labels, split, config, seed, block)
-            assert own.W0.tobytes() == shared.W0.tobytes()
-            assert own.W1.tobytes() == shared.W1.tobytes()
+        shared = train_gcn(adj, X, labels, split, config, [0, 1, 2])
+        assert len(shared) == 3
+        for seed, model in enumerate(shared):
+            [own] = train_gcn(adj, X, labels, split, config, [seed])
+            assert own.W0.tobytes() == model.W0.tobytes()
+            assert own.W1.tobytes() == model.W1.tobytes()
 
     def test_divergence_is_reported(self):
         def bad_loss(params):
@@ -445,7 +444,7 @@ class TestRowBlockMatchesFullGraph:
             return loss, grads, probs
 
         monkeypatch.setattr(models, "gcn_loss_grad", recording)
-        model = train_gcn(adj, X, labels, split, config, init_seed=2)
+        [model] = train_gcn(adj, X, labels, split, config, [2])
 
         AX, expected = adj @ X.values, []
 
@@ -589,7 +588,7 @@ def test_fit_matches_the_reference_set_up(model, case, monkeypatch):
         fitted = train_logreg(features, labels, split, config)
         weights = [fitted.W, fitted.b]
     else:
-        fitted = train_gcn(adj, features, labels, split, config, init_seed=4)
+        [fitted] = train_gcn(adj, features, labels, split, config, [4])
         weights = [fitted.W0, fitted.W1]
     expected, expected_evaluations = _reference_fit(model, adj, features, labels, split,
                                                     config, init_seed=4)
