@@ -107,12 +107,17 @@ def to_undirected(edges: Iterable[Sequence[int]] | np.ndarray, n: int) -> Labele
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Dense n-by-d feature matrix; row i belongs to node i."""
+    """Dense n-by-d feature matrix; row i belongs to node i.
+
+    Float32 values, as the loaders give, are stored as float32, and the
+    models train in that precision; any other input is stored as float64.
+    """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = frozen_array(self, "values", np.float64)
+        single = getattr(self.values, "dtype", None) == np.float32
+        values = frozen_array(self, "values", np.float32 if single else np.float64)
         if values.ndim != 2:
             raise GraphError("feature matrix must be 2-D")
         # min and max propagate nan, and need no n x d boolean temporary

@@ -344,7 +344,8 @@ def _evaluate_models(prep: PreparedStudy, graph, variant: str, g: int,
     config = prep.config
     labels = prep.dataset.labels
     features = prep.dataset.features
-    adj = normalized_adjacency(graph)
+    # in X's dtype, so no sparse product upcasts float32 features
+    adj = normalized_adjacency(graph).astype(features.values.dtype, copy=False)
     vi = VARIANTS.index(variant)
     accs = {}
     for model in models:

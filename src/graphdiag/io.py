@@ -6,7 +6,11 @@ Formats:
   * labels: one line per node, "node_token<TAB>label_token"
   * features: CSV with the node token in the first column, or a sparse
     triplet file "node_token col value" densified on load. Values follow
-    Python's ``float()`` syntax.
+    Python's ``float()`` syntax. They load into a float32 matrix, the
+    precision the models train in: each value is parsed to the nearest
+    double, which is then rounded to float32, and a finite value beyond
+    float32's range is refused with its line ("feature value out of
+    float32 range").
   * partition: "node_token<TAB>community_id"
 
 Edge, CSV and triplet files are read by one rule. The open file is read in
@@ -20,7 +24,9 @@ the first fault with its line or accepts what only the line reader reads.
 A repeated triplet entry may lie blocks away from its first copy, so a
 fault in a triplet file has the file read again from its start. The bound
 is on characters rather than rows, so a block's transient memory stays
-small however wide the rows are.
+small however wide the rows are. A block holding any value beyond
+float32's range is read line by line too, so the cast into the matrix
+never overflows and the reader names the line.
 """
 
 from __future__ import annotations
@@ -89,6 +95,22 @@ def load_labels(path) -> tuple[dict[str, int], LabelVector]:
 
 # characters read into one block (see _blocks)
 _BLOCK_CHARS = 64 * 1024
+
+# the largest magnitude a feature value may have; the matrix is float32
+_FEATURE_MAX = float(np.finfo(np.float32).max)
+
+
+def _holdable(values: np.ndarray) -> bool:
+    """Whether every value is finite and within float32's range, so its
+    cast into the matrix neither overflows nor hides a fault."""
+    return bool((np.abs(values) <= _FEATURE_MAX).all())
+
+
+def _check_range(path, lineno: int, values) -> None:
+    """Refuse a finite value beyond float32's range; nan and inf pass, for
+    the finiteness check to name."""
+    if any(_FEATURE_MAX < abs(v) < math.inf for v in values):
+        raise DatasetFormatError(path, lineno, "feature value out of float32 range")
 
 
 def _blocks(fh, lineno: int = 1):
@@ -166,7 +188,8 @@ def _read_block(block, width: int, node_index: dict[str, int], out: np.ndarray,
     """Store a block's rows through one ``np.loadtxt`` call and return True,
     or return False with nothing stored when any line of it is at fault: an
     unknown or repeated token, a wrong column count, or a value numpy does
-    not parse."""
+    not parse; or when a value is not finite or beyond float32's range,
+    which the line reader sorts out."""
     nodes, bodies = [], []
     try:
         for _, line in block:
@@ -185,7 +208,7 @@ def _read_block(block, width: int, node_index: dict[str, int], out: np.ndarray,
                                 ndmin=2)
     except (ValueError, Warning):
         return False
-    if values.shape != (len(block), width - 1):
+    if values.shape != (len(block), width - 1) or not _holdable(values):
         return False
     out[nodes] = values
     line_of[nodes] = [lineno for lineno, _ in block]
@@ -203,9 +226,12 @@ def _load_features_csv(path, blocks, node_index: dict[str, int], width: int) -> 
     again line by line with ``float()``, which raises the first fault in
     line order with the message it always had, or accepts what only
     ``float()`` parses (``"1_0"``, non-ASCII digits). Both parsers round
-    correctly, so the matrix does not depend on which one read a row.
+    each value correctly to a double, which the float32 matrix rounds once,
+    so the matrix does not depend on which one read a row. A value beyond
+    float32's range is a fault of its line; nan and inf are stored, and
+    the first line holding one is named once every row is read.
     """
-    out = np.empty((len(node_index), width - 1), dtype=np.float64)
+    out = np.empty((len(node_index), width - 1), dtype=np.float32)
     line_of = np.zeros(len(node_index), dtype=np.int64)  # of each node's row; 0: none yet
     for lineno, text in blocks:
         block = list(_lines(text.split("\n"), False, lineno))
@@ -224,9 +250,11 @@ def _load_features_csv(path, blocks, node_index: dict[str, int], width: int) -> 
             if line_of[node]:
                 raise DatasetFormatError(path, lineno, f"duplicate feature row for {token!r}")
             try:
-                out[node] = [float(x) for x in parts[1:]]
+                values = [float(x) for x in parts[1:]]
             except ValueError:
                 raise DatasetFormatError(path, lineno, "non-numeric feature value") from None
+            _check_range(path, lineno, values)
+            out[node] = values
             line_of[node] = lineno
     missing = np.count_nonzero(line_of == 0)
     if missing:
@@ -265,6 +293,7 @@ def _triplet_lines(path, lines, node_index: dict[str, int]):
         key = (node_index[token], col)
         if key in seen:
             raise DatasetFormatError(path, lineno, f"duplicate entry for {token!r} col {col}")
+        _check_range(path, lineno, [val])
         seen.add(key)
         nodes.append(key[0])
         cols.append(col)
@@ -273,7 +302,7 @@ def _triplet_lines(path, lines, node_index: dict[str, int]):
 
 
 def _load_features_triplet(path, fh, blocks, node_index: dict[str, int]) -> np.ndarray:
-    """Read a triplet feature file block by block into a dense matrix.
+    """Read a triplet feature file block by block into a dense float32 matrix.
 
     A repeated entry can sit blocks away from its first copy, so entries are
     checked for repeats once, by one sort of their keys, after every block
@@ -290,7 +319,7 @@ def _load_features_triplet(path, fh, blocks, node_index: dict[str, int]) -> np.n
             vals = np.fromiter(map(float, tokens[2::3]), np.float64)
         except (KeyError, ValueError, OverflowError):
             return None
-        if cols.min() < 0 or not np.isfinite(vals).all():
+        if cols.min() < 0 or not _holdable(vals):
             return None
         return nodes, cols, vals
 
@@ -313,7 +342,7 @@ def _load_features_triplet(path, fh, blocks, node_index: dict[str, int]) -> np.n
     if not clean:
         fh.seek(0)
         entries = [_triplet_lines(path, _lines(fh, allow_comments=False), node_index)]
-    out = np.zeros((n, width(entries)), dtype=np.float64)
+    out = np.zeros((n, width(entries)), dtype=np.float32)
     for nodes, cols, vals in entries:
         if len(nodes):
             out[nodes, cols] = vals
@@ -321,9 +350,10 @@ def _load_features_triplet(path, fh, blocks, node_index: dict[str, int]) -> np.n
 
 
 def load_features(path, node_index: dict[str, int]) -> np.ndarray:
-    """Load features, opening the file once. A comma after the first data
-    line's node token (its first whitespace-separated field) marks the CSV
-    format, and so does a token that ends in one; otherwise triplets."""
+    """Load features into a float32 matrix, opening the file once. A comma
+    after the first data line's node token (its first whitespace-separated
+    field) marks the CSV format, and so does a token that ends in one;
+    otherwise triplets."""
     with _open(path) as fh:
         blocks = _blocks(fh)
         for block in blocks:

@@ -23,6 +23,12 @@ the gradients, summed over fewer rows, may differ in the last bit.
 Prediction over every node takes A_hat (X W0), so no n x d product is
 built and X is read only through ``@``.
 
+Every array of a fit or a forward pass takes the dtype of the features
+X, so numpy picks its kernels from X: files load as float32, the precision
+the paper's PyTorch models train in, and float64 X (generated data, the
+test oracles) runs in float64. A_hat is passed in X's dtype (the harness
+casts it once per graph), or its products would upcast X.
+
 Optimization is full-batch gradient descent with a halve-on-increase
 learning-rate backoff: a step that would raise the training loss is
 retried at half the rate, so the recorded loss sequence never increases.
@@ -190,7 +196,9 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
-    return float(-np.mean(np.log(np.maximum(probs[np.arange(len(y)), y], 1e-300))))
+    # 1e-300 underflows to 0 in float32; float64 keeps it
+    floor = max(1e-300, float(np.finfo(probs.dtype).tiny))
+    return float(-np.mean(np.log(np.maximum(probs[np.arange(len(y)), y], floor))))
 
 
 def accuracy(predictions: np.ndarray, labels: LabelVector, mask: np.ndarray) -> float:
@@ -261,7 +269,7 @@ def logreg_loss_grad(params: list[np.ndarray], X: np.ndarray, y_train: np.ndarra
     n_train = len(y_train)
     probs = _softmax(X @ W.T + b)
     pt = probs[:n_train]
-    onehot = np.eye(W.shape[0])[y_train]
+    onehot = np.eye(W.shape[0], dtype=probs.dtype)[y_train]
     loss = (_cross_entropy(pt, y_train)
             + 0.5 * weight_decay * float(np.sum(W * W)))
     dlogits = (pt - onehot) / n_train
@@ -278,9 +286,9 @@ def train_logreg(features: FeatureMatrix, labels: LabelVector, split,
     X in ``features``; it propagates only those rows (``sgc_propagate``).
     At k = 0 (logreg) ``adj`` is not read.
 
-    Weights start at zero, so the fit needs no seed. The train rows drive
-    the loss and the validation rows early stopping. Returns the
-    parameters of the best-validation epoch.
+    Weights start at zero, in the dtype of the propagated rows, so the fit
+    needs no seed. The train rows drive the loss and the validation rows
+    early stopping. Returns the parameters of the best-validation epoch.
     """
     if features.n != len(labels):
         raise ValueError(f"features hold {features.n} rows; labels hold {len(labels)}")
@@ -292,7 +300,8 @@ def train_logreg(features: FeatureMatrix, labels: LabelVector, split,
     def loss_grad(params):
         return logreg_loss_grad(params, X, y[:n_train], config.weight_decay)
 
-    params0 = [np.zeros((labels.num_labels, features.d)), np.zeros(labels.num_labels)]
+    params0 = [np.zeros((labels.num_labels, features.d), dtype=X.dtype),
+               np.zeros(labels.num_labels, dtype=X.dtype)]
     (W, b), _ = _descend(params0, loss_grad, y[n_train:], config)
     return LogRegModel(W=W, b=b)
 
@@ -342,7 +351,7 @@ def gcn_loss_grad(params: list[np.ndarray], AX: np.ndarray, up: sp.csr_matrix,
     pre = AX @ W0
     hidden = np.maximum(pre, 0.0)
     probs = _softmax(up @ hidden @ W1)
-    onehot = np.eye(W1.shape[1])[y]
+    onehot = np.eye(W1.shape[1], dtype=probs.dtype)[y]
     loss = (_cross_entropy(probs[:n_train], y)
             + 0.5 * weight_decay * float(np.sum(W0 * W0) + np.sum(W1 * W1)))
     dlogits = (probs[:n_train] - onehot) / n_train
@@ -382,7 +391,10 @@ def train_gcn(adj: sp.csr_matrix, features: FeatureMatrix, labels: LabelVector,
     ``features`` the raw X. Forward: P = softmax(A_hat relu(A_hat X W0) W1),
     loss = mean cross-entropy on the train rows plus (weight_decay / 2)
     ||W||^2 over both weight matrices. Weights are Glorot-uniform from the
-    seed; early stopping watches validation accuracy.
+    seed, drawn in float64 and cast to the dtype of X, so float32 and
+    float64 runs start from the same draws; every array of the fit keeps
+    that dtype, given ``adj`` in it too. Early stopping watches validation
+    accuracy.
 
     An epoch reads predictions on the labeled nodes only, so every run
     trains on the split's ``gcn_row_block``, built once for all seeds and
@@ -399,8 +411,8 @@ def train_gcn(adj: sp.csr_matrix, features: FeatureMatrix, labels: LabelVector,
 
     fitted = []
     for rng in map(np.random.default_rng, init_seeds):
-        params0 = [glorot_uniform((features.d, config.hidden_dim), rng),
-                   glorot_uniform((config.hidden_dim, labels.num_labels), rng)]
+        params0 = [glorot_uniform(shape, rng).astype(AX.dtype, copy=False) for shape in
+                   ((features.d, config.hidden_dim), (config.hidden_dim, labels.num_labels))]
         (W0, W1), _ = _descend(params0, loss_grad, y[len(train):], config)
         fitted.append(GcnModel(W0=W0, W1=W1))
     return fitted

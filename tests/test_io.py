@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -279,14 +280,70 @@ def _reference_load_features(path, node_index: dict[str, int]) -> np.ndarray:
     raise DatasetFormatError(path, None, "feature file is empty")
 
 
-FAULTS = ("columns", "unknown", "duplicate", "non-numeric", "negative", "missing")
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _beyond_float32(token: str) -> bool:
+    try:
+        return F32_MAX < abs(float(token)) < math.inf
+    except ValueError:
+        return False
+
+
+def _zero_beyond_float32(line: str) -> str:
+    """``line`` with each of its values beyond float32's range set to 0; the
+    leading node token is no value."""
+    token = re.match(r"\s*[^,\s]*", line).end()
+    return line[:token] + re.sub(r"[^,\s]+", lambda m: "0" if _beyond_float32(m[0])
+                                 else m[0], line[token:])
+
+
+def _under_float32(reference):
+    """The float64 reference loader ``reference`` under the float32 contract.
+
+    A finite value beyond float32's range is a fault of its line, found
+    after every other fault of that line and before the faults of later
+    lines. It is placed by loading a copy of the file with such values
+    zeroed: a fault the reference names at or before the first such line
+    wins, save a non-finite CSV value, which is named only once every row
+    has been read. Otherwise the reference's matrix is cast to float32.
+    """
+    def load(path, node_index):
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.read().split("\n")
+        zeroed = [_zero_beyond_float32(line) for line in lines]
+        first = next((lineno for lineno, (line, zero) in enumerate(zip(lines, zeroed), 1)
+                      if line != zero), None)
+        if first is None:
+            return reference(path, node_index).astype(np.float32)
+        copy = path.with_name(path.name + ".zeroed")
+        copy.write_text("\n".join(zeroed), encoding="utf-8")
+        csv = "," in next(line for _, line in _data_lines(path, allow_comments=False))
+        try:
+            reference(copy, node_index)
+        except DatasetFormatError as exc:
+            fault = re.fullmatch(re.escape(f"{copy}:") + r"(\d+): (.*)", str(exc))
+            if fault and int(fault[1]) <= first and not (
+                    csv and fault[2] == "feature values must be finite"):
+                raise DatasetFormatError(path, int(fault[1]), fault[2]) from None
+        raise DatasetFormatError(path, first, "feature value out of float32 range")
+    return load
+
+
+reference_features = _under_float32(_reference_load_features)
+reference_triplets = _under_float32(_reference_load_features_triplet)
+
+
+FAULTS = ("columns", "unknown", "duplicate", "non-numeric", "negative", "missing",
+          "beyond-float32")
 
 
 @st.composite
 def feature_files(draw):
     """(text, node_index): a CSV or triplet feature file over tokens without
     commas, in a shuffled row order with blank lines, with up to two faults
-    at drawn lines and nan or inf on up to two lines."""
+    (a value beyond float32's range is one) at drawn lines and nan or inf
+    on up to two lines."""
     tokens = draw(st.lists(st.text("abxyz_.", min_size=1, max_size=3),
                            min_size=1, max_size=6, unique=True))
     node_index = {t: i for i, t in enumerate(tokens)}
@@ -322,6 +379,8 @@ def feature_files(draw):
                 del lines[i]
         elif fault == "negative":
             line[1:2] = ["-1"]
+        elif fault == "beyond-float32":
+            line[-1] = draw(st.sampled_from(["1e39", "-3.5e38"]))
         else:  # non-numeric
             line[-1] = "x1"
     # nan or inf on up to two lines, drawn apart from the faults above so
@@ -340,7 +399,7 @@ def _outcome(load, path, node_index):
         out = load(path, node_index)
     except DatasetFormatError as exc:
         return str(exc)
-    return out.shape, out.tobytes()
+    return out.shape, out.dtype, out.tobytes()
 
 
 @settings(max_examples=400, deadline=None)
@@ -353,7 +412,7 @@ def test_load_features_matches_reference(tmp_path_factory, file, block_chars):
     path.write_text(text, encoding="utf-8")
     with mock.patch.object(graphdiag.io, "_BLOCK_CHARS", block_chars):
         assert (_outcome(load_features, path, node_index)
-                == _outcome(_reference_load_features, path, node_index))
+                == _outcome(reference_features, path, node_index))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +451,7 @@ def test_clean_file_across_blocks_matches_reference(tmp_path, monkeypatch):
     path = write(tmp_path / "f.csv", "\n".join(BLOCK_LINES) + "\n")
     assert _block_layout(path, 45, monkeypatch) == FOUR_BLOCKS
     got = _outcome(load_features, path, BLOCK_INDEX)
-    assert got == _outcome(_reference_load_features, path, BLOCK_INDEX)
+    assert got == _outcome(reference_features, path, BLOCK_INDEX)
     assert isinstance(got, tuple)
 
 
@@ -404,7 +463,7 @@ def test_fault_at_a_block_boundary_matches_reference(tmp_path, monkeypatch, faul
     path = write(tmp_path / "f.csv", "\n".join(lines) + "\n")
     assert _block_layout(path, 45, monkeypatch) == FOUR_BLOCKS
     got = _outcome(load_features, path, BLOCK_INDEX)
-    assert got == _outcome(_reference_load_features, path, BLOCK_INDEX)
+    assert got == _outcome(reference_features, path, BLOCK_INDEX)
     if fault == "float-only-grammar":
         assert isinstance(got, tuple)
     else:
@@ -419,7 +478,7 @@ def test_first_fault_wins_across_blocks(tmp_path, monkeypatch):
     path = write(tmp_path / "f.csv", "\n".join(lines) + "\n")
     assert _block_layout(path, 45, monkeypatch) == FOUR_BLOCKS
     got = _outcome(load_features, path, BLOCK_INDEX)
-    assert got == _outcome(_reference_load_features, path, BLOCK_INDEX)
+    assert got == _outcome(reference_features, path, BLOCK_INDEX)
     assert got.endswith("f.csv:5: non-numeric feature value")
 
 
@@ -433,8 +492,78 @@ def test_block_of_empty_bodies_is_non_numeric_without_a_warning(tmp_path, monkey
         warnings.simplefilter("always")
         got = _outcome(load_features, path, node_index)
     assert caught == []
-    assert got == _outcome(_reference_load_features, path, node_index)
+    assert got == _outcome(reference_features, path, node_index)
     assert got.endswith("f.csv:2: non-numeric feature value")
+
+
+# a value beyond float32's range, in lines that keep the clean line's length
+# so the blocks stay where they are. On the block path its block parses and
+# is refused for the value; on the line path a neighbour in its block sends
+# the block to the line reader first (numpy does not read "1_0", and a blank
+# line breaks the triplet block's token count)
+RANGE_CASES = {
+    "csv": (BLOCK_LINES, 45, lambda i: f"n{i:02d},1.5,1e39,.5",
+            lambda i: f"n{i:02d},1.5,2.5,1_0"),
+    "triplets": ([f"n{i:02d} {i % 3} 1.25" for i in range(12)], 30,
+                 lambda i: f"n{i:02d} 0 4e38", lambda i: " " * 10),
+}
+
+
+@pytest.mark.parametrize("route", ["block", "line"])
+@pytest.mark.parametrize("at", [3, 5, 11], ids=["block-first", "block-last", "file-end"])
+@pytest.mark.parametrize("kind", RANGE_CASES)
+def test_a_value_beyond_float32_names_its_line(tmp_path, monkeypatch, kind, at, route):
+    clean, block_chars, beyond, neighbour = RANGE_CASES[kind]
+    path = write(tmp_path / "f.txt", "\n".join(clean) + "\n")
+    assert _block_layout(path, block_chars, monkeypatch) == FOUR_BLOCKS
+    lines = list(clean)
+    lines[at] = beyond(at)
+    if route == "line":
+        near = at + 1 if at % 3 == 0 else at - 1  # in the same block
+        lines[near] = neighbour(near)
+    assert {len(line) for line in lines} == {len(clean[0])}
+    write(path, "\n".join(lines) + "\n")
+    node_index = {f"n{i:02d}": i for i in range(12)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the cast must not overflow
+        got = _outcome(load_features, path, node_index)
+    assert got.endswith(f"f.txt:{at + 1}: feature value out of float32 range")
+    assert got == _outcome(reference_features, path, node_index)
+
+
+@pytest.mark.parametrize("template", ["a,{v},1\n", "a 0 {v}\na 1 1\n"],
+                         ids=["csv", "triplet"])
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_float32_max_loads_and_the_next_double_is_refused(tmp_path, template, sign):
+    largest = np.finfo(np.float32).max
+    path = write(tmp_path / "f.txt", template.format(v=sign + repr(float(largest))))
+    out = load_features(path, {"a": 0})
+    assert out.dtype == np.float32 and out[0, 0] == float(sign + "1") * largest
+    beyond = float(np.nextafter(float(largest), math.inf))
+    write(path, template.format(v=sign + repr(beyond)))
+    with pytest.raises(DatasetFormatError, match="f.txt:1: feature value out of float32"):
+        load_features(path, {"a": 0})
+
+
+def test_csv_load_peaks_near_the_float32_matrix(tmp_path, monkeypatch):
+    # the matrix is filled in float32 block by block, so beyond it the
+    # loader holds one block's text, lines and parsed float64 values; a
+    # float64 n x d matrix alone would be twice the float32 one
+    n, d = 2000, 400
+    values = np.random.default_rng(0).standard_normal((n, d)).astype(np.float32)
+    path = tmp_path / "f.csv"
+    path.write_text("".join(f"n{i},{','.join(map(repr, row.tolist()))}\n"
+                            for i, row in enumerate(values)))
+    node_index = {f"n{i}": i for i in range(n)}
+    monkeypatch.setattr(graphdiag.io, "_BLOCK_CHARS", 4096)
+    tracemalloc.start()
+    try:
+        out = load_features(path, node_index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, values)
+    assert peak < 1.25 * values.nbytes + 64 * 4096
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +593,7 @@ VALUES = ("0.0", "1.5", "-2", "3e-3", "7", "1_0", "١٢", "１", "-0.0")
 WHITESPACE_FAULTS = {
     "edges": ("more-tokens", "fewer-tokens", "unknown", "comment"),
     "triplets": ("more-tokens", "fewer-tokens", "unknown", "bad-column", "bad-value",
-                 "negative", "non-finite", "duplicate"),
+                 "negative", "non-finite", "beyond-float32", "duplicate"),
 }
 
 
@@ -509,6 +638,8 @@ def whitespace_files(draw, kind):
             line[1] = "-1"
         elif fault == "bad-value":
             line[2] = "x1"
+        elif fault == "beyond-float32":
+            line[2] = draw(st.sampled_from(["1e39", "-3.5e38"]))
         else:  # non-finite
             line[2] = draw(st.sampled_from(["nan", "inf", "-inf"]))
     pad = st.sampled_from(["", " ", "\t"])
@@ -547,7 +678,7 @@ def test_load_triplets_matches_reference(tmp_path_factory, file, block_chars):
     path.write_bytes(data)
     with mock.patch.object(graphdiag.io, "_BLOCK_CHARS", block_chars):
         assert (_outcome(load_features, path, node_index)
-                == _outcome(_reference_load_features_triplet, path, node_index))
+                == _outcome(reference_triplets, path, node_index))
 
 
 # 12 lines of equal length; at the block sizes below lines 1-3, 4-6, 7-9 and
@@ -579,8 +710,7 @@ TRIPLET_VARIANTS = {
 VALID_VARIANTS = {"comment", "blank", "python-only-grammar"}
 WHITESPACE_CASES = {
     "edges": (EDGE_LINES, EDGE_VARIANTS, 20, load_edges, _reference_load_edges),
-    "triplets": (TRIPLET_LINES, TRIPLET_VARIANTS, 25, load_features,
-                 _reference_load_features_triplet),
+    "triplets": (TRIPLET_LINES, TRIPLET_VARIANTS, 25, load_features, reference_triplets),
 }
 
 
@@ -649,7 +779,7 @@ def test_triplet_repeat_of_an_earlier_block_wins_over_a_later_fault(tmp_path, mo
     assert _block_layout(path, 25, monkeypatch) == FOUR_BLOCKS
     node_index = {f"n{i:02d}": i for i in range(12)}
     got = _outcome(load_features, path, node_index)
-    assert got == _outcome(_reference_load_features_triplet, path, node_index)
+    assert got == _outcome(reference_triplets, path, node_index)
     assert got.endswith("f.txt:5: duplicate entry for 'n00' col 0")
 
 
