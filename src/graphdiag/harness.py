@@ -434,10 +434,6 @@ def _map_tasks(tasks, prep: PreparedStudy, jobs: int) -> list:
         if sbm_graphs[g].m == 0:
             raise GraphError(f"the sbm graph for graph seed {g} came out with no edges, "
                              "so it has no communities to detect")
-    if trains:
-        # cells that train build A_hat with scipy: import it once, here,
-        # before the serial loop or the fork, so no cell's time carries it
-        import scipy.sparse  # noqa: F401
     # a forked pool starts all of its workers at the first submit, so it
     # gets no more workers than there are tasks
     workers = min(jobs, len(tasks))

@@ -6,6 +6,15 @@ A_hat = D^(-1/2) (A + I) D^(-1/2). The GCN is
 softmax(A_hat . relu(A_hat X W0) . W1); its backward pass is written out
 by hand so training stays dependency-free and exactly reproducible.
 
+A_hat is a ``Csr``, numpy's arrays in compressed sparse row form, each of
+its rows with columns ascending. Every product ``A @ Z`` has one exact
+summation order: output element (i, j) starts from +0.0 and adds
+A[i, c] * Z[c, j] for the stored entries c of row i in stored order, each
+product rounded once and each sum rounded once, in the dtype both
+operands cast to. That is the order of scipy's ``csr_matvecs``, so the
+products equal scipy's bit for bit, and a row or column slice keeps each
+row's stored order.
+
 Logreg is SGC with K = 0, and both share one fit and one forward, which
 read the same (X, A_hat, K). The fit propagates only the split's labeled
 rows of A_hat^K X, working backwards over each power's support
@@ -46,14 +55,11 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphs import FeatureMatrix, LabeledGraph, LabelVector
-
-if TYPE_CHECKING:  # scipy loads where A_hat is built, so analyze never imports it
-    import scipy.sparse as sp
+from .graphs import FeatureMatrix, LabeledGraph, LabelVector, frozen_array
 
 MIN_LEARNING_RATE = 1e-12
 
@@ -141,21 +147,167 @@ class GcnModel:
     W1: np.ndarray  # (hidden, num_labels)
 
 
-def normalized_adjacency(graph: LabeledGraph) -> sp.csr_matrix:
-    """Build A_hat = D^(-1/2) (A + I) D^(-1/2) in CSR form; isolated nodes
-    get weight 1. It is symmetric with spectral radius <= 1."""
-    import scipy.sparse as sp
-
-    deg = graph.degrees() + 1.0
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees())
-    rows = np.concatenate([src, np.arange(graph.n, dtype=np.int64)])
-    cols = np.concatenate([graph.neighbors, np.arange(graph.n, dtype=np.int64)])
-    data = inv_sqrt[rows] * inv_sqrt[cols]
-    return sp.coo_matrix((data, (rows, cols)), shape=(graph.n, graph.n)).tocsr()
+# elements of Z one step of ``Csr @ Z`` gathers (256 KiB in float32); each
+# temporary of a product holds at most this many, beside the output (and a
+# cast copy of Z when the two dtypes differ)
+_CHUNK = 1 << 16
 
 
-def _power_rows(adj: sp.csr_matrix, X: np.ndarray, k: int, rows=None) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """A sparse matrix in compressed sparse row form: row i holds the values
+    ``data[indptr[i]:indptr[i + 1]]`` at the columns ``indices[...]``, in
+    stored order. It takes the spellings of scipy's ``csr_matrix`` that the
+    models use, and each result equals scipy's bit for bit:
+
+    - ``A[rows]``, for an integer array, keeps each row's stored order;
+    - ``A[:, cols]``, for distinct integer columns, renumbers each kept
+      entry by its column's place in ``cols`` and keeps the stored order;
+    - ``A @ Z``, for Z of one or two dimensions, sums in the order the
+      module docstring states. Where two nans meet, the sum keeps one of
+      them, and which one is not part of that order: scipy's own loops
+      keep the running sum's for a vector and the product's otherwise.
+
+    The arrays are stored by ``frozen_array``, so the product schedules
+    cached on the matrix stay valid.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    def __post_init__(self) -> None:
+        frozen_array(self, "data", None)
+        frozen_array(self, "indices", np.int64)
+        frozen_array(self, "indptr", np.int64)
+        object.__setattr__(self, "_schedules", {})
+
+    def astype(self, dtype, copy: bool = True) -> Csr:
+        if not copy and self.data.dtype == dtype:
+            return self
+        return Csr(self.data.astype(dtype), self.indices, self.indptr, self.shape)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
+        return out
+
+    def __getitem__(self, key) -> Csr:
+        if not isinstance(key, tuple):
+            return self._rows(np.asarray(key, dtype=np.int64))
+        if len(key) == 2 and isinstance(key[0], slice) and key[0] == slice(None):
+            return self._columns(np.asarray(key[1], dtype=np.int64))
+        raise IndexError("a Csr takes A[rows] or A[:, cols], with integer arrays")
+
+    def _rows(self, rows: np.ndarray) -> Csr:
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        entries = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
+        return Csr(self.data[entries], self.indices[entries], indptr,
+                   (len(rows), self.shape[1]))
+
+    def _columns(self, cols: np.ndarray) -> Csr:
+        place = np.full(self.shape[1], -1, dtype=np.int64)
+        place[cols] = np.arange(len(cols))
+        if not np.array_equal(place[cols], np.arange(len(cols))):
+            raise IndexError("column indices must be distinct")
+        renumbered = place[self.indices]
+        kept = renumbered >= 0
+        before = np.zeros(len(kept) + 1, dtype=np.int64)
+        np.cumsum(kept, out=before[1:])
+        return Csr(self.data[kept], renumbered[kept], before[self.indptr],
+                   (self.shape[0], len(cols)))
+
+    def _schedule(self, k: int) -> list:
+        """How ``A @ Z`` runs for Z of ``k`` columns: in blocks of
+        ``_CHUNK // k`` rows, gathering at most as many rows of Z at once.
+
+        A block's rows are sorted by entry count, longest first, so the rows
+        holding a p-th entry lead the order. Position by position, one add
+        brings those rows' p-th products into their running sums; the
+        positions of one batch share one gather and one multiply. A block
+        costs one add per entry of its longest row.
+        """
+        step = max(1, _CHUNK // max(k, 1))
+        schedule = []
+        for first in range(0, self.shape[0], step):
+            counts = np.diff(self.indptr[first:first + step + 1])
+            order = np.argsort(-counts, kind="stable")
+            counts, starts = counts[order], self.indptr[first:first + step][order]
+            # active[p]: how many rows hold a p-th entry
+            active = len(counts) - np.searchsorted(counts[::-1], np.arange(counts[0]),
+                                                   side="right")
+            ends = np.cumsum(active)
+            # the block's entries, position by position
+            held = np.arange(ends[-1] if len(ends) else 0)
+            entries = (starts[held - np.repeat(ends - active, active)]
+                       + np.repeat(np.arange(len(active)), active))
+            # cut them into batches of at most ``step``, between positions
+            batches, low, cuts = [], 0, []
+            for end in ends.tolist():
+                if end - low > step:
+                    batches.append((low, cuts[-1], [c - low for c in cuts]))
+                    low, cuts = cuts[-1], []
+                cuts.append(end)
+            if cuts:
+                batches.append((low, cuts[-1], [c - low for c in cuts]))
+            schedule.append((first, np.argsort(order), self.indices[entries],
+                             self.data[entries, None], batches))
+        return schedule
+
+    def __matmul__(self, Z) -> np.ndarray:
+        Z = np.asarray(Z)
+        if Z.ndim not in (1, 2) or len(Z) != self.shape[1]:
+            raise ValueError(f"cannot multiply a {self.shape} matrix by one of shape {Z.shape}")
+        dtype = np.result_type(self.data, Z)
+        Z2 = (Z[:, None] if Z.ndim == 1 else Z).astype(dtype, copy=False)
+        k = Z2.shape[1]
+        step = max(1, _CHUNK // max(k, 1))
+        schedule = self._schedules.get(k)
+        if schedule is None:
+            schedule = self._schedules[k] = self._schedule(k)
+        out = np.empty((self.shape[0], k), dtype=dtype)
+        buf = np.empty((min(step, len(self.data)), k), dtype=dtype)
+        # inf and nan pass through a product without warnings, as through a compiled loop
+        with np.errstate(all="ignore"):
+            for first, inverse, cols, vals, batches in schedule:
+                acc = np.zeros((len(inverse), k), dtype=dtype)
+                for low, high, ends in batches:
+                    prod = buf[:high - low]
+                    # mode="clip" takes into ``prod`` without a copy; every column is in range
+                    np.take(Z2, cols[low:high], axis=0, out=prod, mode="clip")
+                    np.multiply(vals[low:high], prod, out=prod)
+                    start = 0
+                    for end in ends:
+                        rows = acc[:end - start]
+                        np.add(rows, prod[start:end], out=rows)
+                        start = end
+                np.take(acc, inverse, axis=0, out=out[first:first + len(inverse)], mode="clip")
+        return out[:, 0] if Z.ndim == 1 else out
+
+
+def normalized_adjacency(graph: LabeledGraph) -> Csr:
+    """Build A_hat = D^(-1/2) (A + I) D^(-1/2), each row's columns
+    ascending; isolated nodes get weight 1. It is symmetric with spectral
+    radius <= 1."""
+    n, deg = graph.n, graph.degrees()
+    nodes = np.arange(n, dtype=np.int64)
+    src = np.repeat(nodes, deg)
+    # each neighbour list ascends: a neighbour above the node moves one
+    # place on, and the self-loop goes after the neighbours below it
+    indptr = graph.offsets + np.arange(n + 1)
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices[np.arange(len(src)) + src + (graph.neighbors > src)] = graph.neighbors
+    indices[indptr[:-1] + np.bincount(src[graph.neighbors < src], minlength=n)] = nodes
+    inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
+    data = inv_sqrt[np.repeat(nodes, deg + 1)] * inv_sqrt[indices]
+    return Csr(data, indices, indptr, (n, n))
+
+
+def _power_rows(adj: Csr, X: np.ndarray, k: int, rows=None) -> np.ndarray:
     """The rows ``rows`` of A_hat^k X, or all of it when ``rows`` is None.
 
     For given rows the product runs backwards over the support of each
@@ -181,7 +333,7 @@ def _power_rows(adj: sp.csr_matrix, X: np.ndarray, k: int, rows=None) -> np.ndar
     return out
 
 
-def sgc_propagate(adj: sp.csr_matrix, features: FeatureMatrix, k: int,
+def sgc_propagate(adj: Csr, features: FeatureMatrix, k: int,
                   rows=None) -> FeatureMatrix:
     """The rows ``rows`` of A_hat^k X, in that order, or every row when
     ``rows`` is None; k = 0 is the identity. Each row equals the same row
@@ -279,7 +431,7 @@ def logreg_loss_grad(params: list[np.ndarray], X: np.ndarray, y_train: np.ndarra
 
 
 def train_logreg(features: FeatureMatrix, labels: LabelVector, split,
-                 config: TrainConfig, adj: sp.csr_matrix | None = None,
+                 config: TrainConfig, adj: Csr | None = None,
                  k: int = 0) -> LogRegModel:
     """Softmax regression by full-batch gradient descent on the rows of
     ``split.labeled()`` (train, then validation) of A_hat^k X, from the raw
@@ -307,7 +459,7 @@ def train_logreg(features: FeatureMatrix, labels: LabelVector, split,
 
 
 def logreg_forward(model: LogRegModel, features: FeatureMatrix,
-                   adj: sp.csr_matrix | None = None, k: int = 0) -> np.ndarray:
+                   adj: Csr | None = None, k: int = 0) -> np.ndarray:
     """Per-node class probabilities softmax(A_hat^k (X W^T) + b) of a model
     fit on rows of A_hat^k X: one GEMM, then k sparse products over
     n x num_labels, so no n x d power is built. At k = 0 (logreg) ``adj``
@@ -320,7 +472,7 @@ def glorot_uniform(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-bound, bound, size=shape)
 
 
-def gcn_forward(model: GcnModel, adj: sp.csr_matrix,
+def gcn_forward(model: GcnModel, adj: Csr,
                 features: FeatureMatrix) -> np.ndarray:
     """Per-node class probabilities softmax(A_hat relu(A_hat X W0) W1)
     from the raw features X; every row sums to one.
@@ -332,8 +484,8 @@ def gcn_forward(model: GcnModel, adj: sp.csr_matrix,
     return _softmax(adj @ hidden @ model.W1)
 
 
-def gcn_loss_grad(params: list[np.ndarray], AX: np.ndarray, up: sp.csr_matrix,
-                  down: sp.csr_matrix, y: np.ndarray, weight_decay: float):
+def gcn_loss_grad(params: list[np.ndarray], AX: np.ndarray, up: Csr,
+                  down: Csr, y: np.ndarray, weight_decay: float):
     """Loss, hand-derived gradients, and the labeled rows' probabilities
     for the two-layer GCN, computed on the row block the loss reads.
 
@@ -363,8 +515,8 @@ def gcn_loss_grad(params: list[np.ndarray], AX: np.ndarray, up: sp.csr_matrix,
     return loss, [dW0, dW1], probs
 
 
-def gcn_row_block(adj: sp.csr_matrix, features: FeatureMatrix, train: np.ndarray,
-                  val: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix, sp.csr_matrix]:
+def gcn_row_block(adj: Csr, features: FeatureMatrix, train: np.ndarray,
+                  val: np.ndarray) -> tuple[np.ndarray, Csr, Csr]:
     """The inputs of ``gcn_loss_grad`` for one split: the rows of A_hat X
     for every node within one hop of a train or validation node (A_hat's
     self-loops count), led by the train nodes' one-hop set, plus A_hat from
@@ -381,7 +533,7 @@ def gcn_row_block(adj: sp.csr_matrix, features: FeatureMatrix, train: np.ndarray
     return AX, adj[np.concatenate([train, val])][:, rows], adj[back][:, train]
 
 
-def train_gcn(adj: sp.csr_matrix, features: FeatureMatrix, labels: LabelVector,
+def train_gcn(adj: Csr, features: FeatureMatrix, labels: LabelVector,
               split, config: TrainConfig, init_seeds: Sequence[int]) -> list[GcnModel]:
     """Two-layer GCNs trained with hand-derived gradients, one per seed of
     ``init_seeds``, in order.

@@ -671,24 +671,33 @@ def test_console_entry_point(workdir, tmp_path):
     assert "U(L|C)" in result.stdout
 
 
-def test_analyze_and_verdict_never_import_scipy(workdir, tmp_path):
-    # scipy loads only where A_hat is built. Neither command trains: the
-    # default bands give this verdict no sweep, and the middle-band one
-    # sweeps without features, here through a pool of two workers
+def test_no_command_imports_scipy(workdir, tmp_path):
+    # numpy is the one runtime dependency: A_hat is a models.Csr. A scipy
+    # that refuses to import stands first on the path, so an import in a
+    # pool worker fails its command too. The middle-band verdict sweeps
+    # without features; ablate and perturb train, serially and in a pool
+    blocker = tmp_path / "blocked" / "scipy"
+    blocker.mkdir(parents=True)
+    (blocker / "__init__.py").write_text("raise ImportError('scipy is blocked here')\n")
     band = with_config(workdir, "band-no-scipy.json", thresholds={"low": 0.0, "high": 1.0})
-    runs = [["analyze", str(workdir / "config.json"), "--out", str(tmp_path / "analyze")],
-            ["verdict", str(workdir / "config.json"), "--out", str(tmp_path / "verdict")],
+    config = str(workdir / "config.json")
+    runs = [["analyze", config, "--out", str(tmp_path / "analyze")],
+            ["verdict", config, "--out", str(tmp_path / "verdict")],
             ["verdict", band, "--out", str(tmp_path / "band"), "--jobs", "2"]]
+    runs += [[command, config, "--out", str(tmp_path / f"{command}{jobs}"), "--jobs", jobs]
+             for command in ("ablate", "perturb") for jobs in ("1", "2")]
     script = ("import sys\nfrom graphdiag.cli import main\n"
               f"for argv in {runs!r}:\n    assert main(argv) == 0, argv\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = str(Path(graphdiag.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [str(blocker.parent), src,
+                                         os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             timeout=300, env=dict(os.environ, PYTHONPATH=path))
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
     assert json.loads((tmp_path / "band" / "verdict.json").read_text())["sweep"]
+    assert (tmp_path / "perturb2" / "sweep.csv").is_file()
 
 
 def test_a_serial_study_never_imports_the_process_pool(workdir, tmp_path):

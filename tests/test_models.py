@@ -378,7 +378,7 @@ def _isolated_train_node(graph, split):
 
 def _val_node_without_train_neighbour(graph, split):
     adj = normalized_adjacency(graph)
-    touches_train = np.asarray(adj[split.val][:, split.train].sum(axis=1)).ravel() > 0
+    touches_train = np.diff(adj[split.val][:, split.train].indptr) > 0
     return not touches_train.all()
 
 
