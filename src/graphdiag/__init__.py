@@ -13,9 +13,9 @@ from .graphs import (Dataset, FeatureMatrix, GraphError, LabeledGraph, LabelVect
                      select_components, to_undirected)
 from .harness import (AnalysisResult, Decision, PreparedStudy, SplitSet, StudyConfig,
                       StudyReport, SweepResult, SweepRow, Thresholds, Verdict,
-                      analyze_prepared, emit_report, guideline_verdict, load_config,
-                      make_splits, prepare_study, run_ablation_study,
-                      run_perturbation_sweep)
+                      VerdictReport, analyze_prepared, emit_report, guideline_verdict,
+                      load_config, make_splits, prepare_study, run_ablation_study,
+                      run_perturbation_sweep, run_verdict)
 from .infotheory import (DegenerateDistributionError, JointCounts, entropy,
                          joint_counts, mutual_information,
                          normalized_mutual_information, uncertainty_coefficient)

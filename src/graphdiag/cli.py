@@ -4,7 +4,7 @@ Subcommands:
   analyze  <config.json>   preprocessing stats, communities, alignment score
   ablate   <config.json>   full model-vs-rebuilt-graph study -> report files
   perturb  <config.json>   position-swap sweep -> sweep.csv
-  verdict  <config.json>   two-step applicability decision
+  verdict  <config.json>   two-step applicability decision (harness.run_verdict)
 
 Common flags: --out DIR, --seed N, --jobs N, --keep-top-k-components K.
 
@@ -24,9 +24,9 @@ import numpy as np
 from . import io as gio
 from .graphs import Dataset
 from .harness import (AnalysisResult, Decision, StudyConfig, Thresholds, Verdict,
-                      analyze_prepared, cell_samples, emit_report, guideline_verdict,
-                      load_config, prepare_study, run_ablation_study,
-                      run_perturbation_sweep, write_json, write_sweep_csv)
+                      analyze_prepared, cell_samples, emit_report, load_config,
+                      prepare_study, run_ablation_study, run_perturbation_sweep,
+                      run_verdict, write_json, write_sweep_csv)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -169,26 +169,16 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_verdict(args) -> int:
-    """Decide from U(L|C), in the middle band from how U falls along the swap
-    sweep. No features are loaded: the sweep measures U only and trains nothing."""
+    """Print and write ``run_verdict``'s decision. No features are loaded:
+    the middle-band sweep measures U only and trains nothing."""
     prep = prepare_study(*_load(args, features=False))
-    config = prep.config
-    analysis = analyze_prepared(prep)
-    _print_analysis(analysis)
-    sweep_rows = None
-    verdict = guideline_verdict(analysis.u_mean, None, config.thresholds)
-    if verdict.decision is Decision.INCONCLUSIVE:
-        if len(config.fractions) < 2:
-            raise ValueError(f"the middle-band sweep fits a slope, so it needs at least two "
-                             f"fractions; got {len(config.fractions)}: "
-                             f"{list(config.fractions)}")
+    result = run_verdict(prep, jobs=args.jobs)
+    _print_analysis(result.analysis)
+    if result.sweep is not None:
         print("alignment score is in the middle band; running the swap sweep...")
-        sweep_rows = run_perturbation_sweep(prep, jobs=args.jobs).rows
-        verdict = guideline_verdict(analysis.u_mean, sweep_rows, config.thresholds)
-    print(f"verdict: {verdict.decision.value}")
-    print(_justification(verdict, config.thresholds))
-    payload = {"verdict": verdict, "analysis": analysis, "sweep": sweep_rows}
-    path = write_json(payload, Path(args.out) / "verdict.json")
+    print(f"verdict: {result.verdict.decision.value}")
+    print(_justification(result.verdict, prep.config.thresholds))
+    path = write_json(result, Path(args.out) / "verdict.json")
     print(f"wrote {path}")
     return 0
 

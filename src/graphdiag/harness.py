@@ -1,5 +1,6 @@
 """Study orchestration: labeled splits, the graph-rebuild comparison study,
-the position-swap sweep, and the applicability verdict.
+the position-swap sweep, and the applicability verdict, which ``run_verdict``
+decides in one stage.
 
 Every random choice is derived from one master seed through per-role
 seed-sequence keys over (variant, graph index, split, init), so results
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -653,3 +654,35 @@ def analyze_prepared(prep: PreparedStudy) -> AnalysisResult:
         u_std=float(np.std(u_values)),
         u_values=tuple(u_values),
     )
+
+
+@dataclass(frozen=True)
+class VerdictReport:
+    """The applicability decision, the analysis it reads U(L|C) from, and
+    the rows of the swap sweep when the middle band ran one."""
+
+    verdict: Verdict
+    analysis: AnalysisResult
+    sweep: tuple[SweepRow, ...] | None
+
+
+def run_verdict(prep: PreparedStudy, jobs: int = 1) -> VerdictReport:
+    """Apply the two-step rule: decide from U(L|C), and in the middle band
+    from how U falls along the swap sweep, which fits a slope and so is
+    refused, before any cell runs, with fewer than two fractions.
+
+    The sweep measures U only: it runs without the dataset's features, so
+    the stage trains nothing and gives the same report whether or not the
+    features were loaded."""
+    config = prep.config
+    analysis = analyze_prepared(prep)
+    verdict = guideline_verdict(analysis.u_mean, None, config.thresholds)
+    if verdict.decision is not Decision.INCONCLUSIVE:
+        return VerdictReport(verdict=verdict, analysis=analysis, sweep=None)
+    if len(config.fractions) < 2:
+        raise ValueError(f"the middle-band sweep fits a slope, so it needs at least two "
+                         f"fractions; got {len(config.fractions)}: {list(config.fractions)}")
+    untrained = replace(prep, dataset=replace(prep.dataset, features=None))
+    rows = run_perturbation_sweep(untrained, jobs=jobs).rows
+    return VerdictReport(verdict=guideline_verdict(analysis.u_mean, rows, config.thresholds),
+                         analysis=analysis, sweep=rows)

@@ -342,7 +342,13 @@ def _load_features_triplet(path, fh, blocks, node_index: dict[str, int]) -> np.n
     if not clean:
         fh.seek(0)
         entries = [_triplet_lines(path, _lines(fh, allow_comments=False), node_index)]
-    out = np.zeros((n, width(entries)), dtype=np.float32)
+    shape = (n, width(entries))
+    try:
+        out = np.zeros(shape, dtype=np.float32)
+    except MemoryError:
+        raise DatasetFormatError(path, None, f"a float32 feature matrix of shape {shape} "
+                                 f"cannot be allocated; the highest column index is "
+                                 f"{shape[1] - 1}") from None
     for nodes, cols, vals in entries:
         if len(nodes):
             out[nodes, cols] = vals

@@ -307,6 +307,15 @@ def normalized_adjacency(graph: LabeledGraph) -> Csr:
     return Csr(data, indices, indptr, (n, n))
 
 
+def _touched(adj: Csr, rows: np.ndarray) -> np.ndarray:
+    """The mask over A_hat's columns of those that the rows ``rows`` hold an
+    entry in. Its ``np.flatnonzero`` is their sorted set: a plain np.unique
+    pays a hash set-up on its first call in a process."""
+    mask = np.zeros(adj.shape[1], dtype=bool)
+    mask[adj[rows].indices] = True
+    return mask
+
+
 def _power_rows(adj: Csr, X: np.ndarray, k: int, rows=None) -> np.ndarray:
     """The rows ``rows`` of A_hat^k X, or all of it when ``rows`` is None.
 
@@ -326,7 +335,7 @@ def _power_rows(adj: Csr, X: np.ndarray, k: int, rows=None) -> np.ndarray:
         return X[rows]
     supports = [rows]  # S_k, S_(k-1), ..., S_1
     for _ in range(k - 1):
-        supports.append(np.unique(adj[supports[-1]].indices))
+        supports.append(np.flatnonzero(_touched(adj, supports[-1])))
     out = adj[supports[-1]] @ X  # rows S_1 of A_hat X
     for j in range(k - 2, -1, -1):  # rows S_(k-j) of A_hat^(k-j) X
         out = adj[supports[j]][:, supports[j + 1]] @ out
@@ -527,8 +536,9 @@ def gcn_row_block(adj: Csr, features: FeatureMatrix, train: np.ndarray,
     bit, and both blocks keep each row's nonzeros in node order, so each
     row sums in the order the full-graph product does.
     """
-    back = np.unique(adj[train].indices)
-    rows = np.concatenate([back, np.setdiff1d(adj[val].indices, back)])
+    in_back = _touched(adj, train)
+    back = np.flatnonzero(in_back)
+    rows = np.concatenate([back, np.flatnonzero(_touched(adj, val) & ~in_back)])
     AX = _power_rows(adj, features.values, 1, rows)
     return AX, adj[np.concatenate([train, val])][:, rows], adj[back][:, train]
 

@@ -49,8 +49,9 @@ def _sample_distinct(n_total: int, k: int, rng: np.random.Generator) -> np.ndarr
     if k == 0:
         return np.empty(0, dtype=np.int64)
     if k > n_total // 2:
-        drop = _sample_distinct(n_total, n_total - k, rng)
-        return np.setdiff1d(np.arange(n_total, dtype=np.int64), drop)
+        keep = np.ones(n_total, dtype=bool)
+        keep[_sample_distinct(n_total, n_total - k, rng)] = False
+        return np.flatnonzero(keep)
     chosen: set[int] = set()
     while len(chosen) < k:
         batch = rng.integers(0, n_total, size=(k - len(chosen)) + 16)
@@ -236,9 +237,10 @@ def swap_perturbation(graph: LabeledGraph, partition: Partition, fraction: float
     """Exchange the graph positions of randomly paired cross-community nodes.
 
     floor(fraction * n) nodes are selected uniformly and paired at random;
-    pairs falling inside one community are re-drawn (capped at 100 per
-    pair). Each pair (u, v) trades adjacency: u adopts v's neighbors and
-    vice versa, while features and labels stay attached to the node id.
+    pairs falling inside one community are re-drawn, at most 100 times the
+    number of pairs over the whole swap. Each pair (u, v) trades adjacency:
+    u adopts v's neighbors and vice versa, while features and labels stay
+    attached to the node id.
     The degree of every *position* is preserved.
     """
     if not 0.0 <= fraction <= 1.0:

@@ -61,7 +61,8 @@ def mann_whitney_u(sample_a, sample_b, exact_threshold: int = 10) -> UTestResult
     u = min(u_a, u_b)
 
     pooled = np.concatenate([a, b])
-    no_ties = len(np.unique(pooled)) == len(pooled)
+    _, tie_sizes = np.unique(pooled, return_counts=True)
+    no_ties = len(tie_sizes) == len(pooled)
     if no_ties and max(n_a, n_b) <= exact_threshold:
         counts = _exact_tail_counts(n_a, n_b)
         u_int = int(u)
@@ -71,7 +72,6 @@ def mann_whitney_u(sample_a, sample_b, exact_threshold: int = 10) -> UTestResult
         return UTestResult(u_statistic=u, p_value=p, method="exact", n_a=n_a, n_b=n_b)
 
     n_total = n_a + n_b
-    _, tie_sizes = np.unique(pooled, return_counts=True)
     tie_term = float(np.sum(tie_sizes.astype(np.float64) ** 3 - tie_sizes))
     sigma2 = (n_a * n_b / 12.0) * ((n_total + 1) - tie_term / (n_total * (n_total - 1)))
     if sigma2 <= 0.0:

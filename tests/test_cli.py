@@ -376,7 +376,7 @@ def test_only_block_model_draws_build_block_densities(tmp_path, monkeypatch, com
 
 def test_middle_band_verdict_with_one_fraction_fails_before_sweeping(workdir, tmp_path,
                                                                       capsys, monkeypatch):
-    import graphdiag.cli as cli
+    from graphdiag import harness
 
     def refuse(*args, **kwargs):
         raise AssertionError("the sweep must not run")
@@ -384,7 +384,7 @@ def test_middle_band_verdict_with_one_fraction_fails_before_sweeping(workdir, tm
     one = with_config(workdir, "one-fraction.json", fractions=[0.2])
     # perturb and an out-of-band verdict accept one fraction
     assert main(["perturb", one, "--out", str(tmp_path / "perturb")]) == 0
-    monkeypatch.setattr(cli, "run_perturbation_sweep", refuse)
+    monkeypatch.setattr(harness, "run_perturbation_sweep", refuse)
     assert main(["verdict", one, "--out", str(tmp_path / "verdict")]) == 0
     band = with_config(workdir, "one-fraction-band.json", fractions=[0.2],
                        thresholds={"low": 0.0, "high": 1.0})
@@ -643,18 +643,54 @@ def test_failed_gcn_cell_names_its_cell_and_keeps_its_cause(workdir, tmp_path,
 
 def test_analyze_makes_no_plain_unique_call(workdir, tmp_path, monkeypatch):
     # numpy 2.4's np.unique without a return_* flag takes a hash path whose
-    # first call in a process pays a one-time set-up of many milliseconds
-    unique, plain = np.unique, []
+    # first call in a process pays a one-time set-up of many milliseconds,
+    # and np.setdiff1d calls it; no command's study path makes either call
+    unique, setdiff1d, plain = np.unique, np.setdiff1d, []
 
     def recording_unique(ar, *args, **kwargs):
         flags = [kwargs.get(f"return_{name}") for name in ("index", "inverse", "counts")]
         if not any(args[:3]) and not any(flags):
-            plain.append(np.shape(ar))
+            plain.append(("unique", np.shape(ar)))
         return unique(ar, *args, **kwargs)
 
+    def recording_setdiff1d(ar1, ar2, *args, **kwargs):
+        plain.append(("setdiff1d", np.shape(ar1)))
+        return setdiff1d(ar1, ar2, *args, **kwargs)
+
     monkeypatch.setattr(np, "unique", recording_unique)
-    assert main(["analyze", str(workdir / "config.json"), "--out", str(tmp_path)]) == 0
-    assert plain == []
+    monkeypatch.setattr(np, "setdiff1d", recording_setdiff1d)
+    band = with_config(workdir, "band-unique.json", thresholds={"low": 0.0, "high": 1.0})
+    for command, config in [("analyze", str(workdir / "config.json")),
+                            ("ablate", str(workdir / "config.json")),
+                            ("perturb", str(workdir / "config.json")), ("verdict", band)]:
+        assert main([command, config, "--out", str(tmp_path / command), "--jobs", "1"]) == 0
+        assert plain == [], command
+    assert json.loads((tmp_path / "verdict" / "verdict.json").read_text())["sweep"]
+
+
+def test_middle_band_verdict_is_the_same_at_any_job_count(workdir, tmp_path):
+    band = with_config(workdir, "band-jobs.json", thresholds={"low": 0.0, "high": 1.0})
+    for jobs in ("1", "2"):
+        assert main(["verdict", band, "--out", str(tmp_path / jobs), "--jobs", jobs]) == 0
+    assert json.loads((tmp_path / "1" / "verdict.json").read_text())["sweep"]
+    assert ((tmp_path / "1" / "verdict.json").read_bytes()
+            == (tmp_path / "2" / "verdict.json").read_bytes())
+
+
+def test_a_triplet_matrix_too_large_to_allocate_fails_in_one_line(tmp_path, capsys):
+    # 2 x 2**55 float32 values ask for 256 PiB, so the allocation fails
+    # at once and no memory is touched
+    (tmp_path / "labels.tsv").write_text("a\tx\nb\ty\n")
+    (tmp_path / "edges.txt").write_text("a b\n")
+    (tmp_path / "features.txt").write_text(f"b {2**55} 1\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"edges": str(tmp_path / "edges.txt"),
+                                  "features": str(tmp_path / "features.txt"),
+                                  "labels": str(tmp_path / "labels.tsv")}))
+    err = run_failing(["ablate", str(config), "--out", str(tmp_path / "out")], capsys)
+    assert err == (f"graphdiag: error: {tmp_path / 'features.txt'}: a float32 feature "
+                   f"matrix of shape (2, {2**55 + 1}) cannot be allocated; the highest "
+                   f"column index is {2**55}\n")
 
 
 def test_console_entry_point(workdir, tmp_path):

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from graphdiag import (Decision, GraphError, LabelVector, StudyConfig, TrainConfig, accuracy,
                        analyze_prepared, block_density_matrix, emit_report, guideline_verdict, load_dataset,
                        logreg_forward, make_splits, normalized_adjacency, prepare_study,
-                       run_ablation_study, run_perturbation_sweep, sgc_propagate,
-                       train_logreg)
+                       run_ablation_study, run_perturbation_sweep, run_verdict,
+                       sgc_propagate, train_logreg)
 from graphdiag import harness, models
 from graphdiag.harness import (StudyReport, SweepRow, Thresholds, Verdict, derive_seed,
                                write_json)
@@ -559,6 +559,56 @@ class TestGuidelineVerdict:
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
             guideline_verdict(1.5)
+
+
+MIDDLE_BAND = Thresholds(0.0, 1.0)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("must not be called")
+
+
+class TestRunVerdict:
+    @pytest.mark.parametrize("aligned, decision", [
+        (False, Decision.FEATURE_ONLY), (True, Decision.GNN_APPLICABLE),
+    ], ids=["below-low", "above-high"])
+    def test_outside_the_band_nothing_sweeps(self, tiny_dataset, monkeypatch, aligned,
+                                             decision):
+        # labels drawn apart from the blocks, with 20 singleton communities,
+        # put U(L|C) at about 0.26, below the default low of 0.3
+        dataset = tiny_dataset if aligned else planted_plus_isolated(
+            20, n_per_block=40, p_in=0.25, p_out=0.03, labels_follow_blocks=False,
+            feature_dim=4, feature_shift=0.3)
+        prep = tiny_prep(dataset, keep_top_k_components=100)
+        monkeypatch.setattr(harness, "run_perturbation_sweep", refuse)
+        result = run_verdict(prep)
+        assert result.sweep is None
+        assert result.analysis == analyze_prepared(prep)
+        assert result.verdict == guideline_verdict(result.analysis.u_mean, None,
+                                                   prep.config.thresholds)
+        assert result.verdict.decision is decision
+
+    def test_middle_band_with_one_fraction_refuses_before_any_cell(self, tiny_dataset,
+                                                                   monkeypatch):
+        prep = tiny_prep(tiny_dataset, thresholds=MIDDLE_BAND, fractions=(0.2,))
+        monkeypatch.setattr(harness, "_study_cell", refuse)
+        monkeypatch.setattr(harness, "run_perturbation_sweep", refuse)
+        with pytest.raises(ValueError, match=re.escape(
+                "the middle-band sweep fits a slope, so it needs at least two "
+                "fractions; got 1: [0.2]")):
+            run_verdict(prep)
+
+    def test_loaded_features_change_nothing_and_train_nothing(self, tiny_dataset, tmp_path,
+                                                             monkeypatch):
+        bare = run_verdict(prepare_study(dataclasses.replace(tiny_dataset, features=None),
+                                         tiny_config(thresholds=MIDDLE_BAND)))
+        monkeypatch.setattr(harness, "train_gcn", refuse)
+        monkeypatch.setattr(harness, "normalized_adjacency", refuse)
+        full = run_verdict(tiny_prep(tiny_dataset, thresholds=MIDDLE_BAND))
+        assert full.sweep is not None
+        assert full.verdict.decision.value.endswith("after_sweep")
+        assert (write_json(full, tmp_path / "full.json").read_bytes()
+                == write_json(bare, tmp_path / "bare.json").read_bytes())
 
 
 class TestStudyWithoutFeatures:

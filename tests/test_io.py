@@ -770,6 +770,16 @@ def test_a_column_too_wide_to_allocate_fails_as_line_by_line(tmp_path, text):
     assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
 
 
+def test_a_matrix_too_large_to_allocate_is_named(tmp_path):
+    # 2 x 2**55 float32 values ask for 256 PiB: the allocation fails at
+    # once, and the error names the file, the shape and the widest column
+    path = write(tmp_path / "f.txt", f"a 0 1\nb {2**55} 2\n")
+    with pytest.raises(DatasetFormatError) as err:
+        load_features(path, {"a": 0, "b": 1})
+    assert str(err.value) == (f"{path}: a float32 feature matrix of shape (2, {2**55 + 1}) "
+                              f"cannot be allocated; the highest column index is {2**55}")
+
+
 def test_triplet_repeat_of_an_earlier_block_wins_over_a_later_fault(tmp_path, monkeypatch):
     # line 5 repeats line 1's entry; line 11, two blocks on, is malformed
     lines = list(TRIPLET_LINES)
