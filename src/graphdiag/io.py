@@ -27,6 +27,11 @@ is on characters rather than rows, so a block's transient memory stays
 small however wide the rows are. A block holding any value beyond
 float32's range is read line by line too, so the cast into the matrix
 never overflows and the reader names the line.
+
+Both feature formats allocate their zeroed float32 matrix by one rule,
+before any value is stored: a shape numpy cannot allocate, or refuses
+outright, is refused with the file, the shape and what set its width, the
+CSV's first data line or the highest triplet column index.
 """
 
 from __future__ import annotations
@@ -183,6 +188,17 @@ def load_edges(path, node_index: dict[str, int]) -> np.ndarray:
     return np.concatenate([np.empty(0, dtype=np.int64), *ids]).reshape(-1, 2)
 
 
+def _feature_matrix(path, shape: tuple[int, int], cause: str) -> np.ndarray:
+    """The zeroed float32 feature matrix of ``shape``. A shape numpy cannot
+    allocate, or refuses outright, is a fault of the file: the error names
+    the shape and ``cause``, what set its width."""
+    try:
+        return np.zeros(shape, dtype=np.float32)
+    except (MemoryError, ValueError):
+        raise DatasetFormatError(path, None, f"a float32 feature matrix of shape {shape} "
+                                 f"cannot be allocated; {cause}") from None
+
+
 def _read_block(block, width: int, node_index: dict[str, int], out: np.ndarray,
                 line_of: np.ndarray) -> bool:
     """Store a block's rows through one ``np.loadtxt`` call and return True,
@@ -231,7 +247,8 @@ def _load_features_csv(path, blocks, node_index: dict[str, int], width: int) -> 
     float32's range is a fault of its line; nan and inf are stored, and
     the first line holding one is named once every row is read.
     """
-    out = np.empty((len(node_index), width - 1), dtype=np.float32)
+    out = _feature_matrix(path, (len(node_index), width - 1),
+                          f"the first data line holds {width - 1} values")
     line_of = np.zeros(len(node_index), dtype=np.int64)  # of each node's row; 0: none yet
     for lineno, text in blocks:
         block = list(_lines(text.split("\n"), False, lineno))
@@ -304,11 +321,13 @@ def _triplet_lines(path, lines, node_index: dict[str, int]):
 def _load_features_triplet(path, fh, blocks, node_index: dict[str, int]) -> np.ndarray:
     """Read a triplet feature file block by block into a dense float32 matrix.
 
-    A repeated entry can sit blocks away from its first copy, so entries are
-    checked for repeats once, by one sort of their keys, after every block
-    has parsed. A fault anywhere, a repeat included, has the whole file read
-    again line by line from its start, which names the first fault in line
-    order; so does a matrix too wide to key its entries in int64.
+    The matrix is allocated as soon as every block parses, wide enough for
+    the highest column index. A repeated entry can sit blocks away from its
+    first copy, so entries are then checked for repeats once, by one sort
+    of their keys ``col * n + node``, which stay below the matrix's size and
+    so within int64. A fault anywhere, a repeat included, has the whole file
+    read again line by line from its start, which names the first fault in
+    line order; a clean file is read once.
     """
     n = len(node_index)
 
@@ -323,36 +342,26 @@ def _load_features_triplet(path, fh, blocks, node_index: dict[str, int]) -> np.n
             return None
         return nodes, cols, vals
 
-    def width(entries) -> int:
-        # a Python int, so a column too wide to allocate fails in np.zeros
-        return 1 + max(int(np.max(cols, initial=-1)) for _, cols, _ in entries)
-
     try:
         entries = list(_read_blocks(blocks, 3, parse,
                                     lambda lines: _triplet_lines(path, lines, node_index)))
     except DatasetFormatError:
-        entries = None
-    # col * n + node is below width * n, so it fits int64 where it is tried
-    clean = entries is not None and width(entries) * n < 2**63
-    if clean:
+        pass
+    else:
+        # a Python int, so a column beyond int64 is refused by the allocation
+        width = 1 + max(int(np.max(cols, initial=-1)) for _, cols, _ in entries)
+        out = _feature_matrix(path, (n, width), f"the highest column index is {width - 1}")
         keys = np.sort(np.concatenate([np.asarray(cols, np.int64) * n
                                        + np.asarray(nodes, np.int64)
                                        for nodes, cols, _ in entries]))
-        clean = not (keys[1:] == keys[:-1]).any()
-    if not clean:
-        fh.seek(0)
-        entries = [_triplet_lines(path, _lines(fh, allow_comments=False), node_index)]
-    shape = (n, width(entries))
-    try:
-        out = np.zeros(shape, dtype=np.float32)
-    except MemoryError:
-        raise DatasetFormatError(path, None, f"a float32 feature matrix of shape {shape} "
-                                 f"cannot be allocated; the highest column index is "
-                                 f"{shape[1] - 1}") from None
-    for nodes, cols, vals in entries:
-        if len(nodes):
-            out[nodes, cols] = vals
-    return out
+        if not (keys[1:] == keys[:-1]).any():
+            for nodes, cols, vals in entries:
+                out[nodes, cols] = vals
+            return out
+    # a fault or a repeat: the line reader raises the first in line order
+    fh.seek(0)
+    _triplet_lines(path, _lines(fh, allow_comments=False), node_index)
+    raise AssertionError(f"{path}: the line reader passed what the blocks refused")
 
 
 def load_features(path, node_index: dict[str, int]) -> np.ndarray:

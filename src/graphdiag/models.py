@@ -295,16 +295,13 @@ def normalized_adjacency(graph: LabeledGraph) -> Csr:
     radius <= 1."""
     n, deg = graph.n, graph.degrees()
     nodes = np.arange(n, dtype=np.int64)
-    src = np.repeat(nodes, deg)
-    # each neighbour list ascends: a neighbour above the node moves one
-    # place on, and the self-loop goes after the neighbours below it
-    indptr = graph.offsets + np.arange(n + 1)
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    indices[np.arange(len(src)) + src + (graph.neighbors > src)] = graph.neighbors
-    indices[indptr[:-1] + np.bincount(src[graph.neighbors < src], minlength=n)] = nodes
+    # the entries' codes row * n + col, self-loops included: one sort puts
+    # them in row order with each row's columns ascending
+    codes = np.concatenate([np.repeat(nodes, deg) * n + graph.neighbors, nodes * (n + 1)])
+    rows, indices = np.divmod(np.sort(codes), n)
     inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
-    data = inv_sqrt[np.repeat(nodes, deg + 1)] * inv_sqrt[indices]
-    return Csr(data, indices, indptr, (n, n))
+    data = inv_sqrt[rows] * inv_sqrt[indices]
+    return Csr(data, indices, graph.offsets + np.arange(n + 1), (n, n))
 
 
 def _touched(adj: Csr, rows: np.ndarray) -> np.ndarray:

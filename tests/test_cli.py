@@ -677,20 +677,44 @@ def test_middle_band_verdict_is_the_same_at_any_job_count(workdir, tmp_path):
             == (tmp_path / "2" / "verdict.json").read_bytes())
 
 
-def test_a_triplet_matrix_too_large_to_allocate_fails_in_one_line(tmp_path, capsys):
-    # 2 x 2**55 float32 values ask for 256 PiB, so the allocation fails
-    # at once and no memory is touched
+@pytest.mark.parametrize("col", [2**55, 2**62], ids=["256-PiB", "too-big"])
+def test_a_triplet_matrix_too_large_to_allocate_fails_in_one_line(tmp_path, capsys, col):
+    # 2 x 2**55 float32 values ask for 256 PiB, so the allocation fails at
+    # once and no memory is touched; numpy refuses 2 x 2**62 outright
     (tmp_path / "labels.tsv").write_text("a\tx\nb\ty\n")
     (tmp_path / "edges.txt").write_text("a b\n")
-    (tmp_path / "features.txt").write_text(f"b {2**55} 1\n")
+    (tmp_path / "features.txt").write_text(f"b {col} 1\n")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"edges": str(tmp_path / "edges.txt"),
                                   "features": str(tmp_path / "features.txt"),
                                   "labels": str(tmp_path / "labels.tsv")}))
     err = run_failing(["ablate", str(config), "--out", str(tmp_path / "out")], capsys)
     assert err == (f"graphdiag: error: {tmp_path / 'features.txt'}: a float32 feature "
-                   f"matrix of shape (2, {2**55 + 1}) cannot be allocated; the highest "
-                   f"column index is {2**55}\n")
+                   f"matrix of shape (2, {col + 1}) cannot be allocated; the highest "
+                   f"column index is {col}\n")
+
+
+def test_a_csv_matrix_that_cannot_be_allocated_fails_in_one_line(workdir, tmp_path, capsys,
+                                                                 monkeypatch):
+    # no CSV file reaches a shape numpy refuses outright, so the float32
+    # matrix's allocation is made to fail as on a host short of memory
+    real_zeros = np.zeros
+    refused = []
+
+    def zeros(shape, dtype=float, **kwargs):
+        if dtype == np.float32:
+            refused.append(shape)
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return real_zeros(shape, dtype, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    err = run_failing(["ablate", str(workdir / "config.json"), "--out", str(tmp_path / "out")],
+                      capsys)
+    n = len((workdir / "labels.tsv").read_text().splitlines())
+    assert refused == [(n, 4)]
+    assert err == (f"graphdiag: error: {workdir / 'features.csv'}: a float32 feature matrix "
+                   f"of shape ({n}, 4) cannot be allocated; the first data line holds 4 "
+                   f"values\n")
 
 
 def test_console_entry_point(workdir, tmp_path):

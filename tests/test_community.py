@@ -350,6 +350,24 @@ class TestLouvainMatchesReference:
         assert comm.tolist() == expected.tolist() == [8, 3, 3, 3, 4, 3, 3, 8, 3]
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
+    def test_a_node_wakes_when_a_stranger_leaves_a_neighbours_community(self):
+        # node 5's one neighbour is node 2; node 4 is isolated. At seed 0
+        # node 2 joins node 0 in community 0, and node 5 stays alone in
+        # community 5, watching communities 0 and 5. Node 0, not a
+        # neighbour, then leaves community 0 for community 1, and no other
+        # move touches 0 or 5. Only the watch on the community node 0 left
+        # wakes node 5, and it then joins node 2
+        offsets = np.array([0, 2, 4, 6, 7, 7, 8, 10])
+        neighbors = np.array([2, 1, 6, 0, 0, 5, 6, 2, 1, 3])
+        weights = np.array([2, 3, 1, 3, 2, 2, 2, 2, 1, 2.0])
+        degree = np.array([5, 6, 10, 4, 2, 6, 3.0])
+        rng, reference_rng = np.random.default_rng(0), np.random.default_rng(0)
+        comm = _local_moves(offsets, neighbors, weights, degree, degree.sum(), rng)
+        expected = _reference_csr_local_moves(offsets, neighbors, weights, degree,
+                                              degree.sum(), reference_rng)
+        assert comm.tolist() == expected.tolist() == [1, 1, 0, 6, 4, 0, 6]
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
     def test_move_phase_memory_stays_near_the_unpruned_loop(self):
         # the per-node dicts and watcher lists replace the flat Python copy
         # of the row arrays; on a sparse planted level they must cost at

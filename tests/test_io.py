@@ -754,13 +754,24 @@ def test_a_last_line_without_a_line_break_matches_reference(tmp_path, monkeypatc
         assert _outcome(load, path, node_index) == expected
 
 
+@pytest.mark.parametrize("shape, error", [((2, 2**62), ValueError),
+                                          ((2**20, 2**30), MemoryError)],
+                         ids=["too-big", "4-PiB"])
+def test_a_shape_numpy_refuses_is_a_format_error(shape, error):
+    # numpy refuses either shape without touching memory: the first as an
+    # array too big to index, the second as an allocation that fails
+    with pytest.raises(error):
+        np.zeros(shape, dtype=np.float32)
+    with pytest.raises(DatasetFormatError) as err:
+        graphdiag.io._feature_matrix("f.txt", shape, "the cause")
+    assert str(err.value) == (f"f.txt: a float32 feature matrix of shape {shape} cannot be "
+                              f"allocated; the cause")
+
+
 @pytest.mark.parametrize("text", [
-    "a 0 1\nb 4611686018427387904 2\n",  # 2**62: its entry keys would overflow int64
-    "a 0 1\nb 1000000000000000000000000000000 2\n",  # beyond int64 itself
     "a 0 1\nb 4611686018427387904 2\nq 0 1\n",  # a fault after the wide column
-], ids=["wide", "wider-than-int64", "wide-then-fault"])
+], ids=["wide-then-fault"])
 def test_a_column_too_wide_to_allocate_fails_as_line_by_line(tmp_path, text):
-    # np.zeros refuses such a width without allocating it
     path = write(tmp_path / "f.txt", text)
     node_index = {"a": 0, "b": 1}
     with pytest.raises(ValueError) as got:
@@ -768,16 +779,74 @@ def test_a_column_too_wide_to_allocate_fails_as_line_by_line(tmp_path, text):
     with pytest.raises(ValueError) as expected:
         _reference_load_features_triplet(path, node_index)
     assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+    assert str(got.value).endswith("f.txt:3: node token 'q' not present in the label file")
 
 
-def test_a_matrix_too_large_to_allocate_is_named(tmp_path):
-    # 2 x 2**55 float32 values ask for 256 PiB: the allocation fails at
-    # once, and the error names the file, the shape and the widest column
-    path = write(tmp_path / "f.txt", f"a 0 1\nb {2**55} 2\n")
+TOO_WIDE = [2**55, 2**62, 10**30]
+TOO_WIDE_IDS = ["256-PiB", "wide", "wider-than-int64"]
+
+
+@pytest.mark.parametrize("col", TOO_WIDE, ids=TOO_WIDE_IDS)
+def test_a_matrix_too_large_to_allocate_is_named(tmp_path, col):
+    # 2 x 2**55 float32 values ask for 256 PiB, so the allocation fails at
+    # once; numpy refuses the wider shapes outright, and column 10**30 is
+    # beyond int64 itself. Each error names the file, the shape and the
+    # widest column
+    path = write(tmp_path / "f.txt", f"a 0 1\nb {col} 2\n")
     with pytest.raises(DatasetFormatError) as err:
         load_features(path, {"a": 0, "b": 1})
-    assert str(err.value) == (f"{path}: a float32 feature matrix of shape (2, {2**55 + 1}) "
-                              f"cannot be allocated; the highest column index is {2**55}")
+    assert str(err.value) == (f"{path}: a float32 feature matrix of shape (2, {col + 1}) "
+                              f"cannot be allocated; the highest column index is {col}")
+
+
+def _count_seeks(monkeypatch) -> list:
+    """Patch the loaders' file opener to record each ``seek`` of the files it
+    opens; the triplet loader seeks only to read a file again from its start."""
+    seeks = []
+    real_open = graphdiag.io._open
+
+    def spy_open(path):
+        fh = real_open(path)
+        real_seek = fh.seek
+        fh.seek = lambda *args: (seeks.append(args), real_seek(*args))[1]
+        return fh
+
+    monkeypatch.setattr(graphdiag.io, "_open", spy_open)
+    return seeks
+
+
+@pytest.mark.parametrize("col", [3, *TOO_WIDE], ids=["narrow", *TOO_WIDE_IDS])
+@pytest.mark.parametrize("block_chars", [1, 64 * 1024])
+def test_a_clean_triplet_file_is_read_once(tmp_path, monkeypatch, col, block_chars):
+    # whether it loads or is refused for its width, and whether its lines
+    # fall in one block or one block each
+    path = write(tmp_path / "f.txt", f"a 0 1\nb {col} 2\nb 0 1.5\n")
+    monkeypatch.setattr(graphdiag.io, "_BLOCK_CHARS", block_chars)
+    seeks = _count_seeks(monkeypatch)
+    if col == 3:
+        assert load_features(path, {"a": 0, "b": 1}).shape == (2, 4)
+    else:
+        with pytest.raises(DatasetFormatError, match="cannot be allocated"):
+            load_features(path, {"a": 0, "b": 1})
+    assert seeks == []
+
+
+def test_a_too_wide_file_that_repeats_an_entry_is_refused_for_its_width(tmp_path,
+                                                                        monkeypatch):
+    # the blocks parse clean, so the matrix is allocated before any entry is
+    # keyed: the shape is refused, and the repeat on line 3 is never sought
+    path = write(tmp_path / "f.txt", f"a 0 1\nb {2**62} 2\na 0 3\n")
+    seeks = _count_seeks(monkeypatch)
+    with pytest.raises(DatasetFormatError) as err:
+        load_features(path, {"a": 0, "b": 1})
+    assert str(err.value) == (f"{path}: a float32 feature matrix of shape (2, {2**62 + 1}) "
+                              f"cannot be allocated; the highest column index is {2**62}")
+    assert seeks == []
+    # the same file narrow enough to allocate names its repeat
+    write(path, "a 0 1\nb 5 2\na 0 3\n")
+    with pytest.raises(DatasetFormatError, match=r"f\.txt:3: duplicate entry for 'a' col 0"):
+        load_features(path, {"a": 0, "b": 1})
+    assert seeks == [(0,)]
 
 
 def test_triplet_repeat_of_an_earlier_block_wins_over_a_later_fault(tmp_path, monkeypatch):
