@@ -138,7 +138,7 @@ def _local_moves(offsets: np.ndarray, neighbors: np.ndarray, weights: np.ndarray
     2**53, so it converts to the equal float exactly, and each gain rounds
     as it would from the float sum of the row."""
     n = len(degree)
-    weights = weights.astype(np.int64)
+    weights = weights.astype(np.int64, copy=False)
     offsets = offsets.tolist()
     degree = degree.tolist()
     comm = list(range(n))
@@ -212,7 +212,7 @@ def louvain(graph: LabeledGraph, seed: int) -> Partition:
         raise GraphError("community detection needs at least one edge")
     rng = np.random.default_rng(seed)
     offsets, neighbors = graph.offsets, graph.neighbors
-    weights = np.ones(len(neighbors))
+    weights = np.ones(len(neighbors), dtype=np.int64)  # the move phase reads int64 uncopied
     degree = graph.degrees().astype(np.float64)
     two_m = 2.0 * graph.m
     node_to_super = np.arange(graph.n)
@@ -229,7 +229,8 @@ def louvain(graph: LabeledGraph, seed: int) -> Partition:
         dst = relabel[neighbors]
         cross = src != dst
         codes, group = np.unique(src[cross] * k + dst[cross], return_inverse=True)
-        weights = np.bincount(group, weights=weights[cross], minlength=len(codes))
+        weights = np.bincount(group, weights=weights[cross],
+                              minlength=len(codes)).astype(np.int64)
         neighbors = codes % k
         offsets = np.concatenate([[0], np.cumsum(np.bincount(codes // k, minlength=k))])
         degree = np.bincount(relabel, weights=degree, minlength=k)

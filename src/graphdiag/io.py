@@ -8,9 +8,10 @@ Formats:
     triplet file "node_token col value" densified on load. Values follow
     Python's ``float()`` syntax. They load into a float32 matrix, the
     precision the models train in: each value is parsed to the nearest
-    double, which is then rounded to float32, and a finite value beyond
-    float32's range is refused with its line ("feature value out of
-    float32 range").
+    double, which is then rounded to float32. A value the matrix cannot
+    hold is a fault of its line, checked after the line's other faults:
+    nan or inf ("feature values must be finite") or a finite value beyond
+    float32's range ("feature value out of float32 range").
   * partition: "node_token<TAB>community_id"
 
 Edge, CSV and triplet files are read by one rule. The open file is read in
@@ -24,9 +25,9 @@ the first fault with its line or accepts what only the line reader reads.
 A repeated triplet entry may lie blocks away from its first copy, so a
 fault in a triplet file has the file read again from its start. The bound
 is on characters rather than rows, so a block's transient memory stays
-small however wide the rows are. A block holding any value beyond
-float32's range is read line by line too, so the cast into the matrix
-never overflows and the reader names the line.
+small however wide the rows are. A block holding a value the matrix
+cannot hold is read line by line too, so no such value is stored and the
+reader names its line.
 
 Both feature formats allocate their zeroed float32 matrix by one rule,
 before any value is stored: a shape numpy cannot allocate, or refuses
@@ -112,10 +113,12 @@ def _holdable(values: np.ndarray) -> bool:
 
 
 def _check_range(path, lineno: int, values) -> None:
-    """Refuse a finite value beyond float32's range; nan and inf pass, for
-    the finiteness check to name."""
-    if any(_FEATURE_MAX < abs(v) < math.inf for v in values):
-        raise DatasetFormatError(path, lineno, "feature value out of float32 range")
+    """Refuse the line's first value the float32 matrix cannot hold: nan or
+    inf, or a finite value beyond float32's range."""
+    for v in values:
+        if not abs(v) <= _FEATURE_MAX:  # nan fails it too
+            raise DatasetFormatError(path, lineno, "feature value out of float32 range"
+                                     if math.isfinite(v) else "feature values must be finite")
 
 
 def _blocks(fh, lineno: int = 1):
@@ -200,7 +203,7 @@ def _feature_matrix(path, shape: tuple[int, int], cause: str) -> np.ndarray:
 
 
 def _read_block(block, width: int, node_index: dict[str, int], out: np.ndarray,
-                line_of: np.ndarray) -> bool:
+                seen: np.ndarray) -> bool:
     """Store a block's rows through one ``np.loadtxt`` call and return True,
     or return False with nothing stored when any line of it is at fault: an
     unknown or repeated token, a wrong column count, or a value numpy does
@@ -214,7 +217,7 @@ def _read_block(block, width: int, node_index: dict[str, int], out: np.ndarray,
             bodies.append(body)
     except KeyError:
         return False
-    if len(set(nodes)) != len(nodes) or line_of[nodes].any():
+    if len(set(nodes)) != len(nodes) or seen[nodes].any():
         return False
     try:
         # an all-empty block warns that it holds no data; that is a fault too
@@ -227,7 +230,7 @@ def _read_block(block, width: int, node_index: dict[str, int], out: np.ndarray,
     if values.shape != (len(block), width - 1) or not _holdable(values):
         return False
     out[nodes] = values
-    line_of[nodes] = [lineno for lineno, _ in block]
+    seen[nodes] = True
     return True
 
 
@@ -243,16 +246,15 @@ def _load_features_csv(path, blocks, node_index: dict[str, int], width: int) -> 
     line order with the message it always had, or accepts what only
     ``float()`` parses (``"1_0"``, non-ASCII digits). Both parsers round
     each value correctly to a double, which the float32 matrix rounds once,
-    so the matrix does not depend on which one read a row. A value beyond
-    float32's range is a fault of its line; nan and inf are stored, and
-    the first line holding one is named once every row is read.
+    so the matrix does not depend on which one read a row. A value the
+    matrix cannot hold is a fault of its line, like any other.
     """
     out = _feature_matrix(path, (len(node_index), width - 1),
                           f"the first data line holds {width - 1} values")
-    line_of = np.zeros(len(node_index), dtype=np.int64)  # of each node's row; 0: none yet
+    seen = np.zeros(len(node_index), dtype=bool)  # nodes whose row was read
     for lineno, text in blocks:
         block = list(_lines(text.split("\n"), False, lineno))
-        if _read_block(block, width, node_index, out, line_of):
+        if _read_block(block, width, node_index, out, seen):
             continue
         for lineno, line in block:
             parts = line.split(",")
@@ -264,7 +266,7 @@ def _load_features_csv(path, blocks, node_index: dict[str, int], width: int) -> 
                 raise DatasetFormatError(
                     path, lineno, f"node token {token!r} not present in the label file")
             node = node_index[token]
-            if line_of[node]:
+            if seen[node]:
                 raise DatasetFormatError(path, lineno, f"duplicate feature row for {token!r}")
             try:
                 values = [float(x) for x in parts[1:]]
@@ -272,16 +274,10 @@ def _load_features_csv(path, blocks, node_index: dict[str, int], width: int) -> 
                 raise DatasetFormatError(path, lineno, "non-numeric feature value") from None
             _check_range(path, lineno, values)
             out[node] = values
-            line_of[node] = lineno
-    missing = np.count_nonzero(line_of == 0)
+            seen[node] = True
+    missing = np.count_nonzero(~seen)
     if missing:
         raise DatasetFormatError(path, None, f"{missing} nodes have no feature row")
-    # a row is finite when its extremes are (min and max propagate nan);
-    # np.isfinite(out) would add an n x d temporary to the loader's peak memory
-    finite = np.isfinite(out.min(axis=1)) & np.isfinite(out.max(axis=1))
-    if not finite.all():
-        raise DatasetFormatError(path, int(line_of[~finite].min()),
-                                 "feature values must be finite")
     return out
 
 
@@ -305,8 +301,6 @@ def _triplet_lines(path, lines, node_index: dict[str, int]):
             raise DatasetFormatError(path, lineno, "malformed column index or value") from None
         if col < 0:
             raise DatasetFormatError(path, lineno, "negative column index")
-        if not math.isfinite(val):
-            raise DatasetFormatError(path, lineno, "feature values must be finite")
         key = (node_index[token], col)
         if key in seen:
             raise DatasetFormatError(path, lineno, f"duplicate entry for {token!r} col {col}")

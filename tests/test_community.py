@@ -10,6 +10,7 @@ from graphdiag import (GraphError, LabelVector, Partition, block_density_matrix,
                        edge_density, generate_sbm, joint_counts, louvain, modularity,
                        normalized_mutual_information, rewire_configuration_model,
                        swap_perturbation, to_undirected, uncertainty_coefficient)
+import graphdiag.community
 from graphdiag.community import GAIN_EPS, _local_moves
 from graphdiag.synthetic import planted_partition_graph
 
@@ -367,6 +368,20 @@ class TestLouvainMatchesReference:
                                               degree.sum(), reference_rng)
         assert comm.tolist() == expected.tolist() == [1, 1, 0, 6, 4, 0, 6]
         assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_every_level_hands_the_move_phase_int64_weights(self, monkeypatch):
+        # so the move phase reads them without a copy
+        dtypes = []
+
+        def spy(offsets, neighbors, weights, *rest):
+            dtypes.append(weights.dtype)
+            return _local_moves(offsets, neighbors, weights, *rest)
+
+        monkeypatch.setattr(graphdiag.community, "_local_moves", spy)
+        g, _ = planted_partition_graph(200, 10, 0.025, 0.0005, seed=5)
+        louvain(g, 0)
+        assert len(dtypes) > 2
+        assert set(dtypes) == {np.dtype(np.int64)}
 
     def test_move_phase_memory_stays_near_the_unpruned_loop(self):
         # the per-node dicts and watcher lists replace the flat Python copy

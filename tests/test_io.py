@@ -1,5 +1,4 @@
 import math
-import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -116,6 +115,25 @@ def test_non_finite_feature_value_names_its_line(tmp_path, name, text, value):
         load_features(bad, {"a": 0, "b": 1, "c": 2})
 
 
+# two faults, a value first: each format names the value's line, since a
+# value is checked at its line like any other fault
+@pytest.mark.parametrize("csv, triplets, expected", [
+    ("a,1.0\nb,nan\nc\n", "a 0 1.0\nb 0 nan\nc 0\n", "2: feature values must be finite"),
+    ("a,1.0\nb,nan\nq,1.0\n", "a 0 1.0\nb 0 nan\nq 0 1.0\n",
+     "2: feature values must be finite"),
+    ("a,inf\nb,1e39\nc,1.0\n", "a 0 inf\nb 0 1e39\nc 0 1.0\n",
+     "1: feature values must be finite"),
+    ("a,1.0\nb,nan\n", None, "2: feature values must be finite"),
+], ids=["short-row", "unknown-token", "beyond-float32", "missing-row"])
+def test_a_value_fault_is_named_at_its_line_in_both_formats(tmp_path, csv, triplets,
+                                                            expected):
+    node_index = {"a": 0, "b": 1, "c": 2}
+    for name, text in (("f.csv", csv), ("f.txt", triplets)):
+        if text is not None:
+            with pytest.raises(DatasetFormatError, match=rf"{name}:{expected}$"):
+                load_features(write(tmp_path / name, text), node_index)
+
+
 def test_features_triplet_densifies(tmp_path):
     trip = write(tmp_path / "f.txt", "a 0 1.5\nb 2 -2.0\n")
     out = load_features(trip, {"a": 0, "b": 1})
@@ -124,9 +142,11 @@ def test_features_triplet_densifies(tmp_path):
     assert out[0, 1] == 0.0 and out[1, 0] == 0.0
 
 
-def test_features_triplet_duplicate_entry(tmp_path):
-    trip = write(tmp_path / "f.txt", "a 0 1.0\na 0 2.0\n")
-    with pytest.raises(DatasetFormatError, match=":2.*duplicate"):
+@pytest.mark.parametrize("value", ["2.0", "nan"])
+def test_features_triplet_duplicate_entry(tmp_path, value):
+    # a repeat is a fault of the line's structure, checked before its value
+    trip = write(tmp_path / "f.txt", f"a 0 1.0\na 0 {value}\n")
+    with pytest.raises(DatasetFormatError, match=":2: duplicate"):
         load_features(trip, {"a": 0})
 
 
@@ -197,9 +217,21 @@ def test_csv_load_peaks_below_twice_the_matrix(tmp_path, n, d):
 # array bytes and in error text
 # ---------------------------------------------------------------------------
 
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _reference_check_values(path, lineno: int, values) -> None:
+    """The float32 contract, the last check of a line: the line's first
+    value that is not finite, or is beyond float32's range, is its fault."""
+    for v in values:
+        if not math.isfinite(v):
+            raise DatasetFormatError(path, lineno, "feature values must be finite")
+        if abs(v) > F32_MAX:
+            raise DatasetFormatError(path, lineno, "feature value out of float32 range")
+
+
 def _reference_load_features_csv(path, node_index: dict[str, int]) -> np.ndarray:
     rows: dict[int, list[float]] = {}
-    linenos: list[int] = []  # of each row, in file order
     width = None
     for lineno, line in _data_lines(path, allow_comments=False):
         parts = line.split(",")
@@ -221,19 +253,13 @@ def _reference_load_features_csv(path, node_index: dict[str, int]) -> np.ndarray
             rows[node] = [float(x) for x in parts[1:]]
         except ValueError:
             raise DatasetFormatError(path, lineno, "non-numeric feature value") from None
-        linenos.append(lineno)
+        _reference_check_values(path, lineno, rows[node])
     missing = len(node_index) - len(rows)
     if missing:
         raise DatasetFormatError(path, None, f"{missing} nodes have no feature row")
-    out = np.empty((len(node_index), width - 1), dtype=np.float64)
+    out = np.empty((len(node_index), width - 1), dtype=np.float32)
     for node, vals in rows.items():
         out[node] = vals
-    # a row is finite when its extremes are (min and max propagate nan);
-    # np.isfinite(out) would add an n x d temporary to the loader's peak memory
-    finite = np.isfinite(out.min(axis=1)) & np.isfinite(out.max(axis=1))
-    if not finite.all():
-        lineno = next(line for node, line in zip(rows, linenos) if not finite[node])
-        raise DatasetFormatError(path, lineno, "feature values must be finite")
     return out
 
 
@@ -256,17 +282,16 @@ def _reference_load_features_triplet(path, node_index: dict[str, int]) -> np.nda
             raise DatasetFormatError(path, lineno, "malformed column index or value") from None
         if col < 0:
             raise DatasetFormatError(path, lineno, "negative column index")
-        if not math.isfinite(val):
-            raise DatasetFormatError(path, lineno, "feature values must be finite")
         key = (node_index[token], col)
         if key in seen:
             raise DatasetFormatError(path, lineno, f"duplicate entry for {token!r} col {col}")
+        _reference_check_values(path, lineno, [val])
         seen.add(key)
         entries.append((key[0], col, val))
         max_col = max(max_col, col)
     if max_col < 0:
         raise DatasetFormatError(path, None, "feature file is empty")
-    out = np.zeros((len(node_index), max_col + 1), dtype=np.float64)
+    out = np.zeros((len(node_index), max_col + 1), dtype=np.float32)
     for node, col, val in entries:
         out[node, col] = val
     return out
@@ -278,60 +303,6 @@ def _reference_load_features(path, node_index: dict[str, int]) -> np.ndarray:
         return (_reference_load_features_csv if "," in line
                 else _reference_load_features_triplet)(path, node_index)
     raise DatasetFormatError(path, None, "feature file is empty")
-
-
-F32_MAX = float(np.finfo(np.float32).max)
-
-
-def _beyond_float32(token: str) -> bool:
-    try:
-        return F32_MAX < abs(float(token)) < math.inf
-    except ValueError:
-        return False
-
-
-def _zero_beyond_float32(line: str) -> str:
-    """``line`` with each of its values beyond float32's range set to 0; the
-    leading node token is no value."""
-    token = re.match(r"\s*[^,\s]*", line).end()
-    return line[:token] + re.sub(r"[^,\s]+", lambda m: "0" if _beyond_float32(m[0])
-                                 else m[0], line[token:])
-
-
-def _under_float32(reference):
-    """The float64 reference loader ``reference`` under the float32 contract.
-
-    A finite value beyond float32's range is a fault of its line, found
-    after every other fault of that line and before the faults of later
-    lines. It is placed by loading a copy of the file with such values
-    zeroed: a fault the reference names at or before the first such line
-    wins, save a non-finite CSV value, which is named only once every row
-    has been read. Otherwise the reference's matrix is cast to float32.
-    """
-    def load(path, node_index):
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.read().split("\n")
-        zeroed = [_zero_beyond_float32(line) for line in lines]
-        first = next((lineno for lineno, (line, zero) in enumerate(zip(lines, zeroed), 1)
-                      if line != zero), None)
-        if first is None:
-            return reference(path, node_index).astype(np.float32)
-        copy = path.with_name(path.name + ".zeroed")
-        copy.write_text("\n".join(zeroed), encoding="utf-8")
-        csv = "," in next(line for _, line in _data_lines(path, allow_comments=False))
-        try:
-            reference(copy, node_index)
-        except DatasetFormatError as exc:
-            fault = re.fullmatch(re.escape(f"{copy}:") + r"(\d+): (.*)", str(exc))
-            if fault and int(fault[1]) <= first and not (
-                    csv and fault[2] == "feature values must be finite"):
-                raise DatasetFormatError(path, int(fault[1]), fault[2]) from None
-        raise DatasetFormatError(path, first, "feature value out of float32 range")
-    return load
-
-
-reference_features = _under_float32(_reference_load_features)
-reference_triplets = _under_float32(_reference_load_features_triplet)
 
 
 FAULTS = ("columns", "unknown", "duplicate", "non-numeric", "negative", "missing",
@@ -412,7 +383,7 @@ def test_load_features_matches_reference(tmp_path_factory, file, block_chars):
     path.write_text(text, encoding="utf-8")
     with mock.patch.object(graphdiag.io, "_BLOCK_CHARS", block_chars):
         assert (_outcome(load_features, path, node_index)
-                == _outcome(reference_features, path, node_index))
+                == _outcome(_reference_load_features, path, node_index))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +422,7 @@ def test_clean_file_across_blocks_matches_reference(tmp_path, monkeypatch):
     path = write(tmp_path / "f.csv", "\n".join(BLOCK_LINES) + "\n")
     assert _block_layout(path, 45, monkeypatch) == FOUR_BLOCKS
     got = _outcome(load_features, path, BLOCK_INDEX)
-    assert got == _outcome(reference_features, path, BLOCK_INDEX)
+    assert got == _outcome(_reference_load_features, path, BLOCK_INDEX)
     assert isinstance(got, tuple)
 
 
@@ -463,11 +434,11 @@ def test_fault_at_a_block_boundary_matches_reference(tmp_path, monkeypatch, faul
     path = write(tmp_path / "f.csv", "\n".join(lines) + "\n")
     assert _block_layout(path, 45, monkeypatch) == FOUR_BLOCKS
     got = _outcome(load_features, path, BLOCK_INDEX)
-    assert got == _outcome(reference_features, path, BLOCK_INDEX)
+    assert got == _outcome(_reference_load_features, path, BLOCK_INDEX)
     if fault == "float-only-grammar":
         assert isinstance(got, tuple)
     else:
-        assert f"f.csv:{at + 1}: " in got or fault == "non-finite"
+        assert f"f.csv:{at + 1}: " in got
 
 
 def test_first_fault_wins_across_blocks(tmp_path, monkeypatch):
@@ -478,7 +449,7 @@ def test_first_fault_wins_across_blocks(tmp_path, monkeypatch):
     path = write(tmp_path / "f.csv", "\n".join(lines) + "\n")
     assert _block_layout(path, 45, monkeypatch) == FOUR_BLOCKS
     got = _outcome(load_features, path, BLOCK_INDEX)
-    assert got == _outcome(reference_features, path, BLOCK_INDEX)
+    assert got == _outcome(_reference_load_features, path, BLOCK_INDEX)
     assert got.endswith("f.csv:5: non-numeric feature value")
 
 
@@ -492,7 +463,7 @@ def test_block_of_empty_bodies_is_non_numeric_without_a_warning(tmp_path, monkey
         warnings.simplefilter("always")
         got = _outcome(load_features, path, node_index)
     assert caught == []
-    assert got == _outcome(reference_features, path, node_index)
+    assert got == _outcome(_reference_load_features, path, node_index)
     assert got.endswith("f.csv:2: non-numeric feature value")
 
 
@@ -528,7 +499,7 @@ def test_a_value_beyond_float32_names_its_line(tmp_path, monkeypatch, kind, at, 
         warnings.simplefilter("error")  # the cast must not overflow
         got = _outcome(load_features, path, node_index)
     assert got.endswith(f"f.txt:{at + 1}: feature value out of float32 range")
-    assert got == _outcome(reference_features, path, node_index)
+    assert got == _outcome(_reference_load_features, path, node_index)
 
 
 @pytest.mark.parametrize("template", ["a,{v},1\n", "a 0 {v}\na 1 1\n"],
@@ -678,7 +649,7 @@ def test_load_triplets_matches_reference(tmp_path_factory, file, block_chars):
     path.write_bytes(data)
     with mock.patch.object(graphdiag.io, "_BLOCK_CHARS", block_chars):
         assert (_outcome(load_features, path, node_index)
-                == _outcome(reference_triplets, path, node_index))
+                == _outcome(_reference_load_features_triplet, path, node_index))
 
 
 # 12 lines of equal length; at the block sizes below lines 1-3, 4-6, 7-9 and
@@ -710,7 +681,8 @@ TRIPLET_VARIANTS = {
 VALID_VARIANTS = {"comment", "blank", "python-only-grammar"}
 WHITESPACE_CASES = {
     "edges": (EDGE_LINES, EDGE_VARIANTS, 20, load_edges, _reference_load_edges),
-    "triplets": (TRIPLET_LINES, TRIPLET_VARIANTS, 25, load_features, reference_triplets),
+    "triplets": (TRIPLET_LINES, TRIPLET_VARIANTS, 25, load_features,
+                 _reference_load_features_triplet),
 }
 
 
@@ -858,7 +830,7 @@ def test_triplet_repeat_of_an_earlier_block_wins_over_a_later_fault(tmp_path, mo
     assert _block_layout(path, 25, monkeypatch) == FOUR_BLOCKS
     node_index = {f"n{i:02d}": i for i in range(12)}
     got = _outcome(load_features, path, node_index)
-    assert got == _outcome(reference_triplets, path, node_index)
+    assert got == _outcome(_reference_load_features_triplet, path, node_index)
     assert got.endswith("f.txt:5: duplicate entry for 'n00' col 0")
 
 
